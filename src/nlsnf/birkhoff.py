@@ -345,7 +345,6 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
                 displaced.append(t)
 
     # reality across the bijection M -> M'
-    h = result.model.grid.h
     for trip, phi in z1_m.items():
         mirror = trip.mirror()
         psi = z1_mp.get(mirror)
@@ -353,7 +352,6 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
             raise NlsnfError(f"mirror coupling missing for {trip}")
         if float(np.max(np.abs(np.conj(phi) - psi))) > 1e-10 * max(1.0, float(np.max(np.abs(phi)))):
             raise NlsnfError(f"reality pairing broken between {trip} and {mirror}")
-    _ = h
 
     remainder = (result.remainder + displaced).merged()
     return ReducedForm(z0=result.z0().merged(), z1_m=z1_m, z1_mprime=z1_mp,

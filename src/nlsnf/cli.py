@@ -56,7 +56,6 @@ DEFAULTS = {
         "dt": "1e-3",
         "output_stride": "100",
         "mode_amplitudes": "0.05,0.0",
-        "nonlinearity": "cubic",
         "sponge": "false",
         "wrap_policy": "warn",
         "seed": "0",
@@ -88,20 +87,23 @@ def config_hash(cp) -> str:
 
 def build_model_from_config(cp) -> spectral.OperatorModel:
     sec = cp["model"]
-    grid = spectral.GridSpec(l_box=sec.getfloat("l_box"), m_pts=sec.getint("m_pts"))
-    if sec.get("potential_csv"):
-        v = spectral.potential_from_csv(grid, sec.get("potential_csv"))
-    else:
-        preset = sec.get("preset")
-        params = {}
-        if preset == "poschl_teller":
-            params = {"a": sec.getfloat("a"), "kappa2": sec.getfloat("kappa2")}
-        elif preset == "gaussian_well":
-            params = {"depth": sec.getfloat("depth"), "width": sec.getfloat("width")}
-        elif preset == "sech2_well":
-            if sec.get("depth"):
-                params = {"depth": sec.getfloat("depth")}
-        v = spectral.potential_from_preset(grid, preset, **params)
+    try:
+        grid = spectral.GridSpec(l_box=sec.getfloat("l_box"), m_pts=sec.getint("m_pts"))
+        if sec.get("potential_csv"):
+            v = spectral.potential_from_csv(grid, sec.get("potential_csv"))
+        else:
+            preset = sec.get("preset")
+            params = {}
+            if preset == "poschl_teller":
+                params = {"a": sec.getfloat("a"), "kappa2": sec.getfloat("kappa2")}
+            elif preset == "gaussian_well":
+                params = {"depth": sec.getfloat("depth"), "width": sec.getfloat("width")}
+            elif preset == "sech2_well":
+                if sec.get("depth"):
+                    params = {"depth": sec.getfloat("depth")}
+            v = spectral.potential_from_preset(grid, preset, **params)
+    except ValueError as exc:
+        raise ConfigError(f"[model]: {exc}") from exc
     return spectral.build_operator(grid, v)
 
 
@@ -116,17 +118,21 @@ def _complex_list(text: str):
 
 def sim_config_from(cp) -> dynamics.SimConfig:
     sec = cp["simulation"]
-    return dynamics.SimConfig(
-        gamma0=cp.getfloat("forcing", "gamma0"),
-        gamma1=cp.getfloat("forcing", "gamma1"),
-        nonlinearity=sec.get("nonlinearity"),
-        t_end=sec.getfloat("t_end"),
-        dt=sec.getfloat("dt"),
-        output_stride=sec.getint("output_stride"),
-        mode_amplitudes=_complex_list(sec.get("mode_amplitudes")),
-        sponge=sec.getboolean("sponge"),
-        wrap_policy=sec.get("wrap_policy"),
-    )
+    if sec.get("nonlinearity", "cubic") != "cubic":
+        raise ConfigError("only the cubic nonlinearity is implemented")
+    try:
+        return dynamics.SimConfig(
+            gamma0=cp.getfloat("forcing", "gamma0"),
+            gamma1=cp.getfloat("forcing", "gamma1"),
+            t_end=sec.getfloat("t_end"),
+            dt=sec.getfloat("dt"),
+            output_stride=sec.getint("output_stride"),
+            mode_amplitudes=_complex_list(sec.get("mode_amplitudes")),
+            sponge=sec.getboolean("sponge"),
+            wrap_policy=sec.get("wrap_policy"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[simulation]: {exc}") from exc
 
 
 def write_trajectory_csv(record: dynamics.TrajectoryRecord, path: str):
@@ -177,13 +183,15 @@ def run_pipeline(cp, outdir: str) -> dict:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, default=_json_default)
 
-    stage = "model"
+    stage = "config"
     try:
+        sim_config = sim_config_from(cp)
+        stage = "model"
         model = build_model_from_config(cp)
         manifest["stages"]["model"] = {
             "c": model.c,
             "eigenvalues": model.lam.tolist(),
-            "n_bound": int(model.n_bound),
+            "n_bound": model.n,
             "grid": {"l_box": model.grid.l_box, "m_pts": model.grid.m_pts},
         }
         spectral.export_eigenpairs_csv(model, os.path.join(outdir, "eigenpairs.csv"))
@@ -218,7 +226,7 @@ def run_pipeline(cp, outdir: str) -> dict:
             # linear fast path: no normal form content at all
             manifest["stages"]["normal_form"] = {"skipped": "linear run"}
             stage = "simulate"
-            record = dynamics.simulate(model, sim_config_from(cp), aux=None)
+            record = dynamics.simulate(model, sim_config, aux=None)
             _record_sim(manifest, record)
             write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
             manifest["incomplete"] = False
@@ -285,7 +293,7 @@ def run_pipeline(cp, outdir: str) -> dict:
             zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
             g_couplings=dynamics.build_g_couplings(model, reduced),
         )
-        record = dynamics.simulate(model, sim_config_from(cp), aux=aux)
+        record = dynamics.simulate(model, sim_config, aux=aux)
         _record_sim(manifest, record)
         write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
         manifest["incomplete"] = False

@@ -20,8 +20,8 @@ import numpy as np
 from .birkhoff import ReducedForm
 from .errors import ConfigError, NumericalError
 from .fgr import FgrPacket, packet_form
-from .hamalg import HamExpansion, gradient_zbar
-from .resonance import IndexTriple, ResonanceCatalog, TOL_RES
+from .hamalg import exponent_table, gradient_zbar, monomials
+from .resonance import ResonanceCatalog, TOL_RES
 from .spectral import (
     GridSpec,
     OperatorModel,
@@ -39,7 +39,6 @@ DEFAULT_STRICHARTZ_PAIRS = ((6.0, 6.0), (8.0, 4.0))  # 1-D surrogate table
 class SimConfig:
     gamma0: float = 0.0
     gamma1: float = 0.0
-    nonlinearity: str = "cubic"          # or "quintic"
     t_end: float = 200.0
     dt: float = 1e-3
     output_stride: int = 100
@@ -55,8 +54,6 @@ class SimConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.nonlinearity not in ("cubic", "quintic"):
-            raise ConfigError("nonlinearity must be 'cubic' or 'quintic'")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigError("dt and t_end must be positive")
         if self.wrap_policy not in ("warn", "error", "ignore"):
@@ -70,8 +67,8 @@ class ReducedAux:
     catalog: ResonanceCatalog
     reduced: ReducedForm
     packets: list
-    zeta_couplings: list
-    g_couplings: list
+    zeta_couplings: CouplingTable
+    g_couplings: CouplingTable
 
 
 @dataclass
@@ -126,19 +123,15 @@ def weighted_l2(u, grid: GridSpec, s: float) -> float:
     return l2_norm(w * u, grid.h)
 
 
-def energy_value(model: OperatorModel, u, t: float, gamma0, gamma1,
-                 nonlinearity: str = "cubic") -> float:
+def energy_value(model: OperatorModel, u, t: float, gamma0, gamma1) -> float:
     grid = model.grid
     du = np.fft.ifft(1j * grid.k * np.fft.fft(u))
     kin = l2_norm(du, grid.h) ** 2
     pot = float(np.real(grid.h * np.sum((model.v + model.c) * np.abs(u) ** 2)))
     g = float(gamma_of_t(t, gamma0, gamma1))
-    # the /2 (cubic) and /3 (quintic) normalizations generate the simulated
-    # nonlinearities g|u|^2 u and g|u|^4 u under the Wirtinger gradient
-    if nonlinearity == "cubic":
-        ep = g * float(grid.h * np.sum(np.abs(u) ** 4)) / 2.0
-    else:
-        ep = g * float(grid.h * np.sum(np.abs(u) ** 6)) / 3.0
+    # the /2 normalization generates the simulated nonlinearity g|u|^2 u under
+    # the Wirtinger gradient
+    ep = g * float(grid.h * np.sum(np.abs(u) ** 4)) / 2.0
     return kin + pot + ep
 
 
@@ -171,9 +164,7 @@ def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
         half_kinetic = np.exp(-0.5j * grid.k ** 2 * dt)
     u = np.fft.ifft(np.fft.fft(u) * half_kinetic)
     g = float(gamma_of_t(t + 0.5 * dt, config.gamma0, config.gamma1))
-    amp2 = np.abs(u) ** 2
-    nl = amp2 if config.nonlinearity == "cubic" else amp2 ** 2
-    u = u * np.exp(-1j * dt * (model.v + model.c + g * nl))
+    u = u * np.exp(-1j * dt * (model.v + model.c + g * np.abs(u) ** 2))
     u = np.fft.ifft(np.fft.fft(u) * half_kinetic)
     if sponge is not None:
         u = u * sponge
@@ -221,10 +212,10 @@ def simulate(model: OperatorModel, config: SimConfig,
     f_w = np.empty(n_out)
     g_w = np.empty(n_out) if aux is not None else None
     zetas = np.empty((n_out, nb), dtype=complex) if aux is not None else None
-    flux = np.empty(n_out) if aux is not None else None
 
     minimal = aux.catalog.minimal if aux is not None else []
-    zsq_acc = {(tr.m, tr.mu, tr.nu): 0.0 for tr in minimal}
+    zsq_mu, zsq_nu = exponent_table(minimal, nb)
+    zsq_acc = np.zeros(len(minimal))
     pairs = {f"r={r:g},p={p:g}": 0.0 for (r, p) in config.strichartz_pairs}
     sup_h1_f = 0.0
     sample_dt = stride * dt
@@ -237,23 +228,16 @@ def simulate(model: OperatorModel, config: SimConfig,
         times[i] = t
         zs[i] = state.z
         mass[i] = l2_norm(u, grid.h)
-        energy[i] = energy_value(model, u, t, config.gamma0, config.gamma1,
-                                 config.nonlinearity)
+        energy[i] = energy_value(model, u, t, config.gamma0, config.gamma1)
         f_l2[i] = l2_norm(state.f, grid.h)
         f_h1[i] = h1_norm(state.f, grid)
         f_w[i] = weighted_l2(state.f, grid, config.weight_s)
         sup_h1_f = max(sup_h1_f, f_h1[i])
         for (r, p) in config.strichartz_pairs:
             pairs[f"r={r:g},p={p:g}"] += sample_dt * _w1p_norm(state.f, grid, p) ** r
-        for tr in minimal:
-            zmon = 1.0 + 0.0j
-            for j, e in enumerate(np.array(tr.mu) + np.array(tr.nu)):
-                if e:
-                    zmon *= state.z[j] ** int(e)
-            zsq_acc[(tr.m, tr.mu, tr.nu)] += sample_dt * abs(zmon) ** 2
+        zsq_acc[:] += sample_dt * np.abs(monomials(state.z, zsq_mu, zsq_nu)) ** 2
         if aux is not None:
             zetas[i] = zeta_transform(state.z, t, aux.zeta_couplings)
-            flux[i] = math.pi * sum(packet_form(p, zetas[i]) for p in aux.packets)
             g_w[i] = weighted_l2(g_transform(state, t, aux.g_couplings),
                                  grid, config.weight_s)
 
@@ -270,6 +254,9 @@ def simulate(model: OperatorModel, config: SimConfig,
             record(out_i, t, u)
             out_i += 1
 
+    # the golden-rule flux pi sum_w Q_w(zeta) of every sample at once
+    flux = (math.pi * sum((packet_form(p, zetas) for p in aux.packets), np.zeros(n_out))
+            if aux is not None else None)
     strich = {key: val ** (1.0 / float(key.split(",")[0].split("=")[1]))
               for key, val in pairs.items()}
     strich["r=inf,p=2"] = sup_h1_f
@@ -278,7 +265,7 @@ def simulate(model: OperatorModel, config: SimConfig,
         f_l2=f_l2, f_h1=f_h1, f_weighted=f_w,
         eps_h1=eps, dt_safe=dt_safe_bound(grid), t_wrap=t_wrap,
         zeta=zetas, g_weighted=g_w, fgr_flux=flux,
-        zsq_integrals={k: v for k, v in zsq_acc.items()},
+        zsq_integrals={(tr.m, tr.mu, tr.nu): float(v) for tr, v in zip(minimal, zsq_acc)},
         strichartz=strich, snapshots=snapshots, sponge_used=config.sponge,
     )
 
@@ -306,25 +293,47 @@ def linear_reference(model: OperatorModel, u0, t: float) -> np.ndarray:
 
 
 @dataclass
-class ZetaCoupling:
-    j: int
-    m: int
-    mu: tuple
-    nu: tuple        # exponent of conj(z) after the 1/conj(z_j) cancellation
-    coef: complex
+class CouplingTable:
+    """Stacked monomial couplings, one row each.
+
+    Row k stands for weight_k e^{i m_k t} z^{mu_k} conj(z)^{nu_k}.  The zeta
+    corrections carry scalar weights and the mode j_k they correct; the g
+    tails carry grid vectors and no j.
+    """
+
+    m: np.ndarray                 # (K,)
+    mu: np.ndarray                # (K, n)
+    nu: np.ndarray                # (K, n)
+    weight: np.ndarray            # (K,) or (K, M)
+    j: np.ndarray | None = None   # (K,)
+
+    @classmethod
+    def from_rows(cls, rows, n_modes: int, j=None) -> "CouplingTable":
+        """Stack (m, mu, nu, weight) rows; `j` lists the corrected modes."""
+        m, mu, nu, weight = zip(*rows) if rows else ((), (), (), ())
+        return cls(m=np.array(m, dtype=int),
+                   mu=np.array(mu, dtype=int).reshape(-1, n_modes),
+                   nu=np.array(nu, dtype=int).reshape(-1, n_modes),
+                   weight=np.array(weight, dtype=complex),
+                   j=None if j is None else np.array(j, dtype=int))
+
+    def phased_monomials(self, z, t: float) -> np.ndarray:
+        """e^{i m_k t} z^{mu_k} conj(z)^{nu_k} of every row."""
+        return np.exp(1j * self.m * t) * monomials(z, self.mu, self.nu)
 
 
 def build_zeta_couplings(model: OperatorModel, reduced: ReducedForm,
-                         tol_res: float = TOL_RES) -> list:
+                         tol_res: float = TOL_RES) -> CouplingTable:
     """Precompute the oscillatory-correction monomials of the zeta variables.
 
     Pairs from M x M' and M' x M' with nonvanishing denominators
     m + m' - lambda.(mu + mu' - nu - nu') contribute; the boundary-value
-    pairings <R^+- Psi, Phi> are cached as scalars.
+    pairings <R^+- Psi, Phi> are cached as scalars.  Each correction of zeta_j
+    keeps the exponent of conj(z) after the 1/conj(z_j) cancellation.
     """
     lam = np.asarray(model.lam, dtype=float)
     cat = reduced.catalog
-    out: list[ZetaCoupling] = []
+    rows, js = [], []
 
     rplus_cache: dict = {}
 
@@ -335,106 +344,63 @@ def build_zeta_couplings(model: OperatorModel, reduced: ReducedForm,
             rplus_cache[trip] = resolvent_limit(model, arg, psi, side="+")
         return rplus_cache[trip]
 
+    def add(ta, m, mu_tot, nu_tot, coupling, denom):
+        for j in range(len(lam)):
+            if ta.nu[j] == 0:
+                continue
+            nu_red = nu_tot.copy()
+            nu_red[j] -= 1
+            rows.append((m, mu_tot, nu_red, ta.nu[j] * coupling / denom))
+            js.append(j)
+
     h = model.grid.h
     # first family: (m, mu, nu) in M, (m', mu', nu') in M'
     for ta in cat.minimal:
         phi_a = reduced.z1_m[ta]
         for tb in cat.minimal_prime:
-            denom = (ta.m + tb.m) - float(
-                lam @ (np.array(ta.mu) + np.array(tb.mu)
-                       - np.array(ta.nu) - np.array(tb.nu)))
+            mu_tot = np.array(ta.mu) + np.array(tb.mu)
+            nu_tot = np.array(ta.nu) + np.array(tb.nu)
+            denom = (ta.m + tb.m) - float(lam @ (mu_tot - nu_tot))
             if abs(denom) < tol_res:
                 continue
-            coupling = pairing(rplus(tb), phi_a, h)
-            mu_tot = tuple(np.array(ta.mu) + np.array(tb.mu))
-            nu_tot = np.array(ta.nu) + np.array(tb.nu)
-            for j in range(len(lam)):
-                if ta.nu[j] == 0:
-                    continue
-                nu_red = nu_tot.copy()
-                nu_red[j] -= 1
-                out.append(ZetaCoupling(
-                    j=j, m=ta.m + tb.m, mu=mu_tot, nu=tuple(nu_red),
-                    coef=ta.nu[j] * coupling / denom))
+            add(ta, ta.m + tb.m, mu_tot, nu_tot, pairing(rplus(tb), phi_a, h), denom)
     # second family: (m, mu, nu) in M', (m', mu', nu') in M'
     for ta in cat.minimal_prime:
         psi_a = reduced.z1_mprime[ta]
         for tb in cat.minimal_prime:
-            denom = (ta.m - tb.m) - float(
-                lam @ (np.array(ta.mu) + np.array(tb.nu)
-                       - np.array(ta.nu) - np.array(tb.mu)))
+            mu_tot = np.array(ta.mu) + np.array(tb.nu)
+            nu_tot = np.array(ta.nu) + np.array(tb.mu)
+            denom = (ta.m - tb.m) - float(lam @ (mu_tot - nu_tot))
             if abs(denom) < tol_res:
                 continue
             # R^-(s) conj(Psi) = conj(R^+(s) Psi) for the real-symmetric H
-            rminus = np.conj(rplus(tb))
-            coupling = pairing(rminus, psi_a, h)
-            mu_tot = tuple(np.array(ta.mu) + np.array(tb.nu))
-            nu_tot = np.array(ta.nu) + np.array(tb.mu)
-            for j in range(len(lam)):
-                if ta.nu[j] == 0:
-                    continue
-                nu_red = nu_tot.copy()
-                nu_red[j] -= 1
-                out.append(ZetaCoupling(
-                    j=j, m=ta.m - tb.m, mu=mu_tot, nu=tuple(nu_red),
-                    coef=ta.nu[j] * coupling / denom))
-    return out
+            add(ta, ta.m - tb.m, mu_tot, nu_tot, pairing(np.conj(rplus(tb)), psi_a, h), denom)
+    return CouplingTable.from_rows(rows, len(lam), j=js)
 
 
-def zeta_transform(z, t: float, couplings) -> np.ndarray:
+def zeta_transform(z, t: float, couplings: CouplingTable) -> np.ndarray:
     """zeta_j = z_j minus the precomputed oscillatory corrections."""
-    z = np.asarray(z, dtype=complex)
-    zb = np.conj(z)
-    zeta = z.copy()
-    for cp in couplings:
-        val = cp.coef * np.exp(1j * cp.m * t)
-        for j, e in enumerate(cp.mu):
-            if e:
-                val *= z[j] ** e
-        for j, e in enumerate(cp.nu):
-            if e:
-                val *= zb[j] ** e
-        zeta[cp.j] -= val
+    zeta = np.array(z, dtype=complex)
+    np.subtract.at(zeta, couplings.j, couplings.weight * couplings.phased_monomials(z, t))
     return zeta
 
 
-@dataclass
-class GCoupling:
-    m: int
-    mu: tuple
-    nu: tuple
-    vector: np.ndarray
-
-
-def build_g_couplings(model: OperatorModel, reduced: ReducedForm) -> list:
+def build_g_couplings(model: OperatorModel, reduced: ReducedForm) -> CouplingTable:
     """R^+ tails of the M' couplings entering the g variable."""
     lam = np.asarray(model.lam, dtype=float)
-    out = []
+    rows = []
     for trip, psi in reduced.z1_mprime.items():
         arg = float(lam @ (np.array(trip.mu) - np.array(trip.nu))) - trip.m
         if arg <= model.c:
             raise NumericalError(
                 f"catalog corruption: M' argument {arg:.6g} below the threshold")
-        out.append(GCoupling(m=trip.m, mu=trip.mu, nu=trip.nu,
-                             vector=resolvent_limit(model, arg, psi, side="+")))
-    return out
+        rows.append((trip.m, trip.mu, trip.nu, resolvent_limit(model, arg, psi, side="+")))
+    return CouplingTable.from_rows(rows, len(lam))
 
 
-def g_transform(state: ModeState, t: float, g_couplings) -> np.ndarray:
+def g_transform(state: ModeState, t: float, g_couplings: CouplingTable) -> np.ndarray:
     """g = f + sum over M' of e^{imt} z^mu conj(z)^nu R^+ Psi."""
-    z = np.asarray(state.z, dtype=complex)
-    zb = np.conj(z)
-    g = state.f.astype(complex).copy()
-    for gc in g_couplings:
-        val = np.exp(1j * gc.m * t)
-        for j, e in enumerate(gc.mu):
-            if e:
-                val *= z[j] ** e
-        for j, e in enumerate(gc.nu):
-            if e:
-                val *= zb[j] ** e
-        g += val * gc.vector
-    return g
+    return state.f + g_couplings.phased_monomials(state.z, t) @ g_couplings.weight
 
 
 # ---------------------------------------------------------------------------
@@ -450,48 +416,24 @@ def reduced_ode_rhs(z, f, reduced: ReducedForm, model: OperatorModel,
              + sum_M' nu_j e^{imt} z^mu conj(z)^{nu - e_j} <conj f, Psi>.
     """
     z = np.asarray(z, dtype=complex)
-    zb = np.conj(z)
     h = model.grid.h
-    nb = len(z)
     f = np.zeros(model.grid.m_pts, dtype=complex) if f is None else np.asarray(f, dtype=complex)
     rhs = model.lam * z
-    for j in range(nb):
+    for j in range(len(z)):
         rhs[j] += gradient_zbar(reduced.z0, j).evaluate(t, z, f, h)
-    fb = np.conj(f)
-    for trip, phi in reduced.z1_m.items():
-        pair = pairing(f, phi, h)
-        if pair == 0.0:
-            continue
-        base = np.exp(1j * trip.m * t) * pair
-        for j, e in enumerate(trip.mu):
-            if e:
-                base *= z[j] ** e
-        for j in range(nb):
-            if trip.nu[j] == 0:
-                continue
-            val = trip.nu[j] * base
-            for jj, e in enumerate(trip.nu):
-                ee = e - (1 if jj == j else 0)
-                if ee:
-                    val *= zb[jj] ** ee
-            rhs[j] += val
-    for trip, psi in reduced.z1_mprime.items():
-        pair = pairing(fb, psi, h)
-        if pair == 0.0:
-            continue
-        base = np.exp(1j * trip.m * t) * pair
-        for j, e in enumerate(trip.mu):
-            if e:
-                base *= z[j] ** e
-        for j in range(nb):
-            if trip.nu[j] == 0:
-                continue
-            val = trip.nu[j] * base
-            for jj, e in enumerate(trip.nu):
-                ee = e - (1 if jj == j else 0)
-                if ee:
-                    val *= zb[jj] ** ee
-            rhs[j] += val
+    if not np.any(f):   # no radiation: the Z1 couplings contribute nothing
+        return -1j * rhs
+    trips = list(reduced.z1_m) + list(reduced.z1_mprime)
+    pairs = np.array([pairing(f, phi, h) for phi in reduced.z1_m.values()]
+                     + [pairing(np.conj(f), psi, h) for psi in reduced.z1_mprime.values()])
+    base = np.exp(1j * np.array([tr.m for tr in trips]) * t) * pairs
+    mu, nu = exponent_table(trips, len(z))
+    for j in range(len(z)):
+        # d/dconj(z_j) of conj(z)^nu is nu_j conj(z)^{nu - e_j}; rows with
+        # nu_j = 0 are zeroed by their factor nu_j
+        nu_j = nu.copy()
+        nu_j[:, j] = np.maximum(nu[:, j] - 1, 0)
+        rhs[j] += np.sum(nu[:, j] * base * monomials(z, mu, nu_j))
     return -1j * rhs
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .birkhoff import ReducedForm
 from .errors import NlsnfError
-from .hamalg import HamExpansion, gradient_zbar
+from .hamalg import HamExpansion, exponent_table, gradient_zbar, monomials
 from .resonance import IndexTriple
 from .spectral import OperatorModel, density_gram, pv_gram
 
@@ -31,27 +31,18 @@ class FgrPacket:
     gram_lap: np.ndarray | None = None
     gram_pv: np.ndarray | None = None
     clipped_mass: float = 0.0        # negative estimator noise removed from gram
+    mu: np.ndarray = field(init=False, repr=False)   # (members, n) exponent tables
+    nu: np.ndarray = field(init=False, repr=False)
 
-    def monomials(self, zeta: np.ndarray) -> np.ndarray:
-        zb = np.conj(zeta)
-        out = np.empty(len(self.members), dtype=complex)
-        for i, (trip, _) in enumerate(self.members):
-            val = 1.0 + 0.0j
-            for j, e in enumerate(trip.mu):
-                if e:
-                    val *= zeta[j] ** e
-            for j, e in enumerate(trip.nu):
-                if e:
-                    val *= zb[j] ** e
-            out[i] = val
-        return out
+    def __post_init__(self):
+        self.mu, self.nu = exponent_table([t for t, _ in self.members],
+                                          len(self.members[0][0].mu))
 
 
 def build_packets(
     model: OperatorModel,
     reduced: ReducedForm,
     estimator: str = "histogram",
-    with_pv: bool = True,
 ) -> list[FgrPacket]:
     """One packet per w in X, Gram matrices precomputed.
 
@@ -73,9 +64,8 @@ def build_packets(
         vecs = [p for _, p in members]
         gram, clipped = _psd_clip(density_gram(model, w, vecs, estimator=estimator))
         gram_lap, _ = _psd_clip(density_gram(model, w, vecs, estimator="lap"))
-        gpv = pv_gram(model, w, vecs) if with_pv else None
         packets.append(FgrPacket(w=w, members=members, gram=gram,
-                                 gram_lap=gram_lap, gram_pv=gpv,
+                                 gram_lap=gram_lap, gram_pv=pv_gram(model, w, vecs),
                                  clipped_mass=clipped))
     return packets
 
@@ -89,16 +79,18 @@ def _psd_clip(gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 def assemble_phi_w(packet: FgrPacket, zeta: np.ndarray) -> np.ndarray:
     """Phi_w(zeta) = sum over the packet of zeta^mu conj(zeta)^nu Phi."""
-    mono = packet.monomials(np.asarray(zeta, dtype=complex))
+    mono = monomials(zeta, packet.mu, packet.nu)
     cols = np.stack([p for _, p in packet.members])
     return mono @ cols
 
 
-def packet_form(packet: FgrPacket, zeta, use_lap: bool = False) -> float:
-    """<delta(H - w) conj(Phi_w), Phi_w> as a quadratic form in the monomials."""
-    c = packet.monomials(np.asarray(zeta, dtype=complex))
-    g = packet.gram_lap if use_lap else packet.gram
-    return float(np.real(np.conj(c) @ g @ c))
+def packet_form(packet: FgrPacket, zeta):
+    """<delta(H - w) conj(Phi_w), Phi_w> as a quadratic form in the monomials.
+
+    A stack of states zeta of shape (S, n) gives the S forms.
+    """
+    c = monomials(np.asarray(zeta)[..., None, :], packet.mu, packet.nu)
+    return ((np.conj(c) @ packet.gram) * c).sum(axis=-1).real
 
 
 @dataclass
@@ -108,26 +100,23 @@ class FgrFormResult:
     alarm: bool
 
 
-def fgr_form(packets, zeta, use_lap: bool = False) -> FgrFormResult:
+def fgr_form(packets, zeta) -> FgrFormResult:
     """Sum over w of the delta-form; negative beyond the alarm level flags."""
-    per_w = {p.w: packet_form(p, zeta, use_lap=use_lap) for p in packets}
+    per_w = {p.w: packet_form(p, zeta) for p in packets}
     value = float(sum(per_w.values()))
     scale = max((float(np.max(np.abs(p.gram))) for p in packets), default=0.0)
     alarm = value < -POSITIVITY_ALARM * max(1.0, scale)
     return FgrFormResult(value=value, per_w=per_w, alarm=alarm)
 
 
-def monomial_l2(triples, zeta) -> float:
-    """sum over M of |zeta^{mu + nu}|^2, the comparison side of the FGR form."""
-    zeta = np.asarray(zeta, dtype=complex)
-    total = 0.0
-    for trip in triples:
-        val = 1.0 + 0.0j
-        for j, e in enumerate(np.array(trip.mu) + np.array(trip.nu)):
-            if e:
-                val *= zeta[j] ** int(e)
-        total += abs(val) ** 2
-    return float(total)
+def monomial_l2(triples, zeta):
+    """sum over M of |zeta^{mu + nu}|^2, the comparison side of the FGR form.
+
+    A stack of states zeta of shape (S, n) gives the S sums.
+    """
+    zeta = np.asarray(zeta)
+    mu, nu = exponent_table(triples, zeta.shape[-1])
+    return np.sum(np.abs(monomials(zeta[..., None, :], mu, nu)) ** 2, axis=-1)
 
 
 @dataclass
@@ -154,18 +143,16 @@ def rayleigh_report(
     times the positivity alarm level.
     """
     rng = np.random.default_rng(seed)
-    quotients = []
+    units = []
     for _ in range(n_samples):
         v = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        v /= np.linalg.norm(v)
-        for rad in radii:
-            zeta = rad * v
-            denom = monomial_l2(triples, zeta)
-            if denom < 1e-300:
-                continue
-            num = sum(packet_form(p, zeta) for p in packets)
-            quotients.append(num / denom)
-    quotients = np.array(quotients)
+        units.append(v / np.linalg.norm(v))
+    # sample-major, radius-minor
+    zetas = (np.array(units)[:, None, :] * np.asarray(radii)[None, :, None]).reshape(-1, n_modes)
+    denom = monomial_l2(triples, zetas)
+    num = sum((packet_form(p, zetas) for p in packets), np.zeros(len(zetas)))
+    keep = denom >= 1e-300
+    quotients = num[keep] / denom[keep]
     return RayleighReport(
         min_quotient=float(quotients.min()),
         max_quotient=float(quotients.max()),
@@ -246,9 +233,9 @@ def cancellation_checks(
         delta_direct = 0.0
         dscale = 1e-300
         for p in packets:
-            c = p.monomials(zeta)
-            sizes_mu = np.array([sum(t.mu) for t, _ in p.members])
-            sizes_nu = np.array([sum(t.nu) for t, _ in p.members])
+            c = monomials(zeta, p.mu, p.nu)
+            sizes_mu = p.mu.sum(axis=1)
+            sizes_nu = p.nu.sum(axis=1)
             if p.gram_pv is not None:
                 # weight |nu_a| + |mu_b| on <P.V. conj(c_b Phi_b), c_a Phi_a>
                 wmat = sizes_nu[:, None] + sizes_mu[None, :]
@@ -300,7 +287,7 @@ def lyapunov_balance(times, zeta_series, packets) -> BalanceResult:
     step = dt[0]
     zetas = np.asarray(zeta_series, dtype=complex)
     action = 0.5 * np.sum(np.abs(zetas) ** 2, axis=1)
-    flux = np.array([np.pi * sum(packet_form(p, z) for p in packets) for z in zetas])
+    flux = np.pi * sum((packet_form(p, zetas) for p in packets), np.zeros(len(zetas)))
 
     ddt = np.empty_like(action)
     ddt[1:-1] = (action[2:] - action[:-2]) / (2.0 * step)

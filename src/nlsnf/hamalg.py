@@ -39,6 +39,24 @@ def _vec(v) -> np.ndarray:
     return np.asarray(v, dtype=complex)
 
 
+def monomials(z, mu, nu):
+    """z^mu conj(z)^nu for nonnegative integer exponents, with 0^0 = 1.
+
+    `mu` and `nu` are one exponent pair of shape (n,), which gives a scalar,
+    or a stacked table of shape (K, n), which gives the K monomials as a (K,)
+    array.  Leading axes of z broadcast: a stack of states z[:, None, :]
+    against a table gives an (S, K) array.
+    """
+    z = np.asarray(z, dtype=complex)
+    return (z ** np.asarray(mu)).prod(axis=-1) * (np.conj(z) ** np.asarray(nu)).prod(axis=-1)
+
+
+def exponent_table(items, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, n_modes) mu and nu tables of K items that carry .mu and .nu."""
+    return (np.array([t.mu for t in items], dtype=int).reshape(-1, n_modes),
+            np.array([t.nu for t in items], dtype=int).reshape(-1, n_modes))
+
+
 class HamTerm:
     """One monomial.  Treated as immutable after construction."""
 
@@ -131,15 +149,9 @@ class HamTerm:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, t: float, z: np.ndarray, f: np.ndarray, h: float) -> complex:
-        zb = np.conj(z)
-        val = self.coeff * np.exp(1j * self.m * t)
-        for j, e in enumerate(self.mu):
-            if e:
-                val *= z[j] ** e
-        for j, e in enumerate(self.nu):
-            if e:
-                val *= zb[j] ** e
+    def f_factor(self, f: np.ndarray, h: float) -> complex:
+        """The radiation part: the pairings with f and conj(f) and the tail."""
+        val = 1.0 + 0.0j
         fb = np.conj(f)
         for p in self.alphas:
             val *= pairing(p, f, h)
@@ -282,7 +294,11 @@ class HamExpansion:
     def evaluate(self, t: float, z, f, h: float) -> complex:
         z = np.asarray(z, dtype=complex)
         f = np.asarray(f, dtype=complex)
-        return sum((term.evaluate(t, z, f, h) for term in self.terms), 0.0 + 0.0j)
+        coeffs = np.array([term.coeff for term in self.terms], dtype=complex)
+        m = np.array([term.m for term in self.terms], dtype=int)
+        radiation = np.array([term.f_factor(f, h) for term in self.terms], dtype=complex)
+        zmons = monomials(z, *exponent_table(self.terms, len(z)))
+        return complex(np.sum(coeffs * np.exp(1j * m * t) * zmons * radiation))
 
     def select(self, pred) -> "HamExpansion":
         return HamExpansion([t for t in self.terms if pred(t)], self.order, self.n0)
@@ -613,10 +629,12 @@ def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
         for key, terms in buckets.items():
             m, mu, nu, a, b, na, nb = key
             mkey = (-m, nu, mu, b, a, nb, na)
-            mirror_terms = buckets.get(mkey, [])
+            # a bucket and the mirrors of its mirror bucket share z0^mu conj(z0)^nu
+            zmon = monomials(z0, mu, nu)
+            mirror_terms = [t.mirror() for t in buckets.get(mkey, [])]
             for f in probes:
-                v1 = sum(t.evaluate(0.0, z0, f, h) for t in terms)
-                v2 = sum(t.mirror().evaluate(0.0, z0, f, h) for t in mirror_terms)
+                v1 = zmon * sum(t.coeff * t.f_factor(f, h) for t in terms)
+                v2 = zmon * sum(t.coeff * t.f_factor(f, h) for t in mirror_terms)
                 # mirror of the mirror-bucket must reproduce the bucket
                 if abs(v1 - v2) > tol_abs * (1.0 + abs(v1)):
                     return False, f"composite bucket {key} has no conjugate mirror"
@@ -736,25 +754,18 @@ class FbarGradient:
     def __init__(self, ham: HamExpansion, model: OperatorModel):
         self.ham = ham.merged()
         self.model = model
-        # terms whose gradient does not depend on f: single <Psi, conj f> factor
-        self.linear_terms = [t for t in self.ham.terms if t.kind == "linear_fbar"]
+        self.coeffs = np.array([t.coeff for t in self.ham.terms], dtype=complex)
+        self.m = np.array([t.m for t in self.ham.terms], dtype=int)
+        self.mu, self.nu = exponent_table(self.ham.terms, len(model.lam))
 
     def evaluate(self, t: float, z, f) -> np.ndarray:
         model = self.model
         h = model.grid.h
-        z = np.asarray(z, dtype=complex)
         f = np.asarray(f, dtype=complex)
         fb = np.conj(f)
-        zb = np.conj(z)
         out = np.zeros(model.grid.m_pts, dtype=complex)
-        for term in self.ham.terms:
-            zmon = term.coeff * np.exp(1j * term.m * t)
-            for jj, ex in enumerate(term.mu):
-                if ex:
-                    zmon *= z[jj] ** ex
-            for jj, ex in enumerate(term.nu):
-                if ex:
-                    zmon *= zb[jj] ** ex
+        zmons = self.coeffs * np.exp(1j * self.m * t) * monomials(z, self.mu, self.nu)
+        for term, zmon in zip(self.ham.terms, zmons):
             if zmon == 0.0:
                 continue
             pair_alpha = [pairing(p, f, h) for p in term.alphas]

@@ -55,11 +55,8 @@ class GridSpec:
 
     l_box: float = 40.0
     m_pts: int = 2048
-    dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension != 1:
-            raise ValueError("only dimension 1 is implemented")
         if self.m_pts < 64 or (self.m_pts & (self.m_pts - 1)) != 0:
             raise ValueError("m_pts must be a power of two, at least 64")
         if self.l_box <= 0:
@@ -162,10 +159,6 @@ class OperatorModel:
 
     @property
     def n(self) -> int:
-        return len(self.lam) - 1
-
-    @property
-    def n_bound(self) -> int:
         return len(self.lam) - 1
 
     # -- mode transforms (quadrature-normalized eigenbasis) ------------------
@@ -467,7 +460,6 @@ def resolvent_limit(
     w: float,
     b: np.ndarray,
     side: str = "+",
-    eps_schedule=None,
 ) -> np.ndarray:
     """Boundary value R(w +/- i0) b on the continuous spectrum, extrapolated.
 
@@ -479,7 +471,7 @@ def resolvent_limit(
         raise ValueError("side must be '+' or '-'")
     if w <= model.c:
         return resolvent_apply(model, w, np.asarray(b, dtype=complex), reduced=True)
-    eps = np.asarray(eps_schedule if eps_schedule is not None else lap_eps_schedule(model, w))
+    eps = lap_eps_schedule(model, w)
     sign = 1.0 if side == "+" else -1.0
     e = model.mode_energies
     coeffs = model.mode_coeffs(np.asarray(b, dtype=complex))
@@ -510,16 +502,14 @@ def _continuum_weights(model: OperatorModel, phis) -> tuple[np.ndarray, np.ndarr
     return e, cm
 
 
-def _lap_gram(model: OperatorModel, w: float, e: np.ndarray, cm: np.ndarray,
-              eps_schedule, kernel):
+def _lap_gram(model: OperatorModel, w: float, e: np.ndarray, cm: np.ndarray, kernel):
     """eps -> 0 limit of the Gram matrices conj(cm) K_eps cm^T, with its error.
 
     (e, cm) are the continuum energies and coefficients of `_continuum_weights`;
     `kernel(d, eps)` is the eps-smoothed kernel at d = e - w: the Lorentzian
     (delta form) or its principal-value partner.
     """
-    eps = np.asarray(eps_schedule if eps_schedule is not None else lap_eps_schedule(model, w),
-                     dtype=float)
+    eps = lap_eps_schedule(model, w)
     mats = np.stack([np.conj(cm) * kernel(e - w, ee) @ cm.T for ee in eps])
     return _extrapolate(eps, mats, _box_noise(model, w, eps))
 
@@ -536,7 +526,6 @@ def spectral_density_form(
     model: OperatorModel,
     w: float,
     phi: np.ndarray,
-    eps_schedule=None,
     details: bool = False,
 ):
     """<delta(H - w) conj(phi), phi> by extrapolated limiting absorption.
@@ -559,7 +548,7 @@ def spectral_density_form(
         res = DensityResult(value=0.0)
         return res if details else res.value
 
-    gram, err = _lap_gram(model, w, *_continuum_weights(model, phi), eps_schedule, _lorentzian)
+    gram, err = _lap_gram(model, w, *_continuum_weights(model, phi), _lorentzian)
     value = float(gram[0, 0].real)
     unreliable = err > 0.25 * max(abs(value), 1e-300) and abs(value) > 1e-14 * norm2
     if unreliable:
@@ -578,25 +567,13 @@ def _density_scale(model: OperatorModel, w: float) -> float:
     return 1.0 / (2.0 * math.pi * math.sqrt(w - model.c))
 
 
-def histogram_density(
-    model: OperatorModel,
-    w: float,
-    phi: np.ndarray,
-    sigma: float | None = None,
-) -> float:
-    """Secondary estimator: box-spectrum histogram, fourth-order Gaussian kernel."""
+def histogram_density(model: OperatorModel, w: float, phi: np.ndarray) -> float:
+    """Secondary estimator: box-spectrum histogram, fourth-order Gaussian kernel.
+
+    The 1x1 histogram `density_gram`.
+    """
     model._check_grid(phi)
-    if w <= model.c + 1e-12:
-        return 0.0
-    a = w - model.c
-    if sigma is None:
-        spacing = 2.0 * math.sqrt(a) * math.pi / model.grid.l_box
-        sigma = min(HIST_SIGMA_FACTOR * spacing, HIST_SIGMA_EDGE_CAP * a)
-    e, cm = _continuum_weights(model, np.asarray(phi, dtype=complex))
-    c2 = np.abs(cm[0]) ** 2
-    u = (e - w) / sigma
-    kernel = np.exp(-u ** 2 / 2.0) / (sigma * math.sqrt(2.0 * math.pi)) * (1.5 - u ** 2 / 2.0)
-    return float((c2 * kernel).sum())
+    return float(density_gram(model, w, [phi])[0, 0].real)
 
 
 def density_gram(
@@ -604,7 +581,6 @@ def density_gram(
     w: float,
     phis,
     estimator: str = "histogram",
-    eps_schedule=None,
 ) -> np.ndarray:
     """Hermitian matrix G_ab = <delta(H - w) conj(phi_a), phi_b>.
 
@@ -625,19 +601,19 @@ def density_gram(
         kern = np.exp(-u ** 2 / 2.0) / (sigma * math.sqrt(2.0 * math.pi)) * (1.5 - u ** 2 / 2.0)
         g = np.conj(cm) * kern @ cm.T
     elif estimator == "lap":
-        g, _ = _lap_gram(model, w, e, cm, eps_schedule, _lorentzian)
+        g, _ = _lap_gram(model, w, e, cm, _lorentzian)
     else:
         raise ValueError("estimator must be 'histogram' or 'lap'")
     return 0.5 * (g + np.conj(g.T))
 
 
-def pv_gram(model: OperatorModel, w: float, phis, eps_schedule=None) -> np.ndarray:
+def pv_gram(model: OperatorModel, w: float, phis) -> np.ndarray:
     """Hermitian matrix of principal-value pairings <P.V. (H - w)^{-1} conj(phi_a), phi_b>."""
     phis = [np.asarray(p, dtype=complex) for p in phis]
     nv = len(phis)
     if nv == 0:
         return np.zeros((0, 0), dtype=complex)
-    g, _ = _lap_gram(model, w, *_continuum_weights(model, phis), eps_schedule, _pv_kernel)
+    g, _ = _lap_gram(model, w, *_continuum_weights(model, phis), _pv_kernel)
     return 0.5 * (g + np.conj(g.T))
 
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 
@@ -120,9 +121,25 @@ directory = {out}
     assert manifest["stages"]["resonance"]["h5"] is False
 
 
-def test_config_error_exit(tmp_path):
-    rc = cli.main(["pipeline", "--config", str(tmp_path / "missing.cfg")])
+@pytest.mark.parametrize("section, key, value", [
+    (None, None, None),                          # the config file is missing
+    ("model", "m_pts", "1000"),
+    ("model", "preset", "nope"),
+    ("simulation", "dt", "abc"),
+    ("simulation", "nonlinearity", "quintic"),
+], ids=["missing-file", "m_pts", "preset", "dt", "nonlinearity"])
+def test_config_error_exit(tmp_path, capsys, section, key, value):
+    path = tmp_path / "missing.cfg"
+    if section is not None:
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL_CONFIG.format(out=tmp_path / "out"))
+        cp.set(section, key, value)
+        path = tmp_path / "bad.cfg"
+        with open(path, "w") as fh:
+            cp.write(fh)
+    rc = cli.main(["pipeline", "--config", str(path)])
     assert rc == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_linear_fast_path(tmp_path):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from nlsnf import dynamics, spectral
 from nlsnf.dynamics import (
+    CouplingTable,
     SimConfig,
     build_g_couplings,
     build_zeta_couplings,
@@ -154,7 +155,7 @@ def test_zeta_trivial_cases(pt_aux):
     assert_allclose(zeta_transform(z, 0.0, pt_aux.zeta_couplings), z)
     # empty coupling table: identity
     z2 = np.array([0.1 + 0.2j, -0.05j])
-    assert_allclose(zeta_transform(z2, 1.3, []), z2)
+    assert_allclose(zeta_transform(z2, 1.3, CouplingTable.from_rows([], 2, j=[])), z2)
 
 
 def test_zeta_scaling(pt_aux):
@@ -179,17 +180,18 @@ def test_g_transform_trivial(pt_model, pt_aux):
 
 def test_g_transform_singleton(pt_model, pt_aux):
     # f = 0 and one active monomial: g equals the resolvent tail scaled by it
-    gc = pt_aux.g_couplings[0]
+    table = pt_aux.g_couplings
+    m, mu, nu, vector = table.m[0], table.mu[0], table.nu[0], table.weight[0]
     z = np.array([0.3 + 0.1j, 0.2 - 0.4j])
     zb = np.conj(z)
     state = spectral.ModeState(z=z, f=np.zeros(pt_model.grid.m_pts, dtype=complex))
-    g = g_transform(state, 0.9, [gc])
-    mono = np.exp(1j * gc.m * 0.9)
-    for j, e in enumerate(gc.mu):
+    g = g_transform(state, 0.9, CouplingTable.from_rows([(m, mu, nu, vector)], 2))
+    mono = np.exp(1j * m * 0.9)
+    for j, e in enumerate(mu):
         mono *= z[j] ** e
-    for j, e in enumerate(gc.nu):
+    for j, e in enumerate(nu):
         mono *= zb[j] ** e
-    assert_allclose(g, mono * gc.vector, atol=1e-14)
+    assert_allclose(g, mono * vector, atol=1e-14)
 
 
 def test_reduced_ode_trivial(pt_reduced, pt_model):
@@ -213,6 +215,32 @@ def test_reduced_ode_quartic_example(pt_model, pt_reduced):
     want0 = -1j * (pt_model.lam[0] * z[0] + 2 * 0.7 * z[0] ** 2 * np.conj(z[0]))
     assert out[0] == pytest.approx(want0, rel=1e-12)
     assert out[1] == 0.0
+
+
+def test_reduced_ode_radiation_couplings(pt_model, pt_reduced):
+    # the Z1 part of i zdot_j: nu_j e^{imt} z^mu conj(z)^{nu - e_j} times <f, Phi>
+    # over M and <conj f, Psi> over M', against explicit Python products
+    rng = np.random.default_rng(9)
+    z = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    f = random_radiation(pt_model, rng, 0.1)
+    t, h = 0.7, pt_model.grid.h
+    pairs = [(trip, spectral.pairing(f, phi, h)) for trip, phi in pt_reduced.z1_m.items()]
+    pairs += [(trip, spectral.pairing(np.conj(f), psi, h))
+              for trip, psi in pt_reduced.z1_mprime.items()]
+    assert pairs
+    want = np.zeros(2, dtype=complex)
+    for trip, pair in pairs:
+        for j in range(2):
+            if trip.nu[j] == 0:
+                continue
+            val = trip.nu[j] * np.exp(1j * trip.m * t) * pair
+            for k in range(2):
+                val *= complex(z[k]) ** trip.mu[k]
+                val *= complex(np.conj(z[k])) ** (trip.nu[k] - (k == j))
+            want[j] += -1j * val
+    got = (reduced_ode_rhs(z, f, pt_reduced, pt_model, t)
+           - reduced_ode_rhs(z, None, pt_reduced, pt_model, t))
+    assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_reduced_ode_short_horizon_comparison(pt_model, pt_aux, pt_reduced):

@@ -413,3 +413,140 @@ def test_serialization_roundtrip(small_model):
     h = small_model.grid.h
     assert back.evaluate(0.3, z, f, h) == pytest.approx(ep.evaluate(0.3, z, f, h),
                                                         rel=1e-14)
+
+
+# --- property tests ----------------------------------------------------------
+# Each test imports hypothesis itself, so that only these tests are skipped
+# where it is not installed.
+
+
+def _gaussian_int_monomial(z, mu, nu):
+    """Exact z^mu conj(z)^nu over Gaussian integers z = [(re, im), ...]."""
+    re, im = 1, 0
+    for (a, b), e, f in zip(z, mu, nu):
+        for x, y in [(a, b)] * e + [(a, -b)] * f:
+            re, im = re * x - im * y, re * y + im * x
+    return complex(re, im)
+
+
+def _term_strategy(st):
+    """Random HamTerms of every kind on two modes and 8-point vectors.
+
+    Small index ranges and a few vector seeds make merge collisions common.
+    """
+
+    @st.composite
+    def term(draw):
+        exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        mu, nu, m = draw(exps), draw(exps), draw(st.integers(-1, 1))
+        coeff = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+
+        def vec():
+            rng = np.random.default_rng(draw(st.integers(0, 3)))
+            return rng.standard_normal(8) + 1j * rng.standard_normal(8)
+
+        kind = draw(st.sampled_from(["scalar", "linear_f", "linear_fbar", "quartic", "tail"]))
+        if kind == "scalar":
+            return HamTerm(coeff, m, mu, nu)
+        if kind == "linear_f":
+            return HamTerm(coeff, m, mu, nu, alphas=(vec(),))
+        if kind == "linear_fbar":
+            return HamTerm(coeff, m, mu, nu, betas=(vec(),))
+        if kind == "quartic":
+            return HamTerm(coeff, m, mu, nu, a=2, b=2, tail=QUARTIC)
+        a, b = draw(st.sampled_from([(2, 0), (1, 1), (0, 2), (2, 1), (1, 2)]))
+        alphas = tuple(vec() for _ in range(draw(st.integers(0, 1))))
+        betas = tuple(vec() for _ in range(draw(st.integers(0, 1))))
+        return HamTerm(coeff, m, mu, nu, alphas=alphas, betas=betas, a=a, b=b, tail=vec())
+
+    return term()
+
+
+def _same_term(s: HamTerm, t: HamTerm) -> bool:
+    def same_vecs(ps, qs):
+        return len(ps) == len(qs) and all(np.array_equal(p, q) for p, q in zip(ps, qs))
+
+    if s.tail is None or s.tail is QUARTIC:
+        same_tail = s.tail is t.tail
+    else:
+        same_tail = t.tail is not None and t.tail is not QUARTIC and np.array_equal(s.tail, t.tail)
+    return ((s.coeff, s.m, s.mu, s.nu, s.a, s.b) == (t.coeff, t.m, t.mu, t.nu, t.a, t.b)
+            and same_vecs(s.alphas, t.alphas) and same_vecs(s.betas, t.betas) and same_tail)
+
+
+def test_monomials_match_exact_integer_products():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(data=st.data(), n=st.integers(1, 3), k=st.integers(1, 4))
+    def check(data, n, k):
+        ints = st.integers(-3, 3)
+        z = data.draw(st.lists(st.tuples(ints, ints), min_size=n, max_size=n))
+        row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        mu = data.draw(st.lists(row, min_size=k, max_size=k))
+        nu = data.draw(st.lists(row, min_size=k, max_size=k))
+        zc = np.array([complex(a, b) for a, b in z])
+        table = hamalg.monomials(zc, np.array(mu), np.array(nu))
+        assert table.shape == (k,)
+        for i in range(k):
+            want = _gaussian_int_monomial(z, mu[i], nu[i])
+            assert hamalg.monomials(zc, np.array(mu[i]), np.array(nu[i])) == want
+            assert hamalg.monomials(zc, tuple(mu[i]), tuple(nu[i])) == want
+            assert table[i] == want
+
+    check()
+
+
+def test_monomials_zero_amplitudes_and_exponents():
+    z = np.array([0.0, 0.5 - 0.25j])
+    assert hamalg.monomials(z, (0, 0), (0, 0)) == 1.0        # 0^0 = 1
+    assert hamalg.monomials(z, (0, 2), (0, 1)) == z[1] ** 2 * np.conj(z[1])
+    assert hamalg.monomials(z, (1, 0), (0, 0)) == 0.0
+    assert_allclose(hamalg.monomials(z, np.array([[0, 0], [0, 1], [1, 1]]),
+                                     np.zeros((3, 2), dtype=int)), [1.0, z[1], 0.0])
+    assert hamalg.monomials(z, np.zeros((0, 2), dtype=int),
+                            np.zeros((0, 2), dtype=int)).shape == (0,)
+
+
+def test_monomials_modulus_is_that_of_the_total_exponent():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    amp = st.floats(-1.5, 1.5)
+    row = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(z=st.tuples(amp, amp, amp, amp), mu=row, nu=row)
+    def check(z, mu, nu):
+        zc = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
+        lhs = abs(hamalg.monomials(zc, mu, nu)) ** 2
+        rhs = float(np.prod(np.abs(zc) ** (np.array(mu) + np.array(nu)))) ** 2
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+    check()
+
+
+def test_mirror_is_an_involution():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(t=_term_strategy(hyp.strategies))
+    def check(t):
+        assert _same_term(t.mirror().mirror(), t)
+
+    check()
+
+
+def test_merged_is_idempotent():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(terms=st.lists(_term_strategy(st), max_size=12))
+    def check(terms):
+        once = HamExpansion(terms).merged()
+        twice = once.merged()
+        assert len(twice) == len(once)
+        assert all(_same_term(s, t) for s, t in zip(once, twice))
+
+    check()
