@@ -284,9 +284,6 @@ def normal_form(
         n0 = big_n + 2
     if degree_cap is None:
         degree_cap = 2 * big_n + 4
-    from .hamalg import clear_vector_cache
-
-    clear_vector_cache()
     z_part = HamExpansion([])
     remainder = e_p.merged()
     generators, ledgers = [], []

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,10 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file {path} not found")
-        cp.read(path)
+        try:
+            cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return cp
 
 
@@ -135,6 +139,44 @@ def sim_config_from(cp) -> dynamics.SimConfig:
         raise ConfigError(f"[simulation]: {exc}") from exc
 
 
+ESTIMATORS = ("histogram", "lap")
+
+
+@dataclass
+class AnalysisConfig:
+    """[analysis] and the [simulation] seed; None means the budget default."""
+
+    tol_res: float
+    r_max: int | None        # N + 1
+    n0: int | None           # N + 2
+    degree_cap: int | None   # 2N + 4
+    estimator: str
+    seed: int
+
+
+def analysis_config_from(cp) -> AnalysisConfig:
+    sec = cp["analysis"]
+    try:
+        ints = {key: int(sec.get(key)) if sec.get(key) else None
+                for key in ("r_max", "n0", "degree_cap")}
+        config = AnalysisConfig(tol_res=sec.getfloat("tol_res"), estimator=sec.get("estimator"),
+                                seed=cp.getint("simulation", "seed"), **ints)
+    except ValueError as exc:
+        raise ConfigError(f"[analysis]: {exc}") from exc
+    if not config.tol_res > 0.0:
+        raise ConfigError(f"[analysis]: tol_res must be positive, got {config.tol_res}")
+    if config.estimator not in ESTIMATORS:
+        raise ConfigError(f"[analysis]: estimator must be one of {ESTIMATORS}, "
+                          f"got {config.estimator!r}")
+    return config
+
+
+def _normal_form(model, e_p, analysis: AnalysisConfig, big_n: int):
+    r_max = big_n + 1 if analysis.r_max is None else analysis.r_max
+    return birkhoff.normal_form(model, e_p, r_max=r_max, n0=analysis.n0,
+                                degree_cap=analysis.degree_cap, big_n=big_n)
+
+
 def write_trajectory_csv(record: dynamics.TrajectoryRecord, path: str):
     nb = record.z.shape[1]
     cols = [record.times]
@@ -186,6 +228,7 @@ def run_pipeline(cp, outdir: str) -> dict:
     stage = "config"
     try:
         sim_config = sim_config_from(cp)
+        analysis = analysis_config_from(cp)
         stage = "model"
         model = build_model_from_config(cp)
         manifest["stages"]["model"] = {
@@ -198,7 +241,7 @@ def run_pipeline(cp, outdir: str) -> dict:
         flush()
 
         stage = "resonance"
-        tol = cp.getfloat("analysis", "tol_res")
+        tol = analysis.tol_res
         budget = resonance.resonance_budget(model.lam, model.c, tol)
         report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
         gamma1 = cp.getfloat("forcing", "gamma1")
@@ -235,14 +278,7 @@ def run_pipeline(cp, outdir: str) -> dict:
 
         stage = "normal_form"
         e_p = hamalg.expand_potential_energy(model, gamma0, gamma1)
-        r_max = cp.get("analysis", "r_max")
-        r_max = int(r_max) if r_max else budget.big_n + 1
-        n0 = cp.get("analysis", "n0")
-        n0 = int(n0) if n0 else budget.big_n + 2
-        cap = cp.get("analysis", "degree_cap")
-        cap = int(cap) if cap else 2 * budget.big_n + 4
-        nf = birkhoff.normal_form(model, e_p, r_max=r_max, n0=n0,
-                                  degree_cap=cap, big_n=budget.big_n)
+        nf = _normal_form(model, e_p, analysis, budget.big_n)
         manifest["stages"]["normal_form"] = {
             "r_final": nf.r_final, "n0": nf.n0, "degree_cap": nf.degree_cap,
             "rounds": [
@@ -274,10 +310,9 @@ def run_pipeline(cp, outdir: str) -> dict:
         flush()
 
         stage = "fgr"
-        estimator = cp.get("analysis", "estimator")
-        packets = fgr.build_packets(model, reduced, estimator=estimator)
+        packets = fgr.build_packets(model, reduced, estimator=analysis.estimator)
         ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
-                                  seed=cp.getint("simulation", "seed"))
+                                  seed=analysis.seed)
         manifest["stages"]["fgr"] = {
             "packets": [{"w": p.w, "members": len(p.members)} for p in packets],
             "min_quotient": ray.min_quotient, "max_quotient": ray.max_quotient,
@@ -370,7 +405,6 @@ def cmd_resonance_check(args) -> int:
 def cmd_pipeline(args) -> int:
     cp = load_config(args.config)
     outdir = _output_dir(cp)
-    np.random.seed(cp.getint("simulation", "seed"))
     manifest = run_pipeline(cp, outdir)
     print(f"pipeline complete; manifest at {os.path.join(outdir, 'manifest.json')}")
     verdict = manifest["stages"].get("fgr", {}).get("h9prime_verdict")
@@ -381,17 +415,17 @@ def cmd_pipeline(args) -> int:
 
 def cmd_normalform(args) -> int:
     cp = load_config(args.config)
+    analysis = analysis_config_from(cp)
     outdir = _output_dir(cp)
     model = build_model_from_config(cp)
-    tol = cp.getfloat("analysis", "tol_res")
-    budget = resonance.resonance_budget(model.lam, model.c, tol)
-    report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
+    budget = resonance.resonance_budget(model.lam, model.c, analysis.tol_res)
+    report = resonance.check_hypotheses(model.lam, model.c, budget, analysis.tol_res)
     if not report.all_ok:
         print("hypotheses dirty; refusing", file=sys.stderr)
         return EXIT_HYPOTHESIS
     e_p = hamalg.expand_potential_energy(
         model, cp.getfloat("forcing", "gamma0"), cp.getfloat("forcing", "gamma1"))
-    nf = birkhoff.normal_form(model, e_p, r_max=budget.big_n + 1, big_n=budget.big_n)
+    nf = _normal_form(model, e_p, analysis, budget.big_n)
     for led in nf.ledgers:
         print(f"round r={led.r}: extracted {led.extracted}, resonant {led.resonant}, "
               f"solved {led.solved}, chi terms {led.chi_terms}, "

@@ -190,36 +190,6 @@ def linear_fbar_term(m, mu, nu, psi) -> HamTerm:
     return HamTerm(1.0, m, mu, nu, betas=(psi,))
 
 
-_DIGEST_CACHE: dict = {}
-
-
-def clear_vector_cache():
-    _DIGEST_CACHE.clear()
-
-
-def _vec_digest(v: np.ndarray) -> bytes:
-    """Content hash used to merge composite terms sharing identical factors.
-
-    Cached per array object; the cache keeps a reference so ids stay valid.
-    """
-    key = id(v)
-    hit = _DIGEST_CACHE.get(key)
-    if hit is not None and hit[0] is v:
-        return hit[1]
-    digest = hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
-    _DIGEST_CACHE[key] = (v, digest)
-    return digest
-
-
-def _composite_signature(t: HamTerm):
-    tail_key = (b"quartic" if t.tail is QUARTIC
-                else (b"" if t.tail is None else _vec_digest(t.tail)))
-    return (t.m, t.mu, t.nu, t.a, t.b,
-            tuple(sorted(_vec_digest(p) for p in t.alphas)),
-            tuple(sorted(_vec_digest(p) for p in t.betas)),
-            tail_key)
-
-
 class HamExpansion:
     """Multiset of terms; scalar and linear terms merge on (m, mu, nu).
 
@@ -228,10 +198,8 @@ class HamExpansion:
     derivatives multiply the term count geometrically.
     """
 
-    def __init__(self, terms=(), order: int | None = None, n0: int | None = None):
+    def __init__(self, terms=()):
         self.terms: list[HamTerm] = list(terms)
-        self.order = order
-        self.n0 = n0
 
     def __len__(self):
         return len(self.terms)
@@ -240,13 +208,24 @@ class HamExpansion:
         return iter(self.terms)
 
     def __add__(self, other):
-        return HamExpansion(self.terms + list(other), order=self.order, n0=self.n0)
+        return HamExpansion(self.terms + list(other))
 
     def scaled(self, factor: complex) -> "HamExpansion":
-        return HamExpansion([t.scaled(factor) for t in self.terms], self.order, self.n0)
+        return HamExpansion([t.scaled(factor) for t in self.terms])
 
     def merged(self) -> "HamExpansion":
         """Canonical form: merge mergeable kinds, drop negligible terms."""
+        # content hash of each factor vector, once per call; the ids stay
+        # valid because self.terms keeps every vector alive meanwhile
+        digests: dict = {}
+
+        def digest(v: np.ndarray) -> bytes:
+            d = digests.get(id(v))
+            if d is None:
+                d = digests[id(v)] = hashlib.blake2b(
+                    np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
+            return d
+
         scalars: dict = {}
         lin_f: dict = {}
         lin_fb: dict = {}
@@ -263,7 +242,10 @@ class HamExpansion:
             elif t.tail is QUARTIC:
                 quartics[key] = quartics.get(key, 0.0) + t.coeff
             else:
-                sig = _composite_signature(t)
+                sig = (key, t.a, t.b,
+                       tuple(sorted(digest(p) for p in t.alphas)),
+                       tuple(sorted(digest(p) for p in t.betas)),
+                       b"" if t.tail is None else digest(t.tail))
                 held = comp_by_sig.get(sig)
                 if held is None:
                     comp_by_sig[sig] = [t, t.coeff]
@@ -289,7 +271,7 @@ class HamExpansion:
             if abs(c) > MERGE_TOL:
                 out.append(HamTerm(c, m, mu, nu, a=2, b=2, tail=QUARTIC))
         out.extend(composite)
-        return HamExpansion(out, order=self.order, n0=self.n0)
+        return HamExpansion(out)
 
     def evaluate(self, t: float, z, f, h: float) -> complex:
         z = np.asarray(z, dtype=complex)
@@ -301,7 +283,7 @@ class HamExpansion:
         return complex(np.sum(coeffs * np.exp(1j * m * t) * zmons * radiation))
 
     def select(self, pred) -> "HamExpansion":
-        return HamExpansion([t for t in self.terms if pred(t)], self.order, self.n0)
+        return HamExpansion([t for t in self.terms if pred(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +358,16 @@ def generator_info(chi: HamExpansion) -> GeneratorInfo:
     return GeneratorInfo(m0=m0, big_m0=big_m0)
 
 
-def _tail_canonical(term_args: dict) -> HamTerm:
-    """Fold an (a, b) <= 1 tail into the linear factor lists."""
-    a, b, tail = term_args["a"], term_args["b"], term_args["tail"]
-    if tail is not None and tail is not QUARTIC and a + b == 1:
-        if a == 1:
-            term_args["alphas"] = term_args["alphas"] + (tail,)
+def _lie_term(coeff, m, mu, nu, alphas, betas, a, b, tail) -> HamTerm:
+    """A Lie output, with an a + b = 1 tail folded into the linear factors."""
+    if a + b == 1:
+        if a:
+            alphas = alphas + (tail,)
         else:
-            term_args["betas"] = term_args["betas"] + (tail,)
-        term_args["a"] = term_args["b"] = 0
-        term_args["tail"] = None
-    if tail is not None and tail is not QUARTIC and a + b == 0:
-        raise NlsnfError("internal: tail left without f-powers")
-    return HamTerm(**term_args)
-
-
-def _term_args(coeff, m, mu, nu, alphas, betas, a, b, tail):
-    return dict(coeff=coeff, m=m, mu=tuple(mu), nu=tuple(nu),
-                alphas=tuple(alphas), betas=tuple(betas), a=a, b=b, tail=tail)
+            betas = betas + (tail,)
+        a = b = 0
+        tail = None
+    return HamTerm(coeff, m, mu, nu, alphas, betas, a, b, tail)
 
 
 def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[HamTerm]:
@@ -404,7 +378,8 @@ def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[HamTerm]:
     m_new = g.m + ct.m
     base = g.coeff * ct.coeff
 
-    # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j), j = 0..n
+    # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j), j = 0..n;
+    # chi has at most one linear factor and no tail
     for j in range(len(mu_g)):
         w = nu_g[j] * mu_c[j] - mu_g[j] * nu_c[j]
         if w == 0:
@@ -413,64 +388,43 @@ def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[HamTerm]:
         nu_n = nu_g + nu_c
         mu_n[j] -= 1
         nu_n[j] -= 1
-        merged = _merge_factors(g, ct)
-        out.append(_tail_canonical(_term_args(
-            1j * w * base, m_new, mu_n, nu_n, *merged)))
+        out.append(_lie_term(1j * w * base, m_new, mu_n, nu_n, g.alphas + ct.alphas,
+                             g.betas + ct.betas, g.a, g.b, g.tail))
 
+    mu_n, nu_n = mu_g + mu_c, nu_g + nu_c
     # + i <grad_fbar g, grad_f chi>: chi contributes its Phi coupling
     if ct.kind == "linear_f":
-        phi_c = ct.alphas[0]
-        out.extend(_pair_fbar_slots(g, ct, phi_c, +1j * base, m_new, h, pc))
+        out.extend(_pair_slots(g, ct.alphas[0], +1j * base, m_new, mu_n, nu_n, h, pc,
+                               fbar=True))
     # - i <grad_fbar chi, grad_f g>: chi contributes its Psi coupling
     if ct.kind == "linear_fbar":
-        psi_c = ct.betas[0]
-        out.extend(_pair_f_slots(g, ct, psi_c, -1j * base, m_new, h, pc))
+        out.extend(_pair_slots(g, ct.betas[0], -1j * base, m_new, mu_n, nu_n, h, pc,
+                               fbar=False))
     return out
 
 
-def _merge_factors(g: HamTerm, ct: HamTerm):
-    # product of the f-structures; chi has at most one linear factor, no tail
-    return (g.alphas + ct.alphas, g.betas + ct.betas, g.a, g.b, g.tail)
+def _pair_slots(g, vec, scale, m_new, mu_n, nu_n, h, pc, fbar: bool) -> list[HamTerm]:
+    """Pair the gradient of g on one side against vec.
 
+    fbar=True takes grad_fbar g (each conj(f) slot, the b conj(f)-powers of
+    the tail), fbar=False the mirror-image grad_f g.
+    """
+    slots = g.betas if fbar else g.alphas
 
-def _pair_fbar_slots(g, ct, phi_c, scale, m_new, h, pc):
-    """Pair grad_fbar of g (each conj(f) slot) against the vector phi_c."""
-    out = []
-    mu_n = tuple(np.asarray(g.mu) + np.asarray(ct.mu))
-    nu_n = tuple(np.asarray(g.nu) + np.asarray(ct.nu))
-    for idx, psi in enumerate(g.betas):
-        val = pairing(psi, phi_c, h)
-        betas = g.betas[:idx] + g.betas[idx + 1:]
-        out.append(_tail_canonical(_term_args(
-            scale * val, m_new, mu_n, nu_n, g.alphas, betas, g.a, g.b, g.tail)))
+    def term(coeff, kept, a, b, tail):
+        alphas, betas = (g.alphas, kept) if fbar else (kept, g.betas)
+        return _lie_term(coeff, m_new, mu_n, nu_n, alphas, betas, a, b, tail)
+
+    out = [term(scale * pairing(p, vec, h), slots[:idx] + slots[idx + 1:],
+                g.a, g.b, g.tail)
+           for idx, p in enumerate(slots)]
+    power = g.b if fbar else g.a
     if g.tail is QUARTIC:
-        # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f)
-        out.append(_tail_canonical(_term_args(
-            scale * 0.5, m_new, mu_n, nu_n, g.alphas, g.betas, 2, 1, pc(phi_c))))
-    elif g.b > 0:
-        tail = g.tail * phi_c
-        out.append(_tail_canonical(_term_args(
-            scale * g.b, m_new, mu_n, nu_n, g.alphas, g.betas, g.a, g.b - 1, tail)))
-    return out
-
-
-def _pair_f_slots(g, ct, psi_c, scale, m_new, h, pc):
-    """Pair grad_f of g (each f slot) against the vector psi_c."""
-    out = []
-    mu_n = tuple(np.asarray(g.mu) + np.asarray(ct.mu))
-    nu_n = tuple(np.asarray(g.nu) + np.asarray(ct.nu))
-    for idx, phi in enumerate(g.alphas):
-        val = pairing(phi, psi_c, h)
-        alphas = g.alphas[:idx] + g.alphas[idx + 1:]
-        out.append(_tail_canonical(_term_args(
-            scale * val, m_new, mu_n, nu_n, alphas, g.betas, g.a, g.b, g.tail)))
-    if g.tail is QUARTIC:
-        out.append(_tail_canonical(_term_args(
-            scale * 0.5, m_new, mu_n, nu_n, g.alphas, g.betas, 1, 2, pc(psi_c))))
-    elif g.a > 0:
-        tail = g.tail * psi_c
-        out.append(_tail_canonical(_term_args(
-            scale * g.a, m_new, mu_n, nu_n, g.alphas, g.betas, g.a - 1, g.b, tail)))
+        # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
+        out.append(term(scale * 0.5, slots, *((2, 1) if fbar else (1, 2)), pc(vec)))
+    elif power > 0:
+        a, b = (g.a, g.b - 1) if fbar else (g.a - 1, g.b)
+        out.append(term(scale * power, slots, a, b, g.tail * vec))
     return out
 
 
@@ -573,12 +527,17 @@ def lie_series(
 # reality symmetry
 
 
+_MIRROR_KIND = {"scalar": "scalar", "linear_f": "linear_fbar",
+                "linear_fbar": "linear_f", QUARTIC: QUARTIC}
+
+
 def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
     """True iff every term's conjugate mirror is present with conjugate data.
 
-    Scalar and linear terms are compared structurally after merging; composite
-    terms are compared bucketwise through deterministic probe states (a bucket
-    is the set of terms sharing (m, mu, nu, a, b, #alphas, #betas)).
+    Scalar, linear and quartic-marker terms are compared structurally after
+    merging; the other composite terms are compared bucketwise through
+    deterministic probe states (a bucket is the set of terms sharing
+    (m, mu, nu, a, b, #alphas, #betas)).
     Returns (ok, first_violation_description).
     """
     ham = ham.merged()
@@ -589,29 +548,17 @@ def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
         return True, None
     tol_abs = tol * max(scale, 1.0)
 
-    scalars = {(t.m, t.mu, t.nu): t.coeff for t in ham.terms if t.kind == "scalar"
-               and t.tail is not QUARTIC}
-    lin_f = {(t.m, t.mu, t.nu): t.vector for t in ham.terms if t.kind == "linear_f"}
-    lin_fb = {(t.m, t.mu, t.nu): t.vector for t in ham.terms if t.kind == "linear_fbar"}
-    quart = {(t.m, t.mu, t.nu): t.coeff for t in ham.terms
-             if t.kind == "composite" and t.tail is QUARTIC}
-
-    for (m, mu, nu), c in scalars.items():
-        cm = scalars.get((-m, nu, mu))
-        if cm is None or abs(np.conj(c) - cm) > tol_abs:
-            return False, f"scalar (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
-    for (m, mu, nu), v in lin_f.items():
-        vm = lin_fb.get((-m, nu, mu))
-        if vm is None or np.max(np.abs(np.conj(v) - vm)) > tol_abs:
-            return False, f"<Phi, f> term (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
-    for (m, mu, nu), v in lin_fb.items():
-        vm = lin_f.get((-m, nu, mu))
-        if vm is None or np.max(np.abs(np.conj(v) - vm)) > tol_abs:
-            return False, f"<Psi, conj f> term (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
-    for (m, mu, nu), c in quart.items():
-        cm = quart.get((-m, nu, mu))
-        if cm is None or abs(np.conj(c) - cm) > tol_abs:
-            return False, f"quartic marker (m={m}) has no conjugate mirror"
+    # scalar, linear and quartic-marker terms: a merged term per (kind, m, mu, nu)
+    structural = {}
+    for t in ham.terms:
+        kind = QUARTIC if t.tail is QUARTIC else t.kind
+        if kind in _MIRROR_KIND:
+            value = t.coeff if kind in ("scalar", QUARTIC) else t.vector
+            structural[(kind, t.m, t.mu, t.nu)] = value
+    for (kind, m, mu, nu), value in structural.items():
+        other = structural.get((_MIRROR_KIND[kind], -m, nu, mu))
+        if other is None or np.max(np.abs(np.conj(value) - other)) > tol_abs:
+            return False, f"{kind} term (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
 
     comps = [t for t in ham.terms if t.kind == "composite" and t.tail is not QUARTIC]
     if comps:
@@ -732,18 +679,6 @@ def gradient_zbar(ham: HamExpansion, j: int) -> HamExpansion:
         nu = list(t.nu)
         nu[j] -= 1
         out.append(HamTerm(t.coeff * t.nu[j], t.m, t.mu, tuple(nu),
-                           t.alphas, t.betas, t.a, t.b, t.tail))
-    return HamExpansion(out)
-
-
-def gradient_z(ham: HamExpansion, j: int) -> HamExpansion:
-    out = []
-    for t in ham.terms:
-        if t.mu[j] == 0:
-            continue
-        mu = list(t.mu)
-        mu[j] -= 1
-        out.append(HamTerm(t.coeff * t.mu[j], t.m, tuple(mu), t.nu,
                            t.alphas, t.betas, t.a, t.b, t.tail))
     return HamExpansion(out)
 

@@ -154,7 +154,6 @@ class OperatorModel:
     phi: np.ndarray               # (n+1, M) bound eigenvectors, quadrature-normalized
     mode_energies: np.ndarray     # all box eigenvalues of H (generic) or k^2 + c (free)
     _evecs: np.ndarray | None = field(default=None, repr=False)   # columns, l2-normalized
-    _h_dense: np.ndarray | None = field(default=None, repr=False)
     is_free: bool = False
 
     @property
@@ -178,10 +177,9 @@ class OperatorModel:
         return (self._evecs @ coeffs) / math.sqrt(h)
 
     def apply_h(self, vec: np.ndarray) -> np.ndarray:
+        """(-d2/dx2 + V + c) vec through the FFT symbol k^2."""
         self._check_grid(vec)
-        if self.is_free:
-            return np.fft.ifft(self.grid.k ** 2 * np.fft.fft(vec)) + self.c * vec
-        return self._h_dense @ vec
+        return np.fft.ifft(self.grid.k ** 2 * np.fft.fft(vec)) + (self.v + self.c) * vec
 
     def project_pc(self, vec: np.ndarray) -> np.ndarray:
         """Remove the bound-state components (projection onto the continuum)."""
@@ -284,7 +282,7 @@ def build_operator(grid: GridSpec, v: np.ndarray, c_target: float | None = None)
 
     model = OperatorModel(
         grid=grid, v=v, c=c, lam=lam, phi=phi,
-        mode_energies=energies, _evecs=evecs, _h_dense=h0 + c * np.eye(grid.m_pts),
+        mode_energies=energies, _evecs=evecs,
     )
     _validate_eigenpairs(model)
     return model

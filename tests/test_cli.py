@@ -127,16 +127,28 @@ directory = {out}
     ("model", "preset", "nope"),
     ("simulation", "dt", "abc"),
     ("simulation", "nonlinearity", "quintic"),
-], ids=["missing-file", "m_pts", "preset", "dt", "nonlinearity"])
+    ("simulation", "seed", "abc"),
+    ("analysis", "tol_res", "abc"),
+    ("analysis", "r_max", "two"),
+    ("analysis", "estimator", "nope"),
+    ("model", "m_pts", None),                    # the key appears twice
+], ids=["missing-file", "m_pts", "preset", "dt", "nonlinearity", "seed", "tol_res",
+        "r_max", "estimator", "duplicate-key"])
 def test_config_error_exit(tmp_path, capsys, section, key, value):
     path = tmp_path / "missing.cfg"
     if section is not None:
-        cp = configparser.ConfigParser()
-        cp.read_string(SMALL_CONFIG.format(out=tmp_path / "out"))
-        cp.set(section, key, value)
+        text = SMALL_CONFIG.format(out=tmp_path / "out")
         path = tmp_path / "bad.cfg"
-        with open(path, "w") as fh:
-            cp.write(fh)
+        if value is None:
+            path.write_text(text.replace(f"{key} = ", f"{key} = 512\n{key} = ", 1))
+        else:
+            cp = configparser.ConfigParser()
+            cp.read_string(text)
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, value)
+            with open(path, "w") as fh:
+                cp.write(fh)
     rc = cli.main(["pipeline", "--config", str(path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -185,3 +197,14 @@ def test_normalform_command(small_config, capsys):
     out = capsys.readouterr().out
     assert "round r=1" in out
     assert "reality ok" in out
+
+
+def test_normalform_honours_analysis_keys(small_config, capsys):
+    # r_max = 1 asks for no rounds at all
+    with open(small_config, "a") as fh:
+        fh.write("\n[analysis]\nr_max = 1\n")
+    rc = cli.main(["normalform", "--config", small_config])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "round r=" not in out
+    assert "Z terms: 0" in out

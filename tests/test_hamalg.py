@@ -403,6 +403,34 @@ def test_reality_preserved_by_lie(small_model):
     assert ok, why
 
 
+def test_lie_derivative_is_the_derivative_along_the_flow(small_model):
+    # lie_chi(E_P) = d/ds E_P(flow of s chi) at s = 0, by a central difference.
+    # E_P has linear terms, tails with a > 0 and b > 0 and the quartic marker,
+    # and chi couples to both sides, so every branch of the slot pairing runs.
+    from nlsnf.birkhoff import normal_form_round
+
+    model = small_model
+    grid = model.grid
+    h = grid.h
+    ep = expand_potential_energy(model, gamma0=1.0, gamma1=0.6)
+    _, _, chi, _ = normal_form_round(HamExpansion([]), ep, model, r=1, n0=1, degree_cap=4)
+    assert {"linear_f", "linear_fbar"} <= {t.kind for t in chi}
+    lie = lie_derivative(chi, ep, model)
+    rng = np.random.default_rng(5)
+    s = 1e-3
+    for _ in range(3):
+        z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        f = model.project_pc((rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
+                             * np.exp(-grid.x ** 2 / 8))
+        f *= 0.5 / spectral.l2_norm(f, h)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        plus, minus = (ep.evaluate(t, *hamalg.generator_flow(chi.scaled(sign * s), t, z, f,
+                                                             model, steps=8)[:2], h)
+                       for sign in (1.0, -1.0))
+        # the central difference is exact to O(s^2), about 3e-7 relative here
+        assert (plus - minus) / (2.0 * s) == pytest.approx(lie.evaluate(t, z, f, h), rel=1e-5)
+
+
 def test_serialization_roundtrip(small_model):
     ep = expand_potential_energy(small_model, gamma0=1.0, gamma1=0.3)
     records, vectors = hamalg.expansion_to_records(ep)
@@ -541,12 +569,30 @@ def test_merged_is_idempotent():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
-    @hyp.settings(max_examples=200, deadline=None)
-    @hyp.given(terms=st.lists(_term_strategy(st), max_size=12))
-    def check(terms):
+    def merged_twice(terms):
         once = HamExpansion(terms).merged()
         twice = once.merged()
         assert len(twice) == len(once)
         assert all(_same_term(s, t) for s, t in zip(once, twice))
+        return once
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(terms=st.lists(_term_strategy(st), max_size=12))
+    def check(terms):
+        merged_twice(terms)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(t=_term_strategy(st))
+    def check_copy(t):
+        # a term next to a copy of itself whose factor vectors are new arrays
+        # with the same content: merging goes by content, so one term remains
+        copy = HamTerm(t.coeff, t.m, t.mu, t.nu, tuple(v.copy() for v in t.alphas),
+                       tuple(v.copy() for v in t.betas), t.a, t.b,
+                       t.tail if t.tail is None or t.tail is QUARTIC else t.tail.copy())
+        once = merged_twice([t, copy])
+        summed = HamExpansion([t.scaled(2.0)]).merged()
+        assert len(once) == len(summed)
+        assert all(_same_term(s, u) for s, u in zip(once, summed))
 
     check()
+    check_copy()
