@@ -171,12 +171,6 @@ def analysis_config_from(cp) -> AnalysisConfig:
     return config
 
 
-def _normal_form(model, e_p, analysis: AnalysisConfig, big_n: int):
-    r_max = big_n + 1 if analysis.r_max is None else analysis.r_max
-    return birkhoff.normal_form(model, e_p, r_max=r_max, n0=analysis.n0,
-                                degree_cap=analysis.degree_cap, big_n=big_n)
-
-
 def write_trajectory_csv(record: dynamics.TrajectoryRecord, path: str):
     nb = record.z.shape[1]
     cols = [record.times]
@@ -212,7 +206,20 @@ def save_expansion(ham, path_json: str, path_npz: str):
 # pipeline
 
 
-def run_pipeline(cp, outdir: str) -> dict:
+# the stages a subcommand stops after: spectrum, normalform, fgr, pipeline
+STOP_STAGES = ("model", "normal_form", "fgr", "simulate")
+
+
+def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
+    """Run config, model, resonance, normal_form, reduce, fgr and simulate in
+    order, up to and including `last` (one of STOP_STAGES).
+
+    The `config` stage checks every section before anything is built.  The
+    manifest is rewritten after each stage and records a failing stage;
+    `incomplete` turns false once stage `last` is done.
+    """
+    if last not in STOP_STAGES:
+        raise ValueError(f"unknown stop stage {last!r}; expected one of {STOP_STAGES}")
     manifest: dict = {
         "config": {s: dict(cp[s]) for s in cp.sections()},
         "config_hash": config_hash(cp),
@@ -224,6 +231,13 @@ def run_pipeline(cp, outdir: str) -> dict:
     def flush():
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, default=_json_default)
+
+    def reached(name: str) -> bool:
+        """Write the manifest after stage `name`; True when the run ends there."""
+        if name == last:
+            manifest["incomplete"] = False
+        flush()
+        return name == last
 
     stage = "config"
     try:
@@ -238,17 +252,17 @@ def run_pipeline(cp, outdir: str) -> dict:
             "grid": {"l_box": model.grid.l_box, "m_pts": model.grid.m_pts},
         }
         spectral.export_eigenpairs_csv(model, os.path.join(outdir, "eigenpairs.csv"))
-        flush()
+        if reached("model"):
+            return manifest
 
         stage = "resonance"
         tol = analysis.tol_res
         budget = resonance.resonance_budget(model.lam, model.c, tol)
         report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
-        gamma1 = cp.getfloat("forcing", "gamma1")
         manifest["stages"]["resonance"] = {
             "N": budget.big_n, "N_j": budget.n_j, "floor_c": budget.floor_c,
             "h5": report.h5_ok, "h7": report.h7_ok, "h8": report.h8_ok,
-            "h10": gamma1 != 0.0,
+            "h10": sim_config.gamma1 != 0.0,
             "witnesses": report.witnesses,
         }
         flush()
@@ -264,66 +278,71 @@ def run_pipeline(cp, outdir: str) -> dict:
         }
         flush()
 
-        gamma0 = cp.getfloat("forcing", "gamma0")
-        if gamma0 == 0.0 and gamma1 == 0.0:
-            # linear fast path: no normal form content at all
+        linear = sim_config.gamma0 == 0.0 and sim_config.gamma1 == 0.0
+        if linear:
+            # linear fast path: no normal form content at all, and nothing
+            # between here and the simulation
             manifest["stages"]["normal_form"] = {"skipped": "linear run"}
-            stage = "simulate"
-            record = dynamics.simulate(model, sim_config, aux=None)
-            _record_sim(manifest, record)
-            write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
-            manifest["incomplete"] = False
+            if last != "simulate":
+                reached(last)
+                return manifest
+        else:
+            stage = "normal_form"
+            e_p = hamalg.expand_potential_energy(model, sim_config.gamma0, sim_config.gamma1)
+            r_max = budget.big_n + 1 if analysis.r_max is None else analysis.r_max
+            nf = birkhoff.normal_form(model, e_p, r_max=r_max, n0=analysis.n0,
+                                      degree_cap=analysis.degree_cap, big_n=budget.big_n)
+            manifest["stages"]["normal_form"] = {
+                "r_final": nf.r_final, "n0": nf.n0, "degree_cap": nf.degree_cap,
+                "rounds": [
+                    {
+                        "r": led.r, "extracted": led.extracted,
+                        "resonant": led.resonant, "solved": led.solved,
+                        "chi_terms": led.chi_terms,
+                        "dropped": led.dropped.count,
+                        "classes": led.class_counts,
+                        "reality_ok": led.reality_ok,
+                    }
+                    for led in nf.ledgers
+                ],
+                "z_terms": len(nf.z_part),
+                "remainder_terms": len(nf.remainder),
+            }
+            for i, chi in enumerate(nf.generators):
+                save_expansion(chi, os.path.join(outdir, f"chi_{i + 2}.json"),
+                               os.path.join(outdir, f"chi_{i + 2}.npz"))
+            save_expansion(nf.z_part, os.path.join(outdir, "z_part.json"),
+                           os.path.join(outdir, "z_part.npz"))
+            if reached("normal_form"):
+                return manifest
+
+            stage = "reduce"
+            reduced = birkhoff.reduce_to_minimal(nf, catalog)
+            save_expansion(reduced.z0, os.path.join(outdir, "z0.json"),
+                           os.path.join(outdir, "z0.npz"))
+            manifest["stages"]["reduce"] = {
+                "z0_terms": len(reduced.z0),
+                "z1_M": len(reduced.z1_m), "z1_Mprime": len(reduced.z1_mprime),
+                "remainder_terms": len(reduced.remainder),
+            }
             flush()
-            return manifest
 
-        stage = "normal_form"
-        e_p = hamalg.expand_potential_energy(model, gamma0, gamma1)
-        nf = _normal_form(model, e_p, analysis, budget.big_n)
-        manifest["stages"]["normal_form"] = {
-            "r_final": nf.r_final, "n0": nf.n0, "degree_cap": nf.degree_cap,
-            "rounds": [
-                {
-                    "r": led.r, "extracted": led.extracted,
-                    "resonant": led.resonant, "solved": led.solved,
-                    "chi_terms": led.chi_terms,
-                    "dropped": led.dropped.count,
-                    "classes": led.class_counts,
-                    "reality_ok": led.reality_ok,
-                }
-                for led in nf.ledgers
-            ],
-        }
-        for i, chi in enumerate(nf.generators):
-            save_expansion(chi, os.path.join(outdir, f"chi_{i + 2}.json"),
-                           os.path.join(outdir, f"chi_{i + 2}.npz"))
-        flush()
-
-        stage = "reduce"
-        reduced = birkhoff.reduce_to_minimal(nf, catalog)
-        save_expansion(reduced.z0, os.path.join(outdir, "z0.json"),
-                       os.path.join(outdir, "z0.npz"))
-        manifest["stages"]["reduce"] = {
-            "z0_terms": len(reduced.z0),
-            "z1_M": len(reduced.z1_m), "z1_Mprime": len(reduced.z1_mprime),
-            "remainder_terms": len(reduced.remainder),
-        }
-        flush()
-
-        stage = "fgr"
-        packets = fgr.build_packets(model, reduced, estimator=analysis.estimator)
-        ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
-                                  seed=analysis.seed)
-        manifest["stages"]["fgr"] = {
-            "packets": [{"w": p.w, "members": len(p.members)} for p in packets],
-            "min_quotient": ray.min_quotient, "max_quotient": ray.max_quotient,
-            "h9prime_verdict": ray.verdict,
-        }
-        np.savetxt(os.path.join(outdir, "rayleigh_quotients.csv"),
-                   ray.quotients, delimiter=",", header="quotient", comments="")
-        flush()
+            stage = "fgr"
+            packets = fgr.build_packets(model, reduced, estimator=analysis.estimator)
+            ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
+                                      seed=analysis.seed)
+            manifest["stages"]["fgr"] = {
+                "packets": [{"w": p.w, "members": len(p.members)} for p in packets],
+                "min_quotient": ray.min_quotient, "max_quotient": ray.max_quotient,
+                "h9prime_verdict": ray.verdict,
+            }
+            np.savetxt(os.path.join(outdir, "rayleigh_quotients.csv"),
+                       ray.quotients, delimiter=",", header="quotient", comments="")
+            if reached("fgr"):
+                return manifest
 
         stage = "simulate"
-        aux = dynamics.ReducedAux(
+        aux = None if linear else dynamics.ReducedAux(
             catalog=catalog, reduced=reduced, packets=packets,
             zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
             g_couplings=dynamics.build_g_couplings(model, reduced),
@@ -331,8 +350,7 @@ def run_pipeline(cp, outdir: str) -> dict:
         record = dynamics.simulate(model, sim_config, aux=aux)
         _record_sim(manifest, record)
         write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
-        manifest["incomplete"] = False
-        flush()
+        reached("simulate")
         return manifest
     except Exception as exc:
         manifest["failed_stage"] = stage
@@ -377,12 +395,10 @@ def cmd_spectrum(args) -> int:
         if val is not None:
             cp.set("model", name, str(val))
     outdir = _output_dir(cp)
-    model = build_model_from_config(cp)
-    path = os.path.join(outdir, "eigenpairs.csv")
-    spectral.export_eigenpairs_csv(model, path)
-    print(f"c = {model.c:.10g}")
-    print("eigenvalues:", ", ".join(f"{l:.10g}" for l in model.lam))
-    print(f"wrote {path}")
+    stage = run_pipeline(cp, outdir, "model")["stages"]["model"]
+    print(f"c = {stage['c']:.10g}")
+    print("eigenvalues:", ", ".join(f"{l:.10g}" for l in stage["eigenvalues"]))
+    print(f"wrote {os.path.join(outdir, 'eigenpairs.csv')}")
     return EXIT_OK
 
 
@@ -405,7 +421,7 @@ def cmd_resonance_check(args) -> int:
 def cmd_pipeline(args) -> int:
     cp = load_config(args.config)
     outdir = _output_dir(cp)
-    manifest = run_pipeline(cp, outdir)
+    manifest = run_pipeline(cp, outdir, "simulate")
     print(f"pipeline complete; manifest at {os.path.join(outdir, 'manifest.json')}")
     verdict = manifest["stages"].get("fgr", {}).get("h9prime_verdict")
     if verdict is not None:
@@ -415,33 +431,23 @@ def cmd_pipeline(args) -> int:
 
 def cmd_normalform(args) -> int:
     cp = load_config(args.config)
-    analysis = analysis_config_from(cp)
-    outdir = _output_dir(cp)
-    model = build_model_from_config(cp)
-    budget = resonance.resonance_budget(model.lam, model.c, analysis.tol_res)
-    report = resonance.check_hypotheses(model.lam, model.c, budget, analysis.tol_res)
-    if not report.all_ok:
-        print("hypotheses dirty; refusing", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    e_p = hamalg.expand_potential_energy(
-        model, cp.getfloat("forcing", "gamma0"), cp.getfloat("forcing", "gamma1"))
-    nf = _normal_form(model, e_p, analysis, budget.big_n)
-    for led in nf.ledgers:
-        print(f"round r={led.r}: extracted {led.extracted}, resonant {led.resonant}, "
-              f"solved {led.solved}, chi terms {led.chi_terms}, "
-              f"dropped {led.dropped.count}, reality {'ok' if led.reality_ok else 'BROKEN'}")
-    save_expansion(nf.z_part, os.path.join(outdir, "z_part.json"),
-                   os.path.join(outdir, "z_part.npz"))
-    print(f"Z terms: {len(nf.z_part)}, remainder terms: {len(nf.remainder)}")
+    stage = run_pipeline(cp, _output_dir(cp), "normal_form")["stages"]["normal_form"]
+    if "skipped" in stage:
+        print(f"normal form skipped: {stage['skipped']}")
+        return EXIT_OK
+    for led in stage["rounds"]:
+        print(f"round r={led['r']}: extracted {led['extracted']}, "
+              f"resonant {led['resonant']}, solved {led['solved']}, "
+              f"chi terms {led['chi_terms']}, dropped {led['dropped']}, "
+              f"reality {'ok' if led['reality_ok'] else 'BROKEN'}")
+    print(f"Z terms: {stage['z_terms']}, remainder terms: {stage['remainder_terms']}")
     return EXIT_OK
 
 
 def cmd_fgr(args) -> int:
     cp = load_config(args.config)
-    outdir = _output_dir(cp)
-    manifest = run_pipeline(cp, outdir)
-    stage = manifest["stages"].get("fgr", {})
-    print(json.dumps(stage, indent=1, default=_json_default))
+    manifest = run_pipeline(cp, _output_dir(cp), "fgr")
+    print(json.dumps(manifest["stages"].get("fgr", {}), indent=1, default=_json_default))
     return EXIT_OK
 
 

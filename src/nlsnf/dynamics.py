@@ -32,7 +32,10 @@ from .spectral import (
     resolvent_limit,
 )
 
-DEFAULT_STRICHARTZ_PAIRS = ((6.0, 6.0), (8.0, 4.0))  # 1-D surrogate table
+SPONGE_STRENGTH = 5.0
+SPONGE_START_FRAC = 0.8      # the sponge ramps up over |x| > 0.8 L
+WEIGHT_S = 2.0               # S in the weighted L^{2,-S} monitor
+STRICHARTZ_PAIRS = ((6.0, 6.0), (8.0, 4.0))  # (r, p): 1-D surrogate table
 
 
 @dataclass
@@ -46,10 +49,6 @@ class SimConfig:
     radiation: np.ndarray | None = None
     u0: np.ndarray | None = None          # raw initial data overrides the above
     sponge: bool = False
-    sponge_strength: float = 5.0
-    sponge_start_frac: float = 0.8
-    weight_s: float = 2.0                 # S in the weighted L^{2,-S} monitor
-    strichartz_pairs: tuple = DEFAULT_STRICHARTZ_PAIRS
     wrap_policy: str = "warn"             # "warn" | "error" | "ignore"
     snapshot_times: tuple = ()
 
@@ -113,19 +112,18 @@ def initial_state(model: OperatorModel, config: SimConfig) -> np.ndarray:
     return u
 
 
+def derivative(u, grid: GridSpec) -> np.ndarray:
+    """Spectral derivative du/dx on the periodic grid."""
+    return np.fft.ifft(1j * grid.k * np.fft.fft(u))
+
+
 def h1_norm(u, grid: GridSpec) -> float:
-    du = np.fft.ifft(1j * grid.k * np.fft.fft(u))
-    return math.sqrt(l2_norm(u, grid.h) ** 2 + l2_norm(du, grid.h) ** 2)
-
-
-def weighted_l2(u, grid: GridSpec, s: float) -> float:
-    w = (1.0 + grid.x ** 2) ** (-s / 2.0)
-    return l2_norm(w * u, grid.h)
+    return math.sqrt(l2_norm(u, grid.h) ** 2 + l2_norm(derivative(u, grid), grid.h) ** 2)
 
 
 def energy_value(model: OperatorModel, u, t: float, gamma0, gamma1) -> float:
     grid = model.grid
-    du = np.fft.ifft(1j * grid.k * np.fft.fft(u))
+    du = derivative(u, grid)
     kin = l2_norm(du, grid.h) ** 2
     pot = float(np.real(grid.h * np.sum((model.v + model.c) * np.abs(u) ** 2)))
     g = float(gamma_of_t(t, gamma0, gamma1))
@@ -150,18 +148,15 @@ def wrap_time(model: OperatorModel, aux: ReducedAux | None) -> float:
     return model.grid.l_box / (2.0 * vmax)
 
 
-def _sponge_mask(grid: GridSpec, dt: float, strength: float, start_frac: float):
-    x0 = start_frac * grid.l_box
+def _sponge_mask(grid: GridSpec, dt: float):
+    x0 = SPONGE_START_FRAC * grid.l_box
     ramp = np.clip((np.abs(grid.x) - x0) / (grid.l_box - x0), 0.0, 1.0)
-    return np.exp(-dt * strength * ramp ** 2)
+    return np.exp(-dt * SPONGE_STRENGTH * ramp ** 2)
 
 
 def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
-         config: SimConfig, half_kinetic=None, sponge=None) -> np.ndarray:
-    """One Strang step from t to t + dt."""
-    grid = model.grid
-    if half_kinetic is None:
-        half_kinetic = np.exp(-0.5j * grid.k ** 2 * dt)
+         config: SimConfig, half_kinetic: np.ndarray, sponge=None) -> np.ndarray:
+    """One Strang step from t to t + dt; half_kinetic = exp(-i k^2 dt / 2)."""
     u = np.fft.ifft(np.fft.fft(u) * half_kinetic)
     g = float(gamma_of_t(t + 0.5 * dt, config.gamma0, config.gamma1))
     u = u * np.exp(-1j * dt * (model.v + model.c + g * np.abs(u) ** 2))
@@ -198,8 +193,8 @@ def simulate(model: OperatorModel, config: SimConfig,
     n_steps = int(round(config.t_end / dt))
     stride = max(1, int(config.output_stride))
     half_kinetic = np.exp(-0.5j * grid.k ** 2 * dt)
-    sponge = (_sponge_mask(grid, dt, config.sponge_strength, config.sponge_start_frac)
-              if config.sponge else None)
+    sponge = _sponge_mask(grid, dt) if config.sponge else None
+    weight = (1.0 + grid.x ** 2) ** (-WEIGHT_S / 2.0)
 
     n_out = n_steps // stride + 1
     nb = len(model.lam)
@@ -216,7 +211,7 @@ def simulate(model: OperatorModel, config: SimConfig,
     minimal = aux.catalog.minimal if aux is not None else []
     zsq_mu, zsq_nu = exponent_table(minimal, nb)
     zsq_acc = np.zeros(len(minimal))
-    pairs = {f"r={r:g},p={p:g}": 0.0 for (r, p) in config.strichartz_pairs}
+    strich_acc = dict.fromkeys(STRICHARTZ_PAIRS, 0.0)
     sup_h1_f = 0.0
     sample_dt = stride * dt
     snapshots = {}
@@ -229,17 +224,17 @@ def simulate(model: OperatorModel, config: SimConfig,
         zs[i] = state.z
         mass[i] = l2_norm(u, grid.h)
         energy[i] = energy_value(model, u, t, config.gamma0, config.gamma1)
-        f_l2[i] = l2_norm(state.f, grid.h)
-        f_h1[i] = h1_norm(state.f, grid)
-        f_w[i] = weighted_l2(state.f, grid, config.weight_s)
+        df = derivative(state.f, grid)
+        f_l2[i] = norm = l2_norm(state.f, grid.h)
+        f_h1[i] = math.sqrt(norm ** 2 + l2_norm(df, grid.h) ** 2)
+        f_w[i] = l2_norm(weight * state.f, grid.h)
         sup_h1_f = max(sup_h1_f, f_h1[i])
-        for (r, p) in config.strichartz_pairs:
-            pairs[f"r={r:g},p={p:g}"] += sample_dt * _w1p_norm(state.f, grid, p) ** r
+        for (r, p) in STRICHARTZ_PAIRS:
+            strich_acc[r, p] += sample_dt * _w1p_norm(state.f, df, grid.h, p) ** r
         zsq_acc[:] += sample_dt * np.abs(monomials(state.z, zsq_mu, zsq_nu)) ** 2
         if aux is not None:
             zetas[i] = zeta_transform(state.z, t, aux.zeta_couplings)
-            g_w[i] = weighted_l2(g_transform(state, t, aux.g_couplings),
-                                 grid, config.weight_s)
+            g_w[i] = l2_norm(weight * g_transform(state, t, aux.g_couplings), grid.h)
 
     record(0, 0.0, u)
     t = 0.0
@@ -257,8 +252,7 @@ def simulate(model: OperatorModel, config: SimConfig,
     # the golden-rule flux pi sum_w Q_w(zeta) of every sample at once
     flux = (math.pi * sum((packet_form(p, zetas) for p in aux.packets), np.zeros(n_out))
             if aux is not None else None)
-    strich = {key: val ** (1.0 / float(key.split(",")[0].split("=")[1]))
-              for key, val in pairs.items()}
+    strich = {f"r={r:g},p={p:g}": val ** (1.0 / r) for (r, p), val in strich_acc.items()}
     strich["r=inf,p=2"] = sup_h1_f
     return TrajectoryRecord(
         times=times, z=zs, mass=mass, energy=energy,
@@ -270,10 +264,10 @@ def simulate(model: OperatorModel, config: SimConfig,
     )
 
 
-def _w1p_norm(f, grid: GridSpec, p: float) -> float:
-    df = np.fft.ifft(1j * grid.k * np.fft.fft(f))
-    fp = float(grid.h * np.sum(np.abs(f) ** p)) ** (1.0 / p)
-    dfp = float(grid.h * np.sum(np.abs(df) ** p)) ** (1.0 / p)
+def _w1p_norm(f, df, h: float, p: float) -> float:
+    """||f||_{W^{1,p}} from f and its derivative df."""
+    fp = float(h * np.sum(np.abs(f) ** p)) ** (1.0 / p)
+    dfp = float(h * np.sum(np.abs(df) ** p)) ** (1.0 / p)
     return (fp ** p + dfp ** p) ** (1.0 / p)
 
 

@@ -131,10 +131,6 @@ class HamTerm:
         """max of the two ledger sides; degree bound for truncation."""
         return max(self.ledger_sides())
 
-    def degree(self) -> int:
-        """Total polynomial degree in (z, conj z, f, conj f)."""
-        return sum(self.mu) + sum(self.nu) + len(self.alphas) + len(self.betas) + self.a + self.b
-
     def scaled(self, factor: complex) -> "HamTerm":
         return HamTerm(self.coeff * factor, self.m, self.mu, self.nu,
                        self.alphas, self.betas, self.a, self.b, self.tail)

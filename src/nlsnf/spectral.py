@@ -236,7 +236,7 @@ def _edge_fraction(vec_abs: np.ndarray) -> float:
     return float(edge / vec_abs.max())
 
 
-def build_operator(grid: GridSpec, v: np.ndarray, c_target: float | None = None) -> OperatorModel:
+def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
     """Diagonalize -Delta + V, tune c so the ground state sits exactly at 0.
 
     Bound states are the boundary-localized eigenvectors below c.  Raises
@@ -274,11 +274,6 @@ def build_operator(grid: GridSpec, v: np.ndarray, c_target: float | None = None)
     sqh = math.sqrt(grid.h)
     phi = np.stack([evecs[:, j] / sqh for j in bound])
     lam = energies[np.array(bound)]
-
-    if c_target is not None and abs(c - c_target) > 0.1 * max(abs(c_target), 1.0):
-        import warnings
-
-        warnings.warn(f"tuned c = {c:.6g} is far from the requested c_target = {c_target:.6g}")
 
     model = OperatorModel(
         grid=grid, v=v, c=c, lam=lam, phi=phi,

@@ -306,6 +306,7 @@ def test_criterion_6_density_estimators(pt_model_wide, free_big):
 # 7. simulator conservation laws
 
 
+@pytest.mark.slow
 def test_criterion_7_conservation(pt_model):
     rng = np.random.default_rng(108)
     # mass over [0, 200] at the pinned resolution
@@ -384,6 +385,7 @@ def test_criterion_8_lyapunov_balance(pt_model, pt_aux, pt_packets):
 # 9. decay mechanism and the unforced contrast
 
 
+@pytest.mark.slow
 def test_criterion_9_decay(pt_model, pt_packets, pt_catalog):
     verdict = fgr.rayleigh_report(pt_packets, pt_catalog.minimal, n_modes=2,
                                   n_samples=300, seed=9).verdict

@@ -122,6 +122,57 @@ def test_solve_homological_eigenvalue_hit(small_model):
     assert len(chi) == 1
 
 
+def _by_monomial(exp: HamExpansion) -> dict:
+    """Scalar coefficients and summed linear couplings, keyed by monomial."""
+    out = {}
+    for t in exp.terms:
+        key = (t.kind, t.m, t.mu, t.nu)
+        out[key] = out.get(key, 0.0) + (t.coeff if t.kind == "scalar" else t.vector)
+    return out
+
+
+def test_solve_homological_inverts_bracket_hf(small_model):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    lam, c, x = small_model.lam, small_model.c, small_model.grid.x
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    @st.composite
+    def nonresonant_term(draw):
+        mu, nu, m = draw(exps), draw(exps), draw(st.integers(-2, 2))
+        coeff = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        hyp.assume(abs(coeff) > 1e-3)
+        omega = float(lam @ (np.array(mu) - np.array(nu))) - m
+        kind = draw(st.sampled_from(["scalar", "linear_f", "linear_fbar"]))
+        if kind == "scalar":
+            hyp.assume(abs(omega) > 0.05)   # no small divisor
+            return HamTerm(coeff, m, mu, nu)
+        # the resolvent argument stays below the continuum threshold
+        hyp.assume((-omega if kind == "linear_f" else omega) < c - 0.05)
+        x0, width = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 2.0))
+        vec = coeff * small_model.project_pc(
+            np.exp(-((x - x0) / width) ** 2 + 1j * x0 * x).astype(complex))
+        if kind == "linear_f":
+            return HamTerm(1.0, m, mu, nu, alphas=(vec,))
+        return HamTerm(1.0, m, mu, nu, betas=(vec,))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(terms=st.lists(nonresonant_term(), min_size=1, max_size=5))
+    def check(terms):
+        k = HamExpansion(terms)
+        chi = solve_homological(k, small_model)
+        # {chi, H_F} = -{H_F, chi} = K, monomial by monomial
+        back = _by_monomial(HamExpansion(
+            [bracket_hf(t, lam, small_model).scaled(-1.0) for t in chi.terms]))
+        want = _by_monomial(k)
+        assert back.keys() <= want.keys()
+        for key, value in want.items():
+            got = back.get(key, 0.0 * value)
+            assert_allclose(got, value, rtol=0, atol=1e-9 * max(np.max(np.abs(value)), 1.0))
+
+    check()
+
+
 def test_solve_homological_continuum_needs_flag(small_model):
     # argument 0.7 + 1 = 1.7 > c needs the R^+ boundary value
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nlsnf import cli
+from nlsnf import cli, dynamics
 
 
 SMALL_CONFIG = """
@@ -121,20 +121,30 @@ directory = {out}
     assert manifest["stages"]["resonance"]["h5"] is False
 
 
-@pytest.mark.parametrize("section, key, value", [
-    (None, None, None),                          # the config file is missing
-    ("model", "m_pts", "1000"),
-    ("model", "preset", "nope"),
-    ("simulation", "dt", "abc"),
-    ("simulation", "nonlinearity", "quintic"),
-    ("simulation", "seed", "abc"),
-    ("analysis", "tol_res", "abc"),
-    ("analysis", "r_max", "two"),
-    ("analysis", "estimator", "nope"),
-    ("model", "m_pts", None),                    # the key appears twice
-], ids=["missing-file", "m_pts", "preset", "dt", "nonlinearity", "seed", "tol_res",
-        "r_max", "estimator", "duplicate-key"])
-def test_config_error_exit(tmp_path, capsys, section, key, value):
+CONFIG_ERRORS = [
+    ("missing-file", None, None, None),          # the config file is missing
+    ("m_pts", "model", "m_pts", "1000"),
+    ("preset", "model", "preset", "nope"),
+    ("dt", "simulation", "dt", "abc"),
+    ("nonlinearity", "simulation", "nonlinearity", "quintic"),
+    ("seed", "simulation", "seed", "abc"),
+    ("tol_res", "analysis", "tol_res", "abc"),
+    ("r_max", "analysis", "r_max", "two"),
+    ("estimator", "analysis", "estimator", "nope"),
+    ("duplicate-key", "model", "m_pts", None),   # the key appears twice
+    ("gamma0", "forcing", "gamma0", "abc"),
+]
+
+
+# every subcommand that runs a prefix of the pipeline checks the whole config
+# first; the pipeline cases keep their bare ids
+@pytest.mark.parametrize("command, section, key, value", [
+    pytest.param(command, section, key, value,
+                 id=name if command == "pipeline" else f"{command}-{name}")
+    for command in ("pipeline", "normalform", "fgr")
+    for name, section, key, value in CONFIG_ERRORS
+])
+def test_config_error_exit(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "missing.cfg"
     if section is not None:
         text = SMALL_CONFIG.format(out=tmp_path / "out")
@@ -149,7 +159,7 @@ def test_config_error_exit(tmp_path, capsys, section, key, value):
             cp.set(section, key, value)
             with open(path, "w") as fh:
                 cp.write(fh)
-    rc = cli.main(["pipeline", "--config", str(path)])
+    rc = cli.main([command, "--config", str(path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -208,3 +218,49 @@ def test_normalform_honours_analysis_keys(small_config, capsys):
     out = capsys.readouterr().out
     assert "round r=" not in out
     assert "Z terms: 0" in out
+
+
+def _forbid_simulation(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("this subcommand must not simulate")
+    monkeypatch.setattr(dynamics, "simulate", no_simulation)
+
+
+def test_spectrum_writes_manifest(small_config, capsys):
+    rc = cli.main(["spectrum", "--config", small_config])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    assert manifest["incomplete"] is False
+    assert list(manifest["stages"]) == ["model"]
+    assert f"c = {manifest['stages']['model']['c']:.10g}" in out
+
+
+def test_fgr_stops_before_the_simulation(small_config, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    rc = cli.main(["fgr", "--config", small_config])
+    assert rc == cli.EXIT_OK
+    outdir = os.path.join(os.path.dirname(small_config), "out")
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["incomplete"] is False
+    assert list(manifest["stages"])[-1] == "fgr"
+    assert "simulate" not in manifest["stages"]
+    assert not os.path.exists(os.path.join(outdir, "trajectory.csv"))
+    assert json.loads(capsys.readouterr().out) == manifest["stages"]["fgr"]
+
+
+@pytest.mark.parametrize("command", ["normalform", "fgr"])
+def test_linear_prefix_run_records_the_skip(tmp_path, capsys, monkeypatch, command):
+    _forbid_simulation(monkeypatch)
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text(SMALL_CONFIG.format(out=tmp_path / "out")
+                   .replace("gamma0 = 1.0", "gamma0 = 0.0")
+                   .replace("gamma1 = 2.0", "gamma1 = 0.0"))
+    rc = cli.main([command, "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    assert manifest["incomplete"] is False
+    assert list(manifest["stages"])[-1] == "normal_form"
+    assert manifest["stages"]["normal_form"] == {"skipped": "linear run"}
+    assert not (tmp_path / "out" / "trajectory.csv").exists()

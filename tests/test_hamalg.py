@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -596,3 +599,23 @@ def test_merged_is_idempotent():
 
     check()
     check_copy()
+
+
+def test_expansion_records_round_trip():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # through JSON text and an npz archive, as save_expansion writes them
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(terms=st.lists(_term_strategy(st), max_size=8))
+    def check(terms):
+        records, vectors = hamalg.expansion_to_records(HamExpansion(terms))
+        buf = io.BytesIO()
+        np.savez(buf, **vectors)
+        buf.seek(0)
+        with np.load(buf) as npz:
+            back = hamalg.expansion_from_records(json.loads(json.dumps(records)), dict(npz))
+        assert len(back) == len(terms)
+        assert all(_same_term(s, t) for s, t in zip(back, terms))
+
+    check()
