@@ -259,11 +259,13 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
         tol = analysis.tol_res
         budget = resonance.resonance_budget(model.lam, model.c, tol)
         report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
+        h4 = spectral.threshold_blowup_report(model)
         manifest["stages"]["resonance"] = {
             "N": budget.big_n, "N_j": budget.n_j, "floor_c": budget.floor_c,
             "h5": report.h5_ok, "h7": report.h7_ok, "h8": report.h8_ok,
             "h10": sim_config.gamma1 != 0.0,
             "witnesses": report.witnesses,
+            "h4": {key: h4[key] for key in ("growth_exponents", "suspicious")},
         }
         flush()
         if not report.all_ok:
@@ -332,7 +334,9 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
             ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
                                       seed=analysis.seed)
             manifest["stages"]["fgr"] = {
-                "packets": [{"w": p.w, "members": len(p.members)} for p in packets],
+                "packets": [{"w": p.w, "members": len(p.members),
+                             "clipped_mass": p.clipped_mass, "lap_gap": p.lap_gap()}
+                            for p in packets],
                 "min_quotient": ray.min_quotient, "max_quotient": ray.max_quotient,
                 "h9prime_verdict": ray.verdict,
             }
@@ -403,7 +407,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_resonance_check(args) -> int:
-    lam = np.array([float(s) for s in args.lam.split(",")])
+    try:
+        lam = np.array([float(s) for s in args.lam.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--lambda: {exc}") from exc
     budget = resonance.resonance_budget(lam, args.c, args.tol)
     report = resonance.check_hypotheses(lam, args.c, budget, args.tol)
     catalog = None

@@ -38,6 +38,11 @@ class FgrPacket:
         self.mu, self.nu = exponent_table([t for t, _ in self.members],
                                           len(self.members[0][0].mu))
 
+    def lap_gap(self) -> float:
+        """max |gram - gram_lap| / max |gram|: how far the LAP Gram strays."""
+        scale = max(float(np.max(np.abs(self.gram))), 1e-300)
+        return float(np.max(np.abs(self.gram - self.gram_lap))) / scale
+
 
 def build_packets(
     model: OperatorModel,
@@ -72,7 +77,7 @@ def build_packets(
 
 def _psd_clip(gram: np.ndarray) -> tuple[np.ndarray, float]:
     vals, vecs = np.linalg.eigh(gram)
-    clipped = float(-vals[vals < 0].sum())
+    clipped = float(np.sum(-vals[vals < 0]))  # +0.0, not -0.0, when nothing is clipped
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ np.conj(vecs.T), clipped
 

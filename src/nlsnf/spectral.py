@@ -161,6 +161,7 @@ class OperatorModel:
         return len(self.lam) - 1
 
     # -- mode transforms (quadrature-normalized eigenbasis) ------------------
+    # A vector or a stack of vectors along the last axis.
 
     def mode_coeffs(self, vec: np.ndarray) -> np.ndarray:
         """Coefficients <e_j, vec> in the full box eigenbasis."""
@@ -168,13 +169,13 @@ class OperatorModel:
         h = self.grid.h
         if self.is_free:
             return np.fft.fft(vec) * h / math.sqrt(2.0 * self.grid.l_box)
-        return math.sqrt(h) * (self._evecs.T @ vec)
+        return math.sqrt(h) * _real_basis_product(vec, self._evecs)
 
     def from_mode_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         h = self.grid.h
         if self.is_free:
             return np.fft.ifft(coeffs) * math.sqrt(2.0 * self.grid.l_box) / h
-        return (self._evecs @ coeffs) / math.sqrt(h)
+        return _real_basis_product(coeffs, self._evecs.T) / math.sqrt(h)
 
     def apply_h(self, vec: np.ndarray) -> np.ndarray:
         """(-d2/dx2 + V + c) vec through the FFT symbol k^2."""
@@ -209,6 +210,21 @@ class OperatorModel:
             raise GridMismatchError(
                 f"vector of length {np.shape(vec)[-1]} on grid with {self.grid.m_pts} points"
             )
+
+
+def _real_basis_product(vec, basis: np.ndarray) -> np.ndarray:
+    """vec @ basis for a real matrix basis, acting on the last axis of vec.
+
+    A complex vec is split into its real and imaginary parts, so the M x M
+    basis is never copied to complex (numpy would cast it on every call).
+    """
+    vec = np.asarray(vec)
+    if not np.iscomplexobj(vec):
+        return vec @ basis
+    out = np.empty(vec.shape[:-1] + basis.shape[1:], dtype=complex)
+    out.real = vec.real @ basis
+    out.imag = vec.imag @ basis
+    return out
 
 
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
@@ -468,9 +484,9 @@ def resolvent_limit(
     sign = 1.0 if side == "+" else -1.0
     e = model.mode_energies
     coeffs = model.mode_coeffs(np.asarray(b, dtype=complex))
-    sols = np.empty((len(eps), model.grid.m_pts), dtype=complex)
-    for i, ee in enumerate(eps):
-        sols[i] = model.from_mode_coeffs(coeffs / (e - (w + sign * 1j * ee)))
+    # back-transform every node, then extrapolate in space: `_extrapolate`
+    # picks its degree from the max-abs disagreement over the components
+    sols = model.from_mode_coeffs(coeffs / (e - (w + sign * 1j * eps[:, None])))
     return _extrapolate(eps, sols, _box_noise(model, w, eps))[0]
 
 
@@ -491,7 +507,7 @@ def _continuum_weights(model: OperatorModel, phis) -> tuple[np.ndarray, np.ndarr
     """(energies, coefficient matrix) over continuum box modes only."""
     start = model.n_continuum_start()
     e = model.mode_energies[start:]
-    cm = np.stack([model.mode_coeffs(p)[start:] for p in np.atleast_2d(phis)])
+    cm = model.mode_coeffs(np.atleast_2d(phis))[:, start:]
     return e, cm
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nlsnf import cli, dynamics
+from nlsnf import cli, dynamics, spectral
 
 
 SMALL_CONFIG = """
@@ -56,6 +56,12 @@ def test_resonance_check_violation(capsys):
 def test_resonance_check_h6_error(capsys):
     rc = cli.main(["resonance-check", "--lambda", "0,0.35", "--c", "0.7"])
     assert rc == cli.EXIT_HYPOTHESIS
+
+
+def test_resonance_check_bad_lambda_exits_config(capsys):
+    rc = cli.main(["resonance-check", "--lambda", "0,abc", "--c", "0.7875"])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_spectrum_command(tmp_path, capsys, monkeypatch):
@@ -248,6 +254,30 @@ def test_fgr_stops_before_the_simulation(small_config, capsys, monkeypatch):
     assert "simulate" not in manifest["stages"]
     assert not os.path.exists(os.path.join(outdir, "trajectory.csv"))
     assert json.loads(capsys.readouterr().out) == manifest["stages"]["fgr"]
+
+
+# the histogram and LAP Grams of SMALL_CONFIG's packets differ by 2.5-6.2 %
+LAP_GAP_MAX = 0.25
+
+
+def test_manifest_reports_packets_and_h4(small_config, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    rc = cli.main(["fgr", "--config", small_config])
+    assert rc == cli.EXIT_OK
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    packets = manifest["stages"]["fgr"]["packets"]
+    assert packets
+    for p in packets:
+        assert p["clipped_mass"] >= 0.0
+        assert 0.0 <= p["lap_gap"] < LAP_GAP_MAX
+    # (H4) as the resonance stage saw it: the report of the same model
+    h4 = manifest["stages"]["resonance"]["h4"]
+    model = cli.build_model_from_config(cli.load_config(small_config))
+    want = spectral.threshold_blowup_report(model)
+    assert h4 == {"growth_exponents": want["growth_exponents"],
+                  "suspicious": want["suspicious"]}
+    assert len(h4["growth_exponents"]) == 3 and h4["suspicious"] is False
 
 
 @pytest.mark.parametrize("command", ["normalform", "fgr"])

@@ -89,6 +89,85 @@ def test_project_modes_parseval_and_reconstruction(pt_model):
         assert spectral.l2_norm(back - u, h) <= 1e-12 * spectral.l2_norm(u, h)
 
 
+def _probe_vectors(model, k, seed):
+    """k smooth localized complex vectors, stacked along the first axis."""
+    rng = np.random.default_rng(seed)
+    x = model.grid.x
+    env = np.exp(-x ** 2 / 50.0)
+    return env * (rng.standard_normal((k, len(x))) + 1j * rng.standard_normal((k, len(x))))
+
+
+def test_mode_transforms_match_complex_reference(pt_model):
+    # reference: the real eigenbasis cast to complex, one vector at a time
+    evecs = pt_model._evecs.astype(complex)
+    sqh = np.sqrt(pt_model.grid.h)
+    stack = _probe_vectors(pt_model, 3, seed=21)
+    for vec in (stack[0].real, stack[0], stack):
+        want = np.stack([sqh * (evecs.T @ v) for v in np.atleast_2d(vec)])
+        got = pt_model.mode_coeffs(vec)
+        assert got.shape == vec.shape
+        assert np.iscomplexobj(got) == np.iscomplexobj(vec)
+        assert_allclose(np.atleast_2d(got), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        want = np.stack([(evecs @ c) / sqh for c in np.atleast_2d(vec)])
+        got = pt_model.from_mode_coeffs(vec)
+        assert got.shape == vec.shape
+        assert_allclose(np.atleast_2d(got), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_mode_transforms_round_trip(pt_model):
+    stack = _probe_vectors(pt_model, 4, seed=22)
+    for vec in (stack[1], stack):
+        back = pt_model.from_mode_coeffs(pt_model.mode_coeffs(vec))
+        assert_allclose(back, vec, rtol=0, atol=1e-12 * np.max(np.abs(vec)))
+
+
+def test_free_mode_transforms_are_the_fft():
+    grid = spectral.GridSpec(l_box=40.0, m_pts=256)
+    model = spectral.free_operator(grid, c=0.3)
+    scale = grid.h / np.sqrt(2.0 * grid.l_box)
+    stack = _probe_vectors(model, 3, seed=23)
+    for vec in (stack[0], stack):
+        assert_allclose(model.mode_coeffs(vec), np.fft.fft(vec) * scale, rtol=1e-14)
+        assert_allclose(model.from_mode_coeffs(vec), np.fft.ifft(vec) / scale, rtol=1e-14)
+    assert_allclose(model.mode_coeffs(stack)[2], model.mode_coeffs(stack[2]), rtol=1e-14)
+
+
+def test_stacked_density_gram_matches_per_packet_grams(pt_model):
+    # one stacked transform of three packets gives the Gram of each pair
+    phis = _probe_vectors(pt_model, 3, seed=24)
+    w = pt_model.c + 1.1
+    full = spectral.density_gram(pt_model, w, phis)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        pair = spectral.density_gram(pt_model, w, [phis[a], phis[b]])
+        assert_allclose(full[np.ix_([a, b], [a, b])], pair, rtol=0,
+                        atol=1e-13 * np.max(np.abs(full)))
+
+
+def test_continuum_transforms_never_copy_the_eigenbasis(pt_model):
+    # a complex cast of the M x M eigenbasis takes M^2 * 16 bytes; every
+    # transform must stay below a sixteenth of the real basis, M^2 * 8 / 16
+    import tracemalloc
+
+    m = pt_model.grid.m_pts
+    limit = m * m * 8 // 16
+    phis = _probe_vectors(pt_model, 3, seed=25)
+    w = pt_model.c + 0.9
+    calls = {
+        "mode_coeffs": lambda: pt_model.mode_coeffs(phis[0]),
+        "from_mode_coeffs": lambda: pt_model.from_mode_coeffs(phis[0]),
+        "resolvent_limit": lambda: spectral.resolvent_limit(pt_model, w, phis[0]),
+        "density_gram": lambda: spectral.density_gram(pt_model, w, phis),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{name} peaked at {peak} bytes"
+
+
 def test_resolvent_eigenvector_case(pt_model):
     # (H - 0.2)^{-1} phi_1 = phi_1 / (0.7 - 0.2) = 2 phi_1
     x = spectral.resolvent_apply(pt_model, 0.2, pt_model.phi[1].astype(complex))
