@@ -26,7 +26,6 @@ from .hamalg import (
     HamTerm,
     bracket_hf,
     check_reality,
-    lie_derivative,
     lie_series,
     DropLedger,
 )
@@ -179,6 +178,24 @@ class NormalFormResult:
         return self.z_part.select(lambda t: t.kind in ("linear_f", "linear_fbar"))
 
 
+def _lie_weight(l: int) -> float:
+    """Weight of lie^l(g) in g o F - g."""
+    return 1.0 / math.factorial(l)
+
+
+def _taylor_weight(l: int) -> float:
+    """Weight of lie^l(K) in H_F o F - H_F - lie(H_F), since lie(H_F) = -K."""
+    return -1.0 / math.factorial(l + 1)
+
+
+def _weighted_sum(prefix: list, powers: list, weight) -> HamExpansion:
+    """prefix + sum_l weight(l) powers[l - 1], merged."""
+    terms = list(prefix)
+    for l, power in enumerate(powers, 1):
+        terms.extend(power.scaled(weight(l)).terms)
+    return HamExpansion(terms).merged()
+
+
 def normal_form_round(
     z_part: HamExpansion,
     remainder: HamExpansion,
@@ -199,13 +216,8 @@ def normal_form_round(
     lam = model.lam
 
     def in_ktilde(t: HamTerm) -> bool:
-        if not t.is_balanced:
-            return False
-        if t.kind == "scalar":
-            return t.size == r + 1
-        if t.kind in ("linear_f", "linear_fbar"):
-            return t.size == r + 1
-        return False
+        return (t.is_balanced and t.kind in ("scalar", "linear_f", "linear_fbar")
+                and t.size == r + 1)
 
     ktilde = remainder.select(in_ktilde)
     rest = remainder.select(lambda t: not in_ktilde(t))
@@ -223,33 +235,17 @@ def normal_form_round(
     k_exp = HamExpansion(k_terms).merged()
 
     chi = solve_homological(k_exp, model) if len(k_exp) else HamExpansion([])
+    # the Lie tails of Z^{(r)} and K, the Taylor block of H_F from the same
+    # powers of K, and the full transform of everything not extracted
     dropped = DropLedger()
     new_remainder_terms: list[HamTerm] = []
-
-    if len(chi):
-        # Lie tail of Z^{(r)}
-        if len(z_part):
-            tail, d = lie_series(chi, z_part, model, n0, degree_cap, include_identity=False)
+    for ham, prefix, weights in ((z_part, [], (_lie_weight,)),
+                                 (k_exp, [], (_lie_weight, _taylor_weight)),
+                                 (rest, rest.terms, (_lie_weight,))):
+        powers, d = lie_series(chi, ham, model, n0, degree_cap)
+        for weight in weights:
             dropped.merge(d)
-            new_remainder_terms.extend(tail.terms)
-        # Lie tail of K
-        tail, d = lie_series(chi, k_exp, model, n0, degree_cap, include_identity=False)
-        dropped.merge(d)
-        new_remainder_terms.extend(tail.terms)
-        # Taylor block of H_F: lie(H_F) = -K, so the block beyond the first
-        # bracket is -sum_{l >= 1} lie^l(K)/(l+1)!
-        weights = {l: -1.0 / math.factorial(l + 1) for l in range(1, n0 + 1)}
-        tail, d = lie_series(chi, k_exp, model, n0, degree_cap,
-                             include_identity=False, weights=weights)
-        dropped.merge(d)
-        new_remainder_terms.extend(tail.terms)
-        # full transform of everything not extracted
-        moved, d = lie_series(chi, rest, model, n0, degree_cap, include_identity=True)
-        dropped.merge(d)
-        new_remainder_terms.extend(moved.terms)
-    else:
-        new_remainder_terms.extend(rest.terms)
-
+            new_remainder_terms.extend(_weighted_sum(prefix, powers, weight).terms)
     new_remainder = HamExpansion(new_remainder_terms).merged()
     new_z = (z_part + z_round.terms).merged()
 

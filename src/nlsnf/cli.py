@@ -302,6 +302,8 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
                         "resonant": led.resonant, "solved": led.solved,
                         "chi_terms": led.chi_terms,
                         "dropped": led.dropped.count,
+                        "dropped_by_size": led.dropped.by_size,
+                        "dropped_mass": led.dropped.coeff_mass,
                         "classes": led.class_counts,
                         "reality_ok": led.reality_ok,
                     }
@@ -369,8 +371,8 @@ def _record_sim(manifest, record: dynamics.TrajectoryRecord):
         "eps_h1": record.eps_h1,
         "t_wrap": record.t_wrap,
         "sponge": record.sponge_used,
-        "mass_drift": float(np.max(np.abs(record.mass - record.mass[0]))
-                            / max(record.mass[0], 1e-300)),
+        "beyond_wrap": record.beyond_wrap(),
+        "mass_drift": record.mass_drift(),
         "mode_energy_initial": float(z2[0]),
         "mode_energy_final": float(z2[-1]),
         "strichartz": record.strichartz,
@@ -465,8 +467,7 @@ def cmd_simulate(args) -> int:
     record = dynamics.simulate(model, sim_config_from(cp), aux=None)
     path = os.path.join(outdir, "trajectory.csv")
     write_trajectory_csv(record, path)
-    drift = float(np.max(np.abs(record.mass - record.mass[0])) / record.mass[0])
-    print(f"mass drift {drift:.3e}; wrote {path}")
+    print(f"mass drift {record.mass_drift():.3e}; wrote {path}")
     return EXIT_OK
 
 

@@ -90,6 +90,14 @@ class TrajectoryRecord:
     snapshots: dict = field(default_factory=dict)
     sponge_used: bool = False
 
+    def mass_drift(self) -> float:
+        """max |mass(t) - mass(0)| / mass(0); 0 for zero data."""
+        return float(np.max(np.abs(self.mass - self.mass[0])) / max(self.mass[0], 1e-300))
+
+    def beyond_wrap(self) -> bool:
+        """True when the last sample lies past t_wrap and no sponge absorbed."""
+        return bool(self.times[-1] > self.t_wrap and not self.sponge_used)
+
 
 def gamma_of_t(t, gamma0: float, gamma1: float):
     return gamma0 + gamma1 * np.cos(t)

@@ -21,7 +21,6 @@ generator of order M_0 raise L by exactly M_0 while harmonics obey
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -459,7 +458,11 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel) -> HamExpansion:
 
 @dataclass
 class DropLedger:
-    """Terms discarded by the degree cap (the observed remainder class)."""
+    """Terms discarded by the degree cap (the observed remainder class).
+
+    normal_form_round merges a chain's ledger once per block it feeds: K's
+    twice, for its Lie tail and the Taylor block of H_F.
+    """
 
     count: int = 0
     coeff_mass: float = 0.0
@@ -483,40 +486,32 @@ def lie_series(
     model: OperatorModel,
     n0: int,
     degree_cap: int,
-    include_identity: bool = True,
-    weights=None,
-) -> tuple[HamExpansion, DropLedger]:
-    """ham o F = ham + sum_{l<=n0} lie^l(ham)/l!, capped in polynomial degree.
+) -> tuple[list[HamExpansion], DropLedger]:
+    """The capped Lie powers [lie^1(ham), ..., lie^k(ham)], k <= n0.
 
     Terms whose polynomial degree 2(L + 1) exceeds degree_cap are dropped and
     counted: they belong to the observed-only remainder class, whose bound
-    carries the exponent degree_cap in the field amplitudes.  `weights[l]`
-    overrides the 1/l! coefficient of the l-th Lie power (normal_form_round
-    uses this for the Taylor block of the quadratic part).
+    carries the exponent degree_cap in the field amplitudes.  The chain stops
+    at the first power the cap empties.  The caller weights the powers (1/l!
+    for ham o F - ham).
     """
     dropped = DropLedger()
-    out: list[HamTerm] = []
-    if include_identity:
-        out.extend(ham.terms)
-    if n0 <= 0 or len(chi) == 0 or len(ham) == 0:
-        return HamExpansion(out).merged(), dropped
-
+    powers: list[HamExpansion] = []
+    if len(chi) == 0 or len(ham) == 0:
+        return powers, dropped
     current = ham
-    for l in range(1, n0 + 1):
-        current = lie_derivative(chi, current, model)
+    for _ in range(n0):
         keep = []
-        for t in current.terms:
+        for t in lie_derivative(chi, current, model).terms:
             if 2 * t.size > degree_cap:
                 dropped.add(t)
             else:
                 keep.append(t)
-        current = HamExpansion(keep)
-        if len(current) == 0:
+        if not keep:
             break
-        w = (1.0 / math.factorial(l)) if weights is None else weights.get(l, 0.0)
-        if w != 0.0:
-            out.extend(current.scaled(w).terms)
-    return HamExpansion(out).merged(), dropped
+        current = HamExpansion(keep)
+        powers.append(current)
+    return powers, dropped
 
 
 # ---------------------------------------------------------------------------

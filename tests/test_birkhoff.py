@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -229,6 +231,34 @@ def test_round_extraction_base_case(small_model):
     assert ledger.extracted == len(expected)
     assert ledger.resonant + ledger.solved == ledger.extracted
     assert ledger.reality_ok
+
+
+def _content_digest(exp: HamExpansion) -> bytes:
+    h = hashlib.blake2b(digest_size=16)
+    for t in exp.terms:
+        h.update(repr((t.m, t.mu, t.nu, t.a, t.b, len(t.alphas))).encode())
+        h.update(np.complex128(t.coeff).tobytes())
+        for v in t.alphas + t.betas:
+            h.update(v.tobytes())
+        h.update(t.tail.tobytes() if isinstance(t.tail, np.ndarray) else repr(t.tail).encode())
+    return h.digest()
+
+
+def test_round_differentiates_each_input_once(small_model, monkeypatch):
+    # the powers of K feed both its Lie tail and the Taylor block of H_F, so
+    # a round builds each Lie chain once: no (chi, input) pair twice
+    seen = []
+    derivative = hamalg.lie_derivative
+
+    def recorder(chi, g, model):
+        seen.append((_content_digest(chi), _content_digest(g)))
+        return derivative(chi, g, model)
+
+    monkeypatch.setattr(hamalg, "lie_derivative", recorder)
+    ep = expand_potential_energy(small_model, gamma0=1.0, gamma1=0.5)
+    normal_form_round(HamExpansion([]), ep, small_model, r=1, n0=3, degree_cap=6)
+    assert seen
+    assert len(set(seen)) == len(seen)
 
 
 def test_single_mode_round_z2_content(single_mode_model):

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,7 @@ def test_pipeline_end_to_end(small_config, capsys):
     assert stages["catalog"]["M"] == 6
     assert "h9prime_verdict" in stages["fgr"]
     assert stages["simulate"]["mass_drift"] < 1e-8
+    assert stages["simulate"]["beyond_wrap"] is False
     assert os.path.exists(os.path.join(cfgdir, "out", "trajectory.csv"))
     assert os.path.exists(os.path.join(cfgdir, "out", "resonance_report.txt"))
 
@@ -205,6 +207,42 @@ def test_simulate_command(small_config, capsys):
     rc = cli.main(["simulate", "--config", small_config])
     assert rc == cli.EXIT_OK
     assert "mass drift" in capsys.readouterr().out
+
+
+def test_simulate_zero_data_has_no_mass_drift(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SMALL_CONFIG.format(out=tmp_path / "out")
+                   .replace("mode_amplitudes = 0.05,0.02", "mode_amplitudes ="))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    assert "mass drift 0.000e+00" in capsys.readouterr().out
+
+
+def test_pipeline_records_a_run_beyond_the_wrap_horizon(tmp_path, capsys):
+    # SMALL_CONFIG's pipeline has t_wrap = 5.91 and no sponge
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(SMALL_CONFIG.format(out=tmp_path / "out")
+                   .replace("t_end = 2.0", "t_end = 6.0"))
+    rc = cli.main(["pipeline", "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    sim = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]["simulate"]
+    assert sim["t_wrap"] < 6.0 and sim["sponge"] is False
+    assert sim["beyond_wrap"] is True
+
+
+def test_manifest_records_the_drop_ledger(small_config, capsys):
+    rc = cli.main(["normalform", "--config", small_config])
+    assert rc == cli.EXIT_OK
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    rounds = manifest["stages"]["normal_form"]["rounds"]
+    assert rounds
+    for led in rounds:
+        assert sum(led["dropped_by_size"].values()) == led["dropped"]
+        assert led["dropped_mass"] >= 0.0
+    assert any(led["dropped"] > 0 for led in rounds)
 
 
 def test_normalform_command(small_config, capsys):
