@@ -13,7 +13,9 @@ import configparser
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +218,9 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
 
     The `config` stage checks every section before anything is built.  The
     manifest is rewritten after each stage and records a failing stage;
-    `incomplete` turns false once stage `last` is done.
+    `incomplete` turns false once stage `last` is done.  Each stage records
+    its wall time in `seconds` and the process's peak RSS so far in
+    `peak_rss_mb`; a skipped stage records only why it was skipped.
     """
     if last not in STOP_STAGES:
         raise ValueError(f"unknown stop stage {last!r}; expected one of {STOP_STAGES}")
@@ -227,8 +231,18 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
         "incomplete": True,
     }
     manifest_path = os.path.join(outdir, "manifest.json")
+    stage_start = time.perf_counter()
 
     def flush():
+        """Write the manifest; the stages run since the last flush get their
+        time and the peak RSS."""
+        nonlocal stage_start
+        now = time.perf_counter()
+        for entry in manifest["stages"].values():
+            if "seconds" not in entry and "skipped" not in entry:
+                entry["seconds"] = now - stage_start
+                entry["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        stage_start = now
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, default=_json_default)
 
@@ -353,8 +367,9 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
             zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
             g_couplings=dynamics.build_g_couplings(model, reduced),
         )
+        sim_start = time.perf_counter()
         record = dynamics.simulate(model, sim_config, aux=aux)
-        _record_sim(manifest, record)
+        _record_sim(manifest, record, time.perf_counter() - sim_start)
         write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
         reached("simulate")
         return manifest
@@ -365,9 +380,11 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
         raise
 
 
-def _record_sim(manifest, record: dynamics.TrajectoryRecord):
+def _record_sim(manifest, record: dynamics.TrajectoryRecord, seconds: float):
     z2 = np.sum(np.abs(record.z) ** 2, axis=1)
     manifest["stages"]["simulate"] = {
+        "steps": record.steps,
+        "steps_per_s": record.steps / seconds,
         "eps_h1": record.eps_h1,
         "t_wrap": record.t_wrap,
         "sponge": record.sponge_used,

@@ -3,7 +3,9 @@
 The stepper is a Strang splitting: exact half-steps of the kinetic phase in
 Fourier space around an exact pointwise phase rotation for the potential and
 the nonlinearity sampled at the midpoint time.  Mass is conserved to rounding
-and the map is exactly time-reversible.
+and the map is exactly time-reversible.  Between output samples the
+half-steps of adjacent steps are applied as one full kinetic step, and the
+monitors are computed on stacks of samples.
 
 The box wraps radiation after t_wrap = L / (2 v_max); runs beyond that keep
 only qualitative meaning unless the absorbing sponge is enabled (off by
@@ -36,6 +38,7 @@ SPONGE_STRENGTH = 5.0
 SPONGE_START_FRAC = 0.8      # the sponge ramps up over |x| > 0.8 L
 WEIGHT_S = 2.0               # S in the weighted L^{2,-S} monitor
 STRICHARTZ_PAIRS = ((6.0, 6.0), (8.0, 4.0))  # (r, p): 1-D surrogate table
+MONITOR_BATCH = 64           # samples per monitor batch: 512 KB of states at M = 512
 
 
 @dataclass
@@ -82,6 +85,7 @@ class TrajectoryRecord:
     eps_h1: float
     dt_safe: float
     t_wrap: float
+    steps: int                    # Strang steps taken
     zeta: np.ndarray | None = None
     g_weighted: np.ndarray | None = None
     fgr_flux: np.ndarray | None = None
@@ -120,6 +124,9 @@ def initial_state(model: OperatorModel, config: SimConfig) -> np.ndarray:
     return u
 
 
+# The monitor helpers take one state or a stack of states along the last axis.
+
+
 def derivative(u, grid: GridSpec) -> np.ndarray:
     """Spectral derivative du/dx on the periodic grid."""
     return np.fft.ifft(1j * grid.k * np.fft.fft(u))
@@ -129,15 +136,15 @@ def h1_norm(u, grid: GridSpec) -> float:
     return math.sqrt(l2_norm(u, grid.h) ** 2 + l2_norm(derivative(u, grid), grid.h) ** 2)
 
 
-def energy_value(model: OperatorModel, u, t: float, gamma0, gamma1) -> float:
+def energy_value(model: OperatorModel, u, t, gamma0, gamma1):
+    """E(u) at time t; states u[s] at times t[s] give one energy each."""
     grid = model.grid
-    du = derivative(u, grid)
-    kin = l2_norm(du, grid.h) ** 2
-    pot = float(np.real(grid.h * np.sum((model.v + model.c) * np.abs(u) ** 2)))
-    g = float(gamma_of_t(t, gamma0, gamma1))
+    kin = l2_norm(derivative(u, grid), grid.h) ** 2
+    density = u.real ** 2 + u.imag ** 2
+    pot = grid.h * np.sum((model.v + model.c) * density, axis=-1)
     # the /2 normalization generates the simulated nonlinearity g|u|^2 u under
     # the Wirtinger gradient
-    ep = g * float(grid.h * np.sum(np.abs(u) ** 4)) / 2.0
+    ep = gamma_of_t(t, gamma0, gamma1) * grid.h * np.sum(density ** 2, axis=-1) / 2.0
     return kin + pot + ep
 
 
@@ -163,16 +170,35 @@ def _sponge_mask(grid: GridSpec, dt: float):
 
 
 def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
-         config: SimConfig, half_kinetic: np.ndarray, sponge=None) -> np.ndarray:
-    """One Strang step from t to t + dt; half_kinetic = exp(-i k^2 dt / 2)."""
-    u = np.fft.ifft(np.fft.fft(u) * half_kinetic)
-    g = float(gamma_of_t(t + 0.5 * dt, config.gamma0, config.gamma1))
-    u = u * np.exp(-1j * dt * (model.v + model.c + g * np.abs(u) ** 2))
-    u = np.fft.ifft(np.fft.fft(u) * half_kinetic)
+         config: SimConfig, half_kinetic: np.ndarray, sponge=None,
+         n: int = 1) -> np.ndarray:
+    """n Strang steps from t to t + n dt; half_kinetic = exp(-i k^2 dt / 2).
+
+    The second half-step of one step and the first of the next are applied
+    as one full kinetic factor, so each step costs one FFT pair.  The sponge
+    mask must sit between the kinetic factors of consecutive steps: it is
+    applied after the last step and needs n = 1.
+    """
+    if sponge is not None and n != 1:
+        raise ValueError("a sponge step takes n = 1")
+    full_kinetic = half_kinetic * half_kinetic
+    static_phase = -dt * (model.v + model.c)
+    rotation = np.empty(len(static_phase), dtype=complex)
+    uh = np.fft.fft(u) * half_kinetic
+    for i in range(n):
+        u = np.fft.ifft(uh)
+        g = config.gamma0 + config.gamma1 * math.cos(t + (i + 0.5) * dt)
+        phase = u.real ** 2 + u.imag ** 2
+        phase *= -dt * g
+        phase += static_phase
+        np.cos(phase, out=rotation.real)
+        np.sin(phase, out=rotation.imag)
+        u *= rotation
+        uh = np.fft.fft(u)
+        uh *= full_kinetic if i < n - 1 else half_kinetic
+    u = np.fft.ifft(uh)
     if sponge is not None:
-        u = u * sponge
-    if not np.all(np.isfinite(u.real)):
-        raise NumericalError(f"non-finite state at t = {t + dt:.6g}")
+        u *= sponge
     return u
 
 
@@ -206,7 +232,7 @@ def simulate(model: OperatorModel, config: SimConfig,
 
     n_out = n_steps // stride + 1
     nb = len(model.lam)
-    times = np.empty(n_out)
+    times = np.arange(n_out) * stride * dt
     zs = np.empty((n_out, nb), dtype=complex)
     mass = np.empty(n_out)
     energy = np.empty(n_out)
@@ -220,62 +246,76 @@ def simulate(model: OperatorModel, config: SimConfig,
     zsq_mu, zsq_nu = exponent_table(minimal, nb)
     zsq_acc = np.zeros(len(minimal))
     strich_acc = dict.fromkeys(STRICHARTZ_PAIRS, 0.0)
-    sup_h1_f = 0.0
     sample_dt = stride * dt
-    snapshots = {}
-    snap_left = sorted(config.snapshot_times)
+    batch = min(MONITOR_BATCH, n_out)
+    buffer = np.empty((batch, grid.m_pts), dtype=complex)
 
-    def record(i, t, u):
-        nonlocal sup_h1_f
+    def record(lo, hi):
+        """Monitors of samples lo .. hi - 1, held in buffer[:hi - lo]."""
+        u, t = buffer[:hi - lo], times[lo:hi]
         state = project_modes(u, model)
-        times[i] = t
-        zs[i] = state.z
-        mass[i] = l2_norm(u, grid.h)
-        energy[i] = energy_value(model, u, t, config.gamma0, config.gamma1)
+        zs[lo:hi] = state.z
+        mass[lo:hi] = l2_norm(u, grid.h)
+        energy[lo:hi] = energy_value(model, u, t, config.gamma0, config.gamma1)
         df = derivative(state.f, grid)
-        f_l2[i] = norm = l2_norm(state.f, grid.h)
-        f_h1[i] = math.sqrt(norm ** 2 + l2_norm(df, grid.h) ** 2)
-        f_w[i] = l2_norm(weight * state.f, grid.h)
-        sup_h1_f = max(sup_h1_f, f_h1[i])
+        f_l2[lo:hi] = norm = l2_norm(state.f, grid.h)
+        f_h1[lo:hi] = np.sqrt(norm ** 2 + l2_norm(df, grid.h) ** 2)
+        f_w[lo:hi] = l2_norm(weight * state.f, grid.h)
         for (r, p) in STRICHARTZ_PAIRS:
-            strich_acc[r, p] += sample_dt * _w1p_norm(state.f, df, grid.h, p) ** r
-        zsq_acc[:] += sample_dt * np.abs(monomials(state.z, zsq_mu, zsq_nu)) ** 2
+            strich_acc[r, p] += sample_dt * np.sum(_w1p_norm(state.f, df, grid.h, p) ** r)
+        zsq = np.abs(monomials(state.z[:, None, :], zsq_mu, zsq_nu)) ** 2
+        zsq_acc[:] += sample_dt * zsq.sum(axis=0)
         if aux is not None:
-            zetas[i] = zeta_transform(state.z, t, aux.zeta_couplings)
-            g_w[i] = l2_norm(weight * g_transform(state, t, aux.g_couplings), grid.h)
+            zetas[lo:hi] = zeta_transform(state.z, t, aux.zeta_couplings)
+            g_w[lo:hi] = l2_norm(weight * g_transform(state, t, aux.g_couplings), grid.h)
 
-    record(0, 0.0, u)
-    t = 0.0
-    out_i = 1
-    for i_step in range(1, n_steps + 1):
-        u = step(u, dt, t, model, config, half_kinetic, sponge)
-        t = i_step * dt
-        while snap_left and t >= snap_left[0] - 0.5 * dt:
-            ts = snap_left.pop(0)
-            snapshots[ts] = free_flow_undo(u, t, grid, model.c)
-        if i_step % stride == 0:
-            record(out_i, t, u)
-            out_i += 1
+    def sample(i, u):
+        """Check output sample i and buffer it; a full buffer is recorded."""
+        if not np.isfinite(u).all():
+            raise NumericalError(f"non-finite state at t = {times[i]:.6g}")
+        buffer[i % batch] = u
+        if i % batch == batch - 1 or i == n_out - 1:
+            record(i - i % batch, i + 1)
+
+    # a snapshot is taken after the first step that reaches ts - dt / 2
+    snap_at: dict = {}
+    for ts in sorted(config.snapshot_times):
+        snap_at.setdefault(max(1, math.ceil(ts / dt - 0.5)), []).append(ts)
+    snapshots = {}
+    sample(0, u)
+    done = 0
+    # steps past the last sample and snapshot would change nothing recorded
+    for target in sorted({*range(stride, n_steps + 1, stride), *snap_at}):
+        if target > n_steps:
+            break
+        while done < target:
+            n = 1 if sponge is not None else target - done
+            u = step(u, dt, done * dt, model, config, half_kinetic, sponge, n)
+            done += n
+        for ts in snap_at.get(done, ()):
+            snapshots[ts] = free_flow_undo(u, done * dt, grid, model.c)
+        if done % stride == 0:
+            sample(done // stride, u)
 
     # the golden-rule flux pi sum_w Q_w(zeta) of every sample at once
     flux = (math.pi * sum((packet_form(p, zetas) for p in aux.packets), np.zeros(n_out))
             if aux is not None else None)
     strich = {f"r={r:g},p={p:g}": val ** (1.0 / r) for (r, p), val in strich_acc.items()}
-    strich["r=inf,p=2"] = sup_h1_f
+    strich["r=inf,p=2"] = float(np.max(f_h1))
     return TrajectoryRecord(
         times=times, z=zs, mass=mass, energy=energy,
         f_l2=f_l2, f_h1=f_h1, f_weighted=f_w,
-        eps_h1=eps, dt_safe=dt_safe_bound(grid), t_wrap=t_wrap,
+        eps_h1=eps, dt_safe=dt_safe_bound(grid), t_wrap=t_wrap, steps=done,
         zeta=zetas, g_weighted=g_w, fgr_flux=flux,
         zsq_integrals={(tr.m, tr.mu, tr.nu): float(v) for tr, v in zip(minimal, zsq_acc)},
         strichartz=strich, snapshots=snapshots, sponge_used=config.sponge,
     )
 
 
-def _w1p_norm(f, df, h: float, p: float) -> float:
+def _w1p_norm(f, df, h: float, p: float):
     """||f||_{W^{1,p}} from f and its derivative df."""
-    fp = float(h * np.sum(np.abs(f) ** p)) ** (1.0 / p)
-    dfp = float(h * np.sum(np.abs(df) ** p)) ** (1.0 / p)
+    fp = (h * np.sum(np.abs(f) ** p, axis=-1)) ** (1.0 / p)
+    dfp = (h * np.sum(np.abs(df) ** p, axis=-1)) ** (1.0 / p)
     return (fp ** p + dfp ** p) ** (1.0 / p)
 
 
@@ -319,9 +359,14 @@ class CouplingTable:
                    weight=np.array(weight, dtype=complex),
                    j=None if j is None else np.array(j, dtype=int))
 
-    def phased_monomials(self, z, t: float) -> np.ndarray:
-        """e^{i m_k t} z^{mu_k} conj(z)^{nu_k} of every row."""
-        return np.exp(1j * self.m * t) * monomials(z, self.mu, self.nu)
+    def phased_monomials(self, z, t) -> np.ndarray:
+        """e^{i m_k t} z^{mu_k} conj(z)^{nu_k} of every row.
+
+        States z[s] at times t[s] give an (S, K) array.
+        """
+        z = np.asarray(z, dtype=complex)
+        phase = np.exp(1j * self.m * np.asarray(t, dtype=float)[..., None])
+        return phase * monomials(z[..., None, :], self.mu, self.nu)
 
 
 def build_zeta_couplings(model: OperatorModel, reduced: ReducedForm,
@@ -380,11 +425,14 @@ def build_zeta_couplings(model: OperatorModel, reduced: ReducedForm,
     return CouplingTable.from_rows(rows, len(lam), j=js)
 
 
-def zeta_transform(z, t: float, couplings: CouplingTable) -> np.ndarray:
-    """zeta_j = z_j minus the precomputed oscillatory corrections."""
-    zeta = np.array(z, dtype=complex)
-    np.subtract.at(zeta, couplings.j, couplings.weight * couplings.phased_monomials(z, t))
-    return zeta
+def zeta_transform(z, t, couplings: CouplingTable) -> np.ndarray:
+    """zeta_j = z_j minus the precomputed oscillatory corrections.
+
+    States z[s] at times t[s] give one zeta each.
+    """
+    z = np.asarray(z, dtype=complex)
+    corrections = couplings.weight * couplings.phased_monomials(z, t)
+    return z - corrections @ np.eye(z.shape[-1])[couplings.j]
 
 
 def build_g_couplings(model: OperatorModel, reduced: ReducedForm) -> CouplingTable:
@@ -400,9 +448,13 @@ def build_g_couplings(model: OperatorModel, reduced: ReducedForm) -> CouplingTab
     return CouplingTable.from_rows(rows, len(lam))
 
 
-def g_transform(state: ModeState, t: float, g_couplings: CouplingTable) -> np.ndarray:
-    """g = f + sum over M' of e^{imt} z^mu conj(z)^nu R^+ Psi."""
-    return state.f + g_couplings.phased_monomials(state.z, t) @ g_couplings.weight
+def g_transform(state: ModeState, t, g_couplings: CouplingTable) -> np.ndarray:
+    """g = f + sum over M' of e^{imt} z^mu conj(z)^nu R^+ Psi.
+
+    A stacked state with times t[s] gives one g each.
+    """
+    tails = g_couplings.weight.reshape(-1, state.f.shape[-1])   # (K, M), also for K = 0
+    return state.f + g_couplings.phased_monomials(state.z, t) @ tails
 
 
 # ---------------------------------------------------------------------------

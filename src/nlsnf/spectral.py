@@ -85,8 +85,11 @@ def inner(u, v, h: float) -> complex:
     return complex(h * np.vdot(u, v))
 
 
-def l2_norm(u, h: float) -> float:
-    return float(np.sqrt(h) * np.linalg.norm(u))
+def l2_norm(u, h: float):
+    """sqrt(h) ||u||; a stack of vectors along the last axis gives one norm each."""
+    if np.ndim(u) == 1:
+        return float(np.sqrt(h) * np.linalg.norm(u))
+    return np.sqrt(h) * np.linalg.norm(u, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +231,17 @@ def _real_basis_product(vec, basis: np.ndarray) -> np.ndarray:
 
 
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
-    """Dense circulant for -d2/dx2 with the FFT symbol k^2."""
+    """Dense symmetric circulant for -d2/dx2 with the FFT symbol k^2.
+
+    Entry (i, j) is the symmetrized column 0.5 (col[i - j] + col[j - i]),
+    indices mod M; row i is that column rolled by i, read from one window
+    of the column written twice.
+    """
+    m = grid.m_pts
     col = np.fft.ifft(grid.k ** 2).real
-    idx = (np.arange(grid.m_pts)[:, None] - np.arange(grid.m_pts)) % grid.m_pts
-    t = col[idx]
-    return 0.5 * (t + t.T)
+    col = 0.5 * (col + col[-np.arange(m) % m])
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((col, col)), m)
+    return windows[m:0:-1].copy()
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -268,7 +277,8 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
             f"(required < {V_BOUNDARY_DECAY:.0e}); enlarge the box"
         )
 
-    h0 = kinetic_matrix(grid) + np.diag(v)
+    h0 = kinetic_matrix(grid)
+    h0[np.diag_indices_from(h0)] += v
     evals, evecs = np.linalg.eigh(h0)
     if evals[0] >= -TOL_GROUND:
         raise EmptySpectrumError("empty discrete spectrum: -Delta + V has no bound state")
@@ -330,12 +340,14 @@ def _validate_eigenpairs(model: OperatorModel):
 
 
 def project_modes(u: np.ndarray, model: OperatorModel) -> ModeState:
-    """Split u = z . phi + f with f in the continuum subspace."""
+    """Split u = z . phi + f with f in the continuum subspace.
+
+    A stack of states along the last axis gives stacked z and f.
+    """
     model._check_grid(u)
     u = np.asarray(u, dtype=complex)
-    h = model.grid.h
-    z = np.array([h * np.dot(model.phi[j], u) for j in range(len(model.lam))])
-    f = u - (z[:, None] * model.phi).sum(axis=0) if len(z) else u.copy()
+    z = model.grid.h * _real_basis_product(u, model.phi.T)
+    f = u - _real_basis_product(z, model.phi)
     return ModeState(z=z, f=f, t=0.0)
 
 

@@ -89,6 +89,9 @@ def test_pipeline_end_to_end(small_config, capsys):
     assert "h9prime_verdict" in stages["fgr"]
     assert stages["simulate"]["mass_drift"] < 1e-8
     assert stages["simulate"]["beyond_wrap"] is False
+    for entry in stages.values():
+        assert entry["seconds"] > 0 and entry["peak_rss_mb"] > 0
+    assert stages["simulate"]["steps"] > 0 and stages["simulate"]["steps_per_s"] > 0
     assert os.path.exists(os.path.join(cfgdir, "out", "trajectory.csv"))
     assert os.path.exists(os.path.join(cfgdir, "out", "resonance_report.txt"))
 

@@ -17,7 +17,7 @@ from nlsnf.dynamics import (
     step,
     zeta_transform,
 )
-from nlsnf.errors import ConfigError
+from nlsnf.errors import ConfigError, NumericalError
 
 from conftest import random_radiation
 
@@ -281,3 +281,79 @@ def test_scattering_snapshots(pt_model):
     for snap in rec.snapshots.values():
         assert spectral.l2_norm(snap, pt_model.grid.h) == pytest.approx(
             rec.mass[0], rel=1e-9)
+
+
+# --- fused stepping and batched monitors --------------------------------------
+
+
+def _stepped(model, cfg, u0, n_steps):
+    """The states after 0 .. n_steps single (unfused) Strang steps."""
+    half = np.exp(-0.5j * model.grid.k ** 2 * cfg.dt)
+    states = [u0]
+    for i in range(n_steps):
+        states.append(step(states[-1], cfg.dt, i * cfg.dt, model, cfg, half))
+    return states
+
+
+def test_fused_steps_match_single_steps(pt_model):
+    rng = np.random.default_rng(10)
+    u0 = (0.1 * pt_model.phi[0] + 0.05j * pt_model.phi[1]).astype(complex)
+    u0 += random_radiation(pt_model, rng, 0.05)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0)
+    half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
+    for t0, k in ((0.0, 2), (0.37, 25)):
+        fused = step(u0, cfg.dt, t0, pt_model, cfg, half, n=k)
+        u = u0
+        for i in range(k):
+            u = step(u, cfg.dt, t0 + i * cfg.dt, pt_model, cfg, half)
+        assert np.max(np.abs(fused - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_batched_monitors_match_single_sample_helpers(pt_model, pt_aux, monkeypatch):
+    # a 5-sample buffer over 13 samples: two full batches and a partial one
+    monkeypatch.setattr(dynamics, "MONITOR_BATCH", 5)
+    rng = np.random.default_rng(11)
+    u0 = (0.1 * pt_model.phi[0] + 0.06j * pt_model.phi[1]).astype(complex)
+    u0 += random_radiation(pt_model, rng, 0.03)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=0.084, output_stride=7, u0=u0)
+    rec = simulate(pt_model, cfg, aux=pt_aux)
+    grid = pt_model.grid
+    states = _stepped(pt_model, cfg, u0, 84)[::7]
+    assert len(rec.times) == len(states) == 13
+    weight = (1.0 + grid.x ** 2) ** (-dynamics.WEIGHT_S / 2.0)
+    for i, (t, u) in enumerate(zip(rec.times, states)):
+        assert t == pytest.approx(7 * i * cfg.dt, abs=1e-15)
+        state = spectral.project_modes(u, pt_model)
+        f_h1 = np.hypot(spectral.l2_norm(state.f, grid.h),
+                        spectral.l2_norm(dynamics.derivative(state.f, grid), grid.h))
+        zeta = zeta_transform(state.z, t, pt_aux.zeta_couplings)
+        g_w = spectral.l2_norm(weight * g_transform(state, t, pt_aux.g_couplings), grid.h)
+        pairs = [
+            (rec.z[i], state.z),
+            (rec.mass[i], spectral.l2_norm(u, grid.h)),
+            (rec.energy[i], dynamics.energy_value(pt_model, u, t, cfg.gamma0, cfg.gamma1)),
+            (rec.f_h1[i], f_h1),
+            (rec.f_weighted[i], spectral.l2_norm(weight * state.f, grid.h)),
+            (rec.zeta[i], zeta),
+            (rec.g_weighted[i], g_w),
+        ]
+        for got, want in pairs:
+            assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+
+
+def test_snapshot_between_samples(pt_model):
+    rng = np.random.default_rng(12)
+    u0 = random_radiation(pt_model, rng, 0.05) + 0.1 * pt_model.phi[0]
+    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=0.021, output_stride=7, u0=u0,
+                        snapshot_times=(0.010,))
+    rec = simulate(pt_model, cfg)
+    u10 = _stepped(pt_model, cfg, u0, 10)[-1]
+    want = dynamics.free_flow_undo(u10, 10 * cfg.dt, pt_model.grid, pt_model.c)
+    assert_allclose(rec.snapshots[0.010], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_non_finite_initial_data_raises(pt_model):
+    u0 = np.zeros(pt_model.grid.m_pts, dtype=complex)
+    u0[17] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        simulate(pt_model, _short_config(t_end=0.01, output_stride=5, u0=u0))

@@ -21,6 +21,18 @@ def test_grid_invariants():
         spectral.GridSpec(m_pts=32)
 
 
+def test_kinetic_matrix_is_the_fft_symbol_on_the_identity():
+    # the dense kinetic matrix against the symbol k^2 applied to each unit
+    # vector by FFT (the construction of the benchmark's continuum oracle)
+    grid = spectral.GridSpec(l_box=10.0, m_pts=64)
+    eye = np.eye(grid.m_pts)
+    kin = np.fft.ifft(grid.k[:, None] ** 2 * np.fft.fft(eye, axis=0), axis=0).real
+    want = 0.5 * (kin + kin.T)
+    got = spectral.kinetic_matrix(grid)
+    assert got.shape == want.shape and np.array_equal(got, got.T)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_free_potential_has_no_bound_state(pt_grid):
     with pytest.raises(EmptySpectrumError, match="empty discrete spectrum"):
         spectral.build_operator(pt_grid, np.zeros(pt_grid.m_pts))
