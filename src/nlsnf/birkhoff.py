@@ -158,6 +158,9 @@ class RoundLedger:
     class_counts: dict
     dropped: DropLedger
     reality_ok: bool
+    # per Lie chain ("z", "k", "rest"): the term count of each capped power
+    # and the chain's own drop count
+    chains: dict
 
 
 @dataclass
@@ -238,11 +241,13 @@ def normal_form_round(
     # the Lie tails of Z^{(r)} and K, the Taylor block of H_F from the same
     # powers of K, and the full transform of everything not extracted
     dropped = DropLedger()
+    chains: dict = {}
     new_remainder_terms: list[HamTerm] = []
-    for ham, prefix, weights in ((z_part, [], (_lie_weight,)),
-                                 (k_exp, [], (_lie_weight, _taylor_weight)),
-                                 (rest, rest.terms, (_lie_weight,))):
+    for name, ham, prefix, weights in (("z", z_part, [], (_lie_weight,)),
+                                       ("k", k_exp, [], (_lie_weight, _taylor_weight)),
+                                       ("rest", rest, rest.terms, (_lie_weight,))):
         powers, d = lie_series(chi, ham, model, n0, degree_cap)
+        chains[name] = {"powers": [len(p) for p in powers], "dropped": d.count}
         for weight in weights:
             dropped.merge(d)
             new_remainder_terms.extend(_weighted_sum(prefix, powers, weight).terms)
@@ -257,6 +262,7 @@ def normal_form_round(
     ledger = RoundLedger(
         r=r, extracted=len(ktilde), resonant=len(z_round), solved=len(k_exp),
         chi_terms=len(chi), class_counts=counts, dropped=dropped, reality_ok=ok,
+        chains=chains,
     )
     return new_z, new_remainder, chi, ledger
 

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
@@ -91,22 +92,30 @@ def config_hash(cp) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _finite(sec, key: str) -> float:
+    """The float at `key` of a config section; ValueError unless finite."""
+    value = sec.getfloat(key)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def build_model_from_config(cp) -> spectral.OperatorModel:
     sec = cp["model"]
     try:
-        grid = spectral.GridSpec(l_box=sec.getfloat("l_box"), m_pts=sec.getint("m_pts"))
+        grid = spectral.GridSpec(l_box=_finite(sec, "l_box"), m_pts=sec.getint("m_pts"))
         if sec.get("potential_csv"):
             v = spectral.potential_from_csv(grid, sec.get("potential_csv"))
         else:
             preset = sec.get("preset")
             params = {}
             if preset == "poschl_teller":
-                params = {"a": sec.getfloat("a"), "kappa2": sec.getfloat("kappa2")}
+                params = {"a": _finite(sec, "a"), "kappa2": _finite(sec, "kappa2")}
             elif preset == "gaussian_well":
-                params = {"depth": sec.getfloat("depth"), "width": sec.getfloat("width")}
+                params = {"depth": _finite(sec, "depth"), "width": _finite(sec, "width")}
             elif preset == "sech2_well":
                 if sec.get("depth"):
-                    params = {"depth": sec.getfloat("depth")}
+                    params = {"depth": _finite(sec, "depth")}
             v = spectral.potential_from_preset(grid, preset, **params)
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
@@ -118,7 +127,10 @@ def _complex_list(text: str):
     for item in text.split(","):
         item = item.strip()
         if item:
-            out.append(complex(item))
+            value = complex(item)
+            if not np.isfinite(value):
+                raise ValueError(f"mode amplitude {item} is not finite")
+            out.append(value)
     return tuple(out)
 
 
@@ -128,10 +140,10 @@ def sim_config_from(cp) -> dynamics.SimConfig:
         raise ConfigError("only the cubic nonlinearity is implemented")
     try:
         return dynamics.SimConfig(
-            gamma0=cp.getfloat("forcing", "gamma0"),
-            gamma1=cp.getfloat("forcing", "gamma1"),
-            t_end=sec.getfloat("t_end"),
-            dt=sec.getfloat("dt"),
+            gamma0=_finite(cp["forcing"], "gamma0"),
+            gamma1=_finite(cp["forcing"], "gamma1"),
+            t_end=_finite(sec, "t_end"),
+            dt=_finite(sec, "dt"),
             output_stride=sec.getint("output_stride"),
             mode_amplitudes=_complex_list(sec.get("mode_amplitudes")),
             sponge=sec.getboolean("sponge"),
@@ -161,7 +173,7 @@ def analysis_config_from(cp) -> AnalysisConfig:
     try:
         ints = {key: int(sec.get(key)) if sec.get(key) else None
                 for key in ("r_max", "n0", "degree_cap")}
-        config = AnalysisConfig(tol_res=sec.getfloat("tol_res"), estimator=sec.get("estimator"),
+        config = AnalysisConfig(tol_res=_finite(sec, "tol_res"), estimator=sec.get("estimator"),
                                 seed=cp.getint("simulation", "seed"), **ints)
     except ValueError as exc:
         raise ConfigError(f"[analysis]: {exc}") from exc
@@ -318,6 +330,7 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
                         "dropped": led.dropped.count,
                         "dropped_by_size": led.dropped.by_size,
                         "dropped_mass": led.dropped.coeff_mass,
+                        "chains": led.chains,
                         "classes": led.class_counts,
                         "reality_ok": led.reality_ok,
                     }

@@ -56,8 +56,8 @@ class SimConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 <= self.t_end < math.inf):
+            raise ConfigError("dt must be finite and positive, t_end finite and nonnegative")
         if self.wrap_policy not in ("warn", "error", "ignore"):
             raise ConfigError("wrap_policy must be warn, error or ignore")
 

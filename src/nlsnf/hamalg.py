@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -56,6 +57,27 @@ def exponent_table(items, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
             np.array([t.nu for t in items], dtype=int).reshape(-1, n_modes))
 
 
+def _structure_error(mu, nu, alphas, betas, a, b, tail) -> str | None:
+    """Why (mu, nu, alphas, betas, a, b, tail) is not a valid term, or None."""
+    if len(mu) != len(nu):
+        return "mu and nu must have equal length"
+    if min(mu, default=0) < 0 or min(nu, default=0) < 0:
+        return "exponents must be nonnegative"
+    if a + b > 4:
+        return "a + b must not exceed 4"
+    if tail is QUARTIC:
+        if (a, b) != (2, 2) or alphas or betas:
+            return "quartic marker requires a = b = 2 and no linear factors"
+    elif a + b >= 2:
+        if tail is None:
+            return "tail vector required when a + b >= 2"
+    elif a + b == 1:
+        return "single f-powers must be folded into alphas/betas"
+    elif tail is not None:
+        return "tail present without f-powers"
+    return None
+
+
 class HamTerm:
     """One monomial.  Treated as immutable after construction."""
 
@@ -71,22 +93,21 @@ class HamTerm:
         self.a = int(a)
         self.b = int(b)
         self.tail = tail if (tail is None or tail is QUARTIC) else _vec(tail)
-        if len(self.mu) != len(self.nu):
-            raise ValueError("mu and nu must have equal length")
-        if any(e < 0 for e in self.mu + self.nu):
-            raise ValueError("exponents must be nonnegative")
-        if self.a + self.b > 4:
-            raise ValueError("a + b must not exceed 4")
-        if self.tail is QUARTIC:
-            if (self.a, self.b) != (2, 2) or self.alphas or self.betas:
-                raise ValueError("quartic marker requires a = b = 2 and no linear factors")
-        elif self.a + self.b >= 2:
-            if self.tail is None:
-                raise ValueError("tail vector required when a + b >= 2")
-        elif self.a + self.b == 1:
-            raise ValueError("single f-powers must be folded into alphas/betas")
-        elif self.tail is not None:
-            raise ValueError("tail present without f-powers")
+        error = _structure_error(self.mu, self.nu, self.alphas, self.betas,
+                                 self.a, self.b, self.tail)
+        if error:
+            raise ValueError(error)
+
+    @classmethod
+    def _checked(cls, coeff, m, mu, nu, alphas, betas, a, b, tail) -> "HamTerm":
+        """A term from canonical parts that already passed _structure_error:
+        int tuples mu and nu, complex vectors, int a and b."""
+        term = object.__new__(cls)
+        term.coeff = complex(coeff)
+        term.m, term.mu, term.nu = m, mu, nu
+        term.alphas, term.betas = alphas, betas
+        term.a, term.b, term.tail = a, b, tail
+        return term
 
     # -- structure -----------------------------------------------------------
 
@@ -131,8 +152,8 @@ class HamTerm:
         return max(self.ledger_sides())
 
     def scaled(self, factor: complex) -> "HamTerm":
-        return HamTerm(self.coeff * factor, self.m, self.mu, self.nu,
-                       self.alphas, self.betas, self.a, self.b, self.tail)
+        return HamTerm._checked(self.coeff * factor, self.m, self.mu, self.nu,
+                                self.alphas, self.betas, self.a, self.b, self.tail)
 
     def with_vector(self, vector) -> "HamTerm":
         """Replace the coupling of a linear term, absorbing the scalar factor."""
@@ -185,6 +206,103 @@ def linear_fbar_term(m, mu, nu, psi) -> HamTerm:
     return HamTerm(1.0, m, mu, nu, betas=(psi,))
 
 
+def _content_digest(v: np.ndarray) -> bytes:
+    return hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
+
+
+def _digester(held):
+    """The factor-vector digest of one merge.
+
+    The vectors of the terms in `held`, which the caller keeps alive for the
+    whole merge, are hashed once and cached by id().  Any other vector, such
+    as one a Lie output creates, is hashed by content where it is seen and
+    never cached: it may be freed, and its id reused, within the merge.
+    """
+    cache = {id(v): None for t in held
+             for v in t.alphas + t.betas + (() if t.tail is None or t.tail is QUARTIC
+                                            else (t.tail,))}
+
+    def digest(v: np.ndarray) -> bytes:
+        key = id(v)
+        if key not in cache:
+            return _content_digest(v)
+        d = cache[key]
+        if d is None:
+            d = cache[key] = _content_digest(v)
+        return d
+
+    return digest
+
+
+def _merge(raw, digest, degree_cap=None, dropped=None) -> list[HamTerm]:
+    """Merge raw terms (coeff, m, mu, nu, alphas, betas, a, b, tail).
+
+    The parts are canonical and checked: int tuples mu and nu, tuples of
+    complex vectors, an a + b = 1 tail already folded.  Scalar, linear and
+    quartic-marker terms merge on (m, mu, nu); other composites merge on the
+    indices plus the digests of every factor vector.  Sums within MERGE_TOL
+    of zero vanish.  The survivors come out scalars first, then linear_f,
+    linear_fbar, quartic markers and composites, each in first-seen order.
+    With a degree_cap, a survivor of size s with 2 s > degree_cap goes to
+    `dropped` in that order and is never built; its bucket holds only its
+    summed coefficient (summed vector for a linear term) and its size.
+    """
+    scalars: dict = {}
+    lin_f: dict = {}
+    lin_fb: dict = {}
+    quartics: dict = {}
+    composites: dict = {}
+    for coeff, m, mu, nu, alphas, betas, a, b, tail in raw:
+        key = (m, mu, nu)
+        n_lin = len(alphas) + len(betas)
+        if n_lin + a + b == 0:
+            scalars[key] = scalars.get(key, 0.0) + coeff
+        elif n_lin + a + b == 1:
+            bucket = lin_f if alphas else lin_fb
+            bucket[key] = bucket.get(key, 0.0) + coeff * (alphas or betas)[0]
+        elif tail is QUARTIC:
+            quartics[key] = quartics.get(key, 0.0) + coeff
+        else:
+            sig = (key, a, b,
+                   tuple(sorted(map(digest, alphas))),
+                   tuple(sorted(map(digest, betas))),
+                   b"" if tail is None else digest(tail))
+            held = composites.get(sig)
+            if held is None:
+                size = max(sum(mu) + len(alphas) + a, sum(nu) + len(betas) + b)
+                kept = degree_cap is None or 2 * size <= degree_cap
+                composites[sig] = [coeff, size,
+                                   (m, mu, nu, alphas, betas, a, b, tail) if kept else None]
+            else:
+                held[0] += coeff
+
+    # (size, coefficient, parts); parts None for an over-cap composite
+    survivors = []
+    for (m, mu, nu), c in scalars.items():
+        if abs(c) > MERGE_TOL:
+            survivors.append((max(sum(mu), sum(nu)), c, (m, mu, nu, (), (), 0, 0, None)))
+    for (m, mu, nu), v in lin_f.items():
+        if np.max(np.abs(v)) > MERGE_TOL:
+            survivors.append((max(sum(mu) + 1, sum(nu)), 1.0, (m, mu, nu, (v,), (), 0, 0, None)))
+    for (m, mu, nu), v in lin_fb.items():
+        if np.max(np.abs(v)) > MERGE_TOL:
+            survivors.append((max(sum(mu), sum(nu) + 1), 1.0, (m, mu, nu, (), (v,), 0, 0, None)))
+    for (m, mu, nu), c in quartics.items():
+        if abs(c) > MERGE_TOL:
+            survivors.append((max(sum(mu), sum(nu)) + 2, c, (m, mu, nu, (), (), 2, 2, QUARTIC)))
+    for c, size, parts in composites.values():
+        if abs(c) > MERGE_TOL:
+            survivors.append((size, c, parts))
+
+    out: list[HamTerm] = []
+    for size, c, parts in survivors:
+        if degree_cap is not None and 2 * size > degree_cap:
+            dropped.add(size, c)
+        else:
+            out.append(HamTerm._checked(c, *parts))
+    return out
+
+
 class HamExpansion:
     """Multiset of terms; scalar and linear terms merge on (m, mu, nu).
 
@@ -210,63 +328,11 @@ class HamExpansion:
 
     def merged(self) -> "HamExpansion":
         """Canonical form: merge mergeable kinds, drop negligible terms."""
-        # content hash of each factor vector, once per call; the ids stay
-        # valid because self.terms keeps every vector alive meanwhile
-        digests: dict = {}
-
-        def digest(v: np.ndarray) -> bytes:
-            d = digests.get(id(v))
-            if d is None:
-                d = digests[id(v)] = hashlib.blake2b(
-                    np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
-            return d
-
-        scalars: dict = {}
-        lin_f: dict = {}
-        lin_fb: dict = {}
-        quartics: dict = {}
-        comp_by_sig: dict = {}
-        for t in self.terms:
-            key = (t.m, t.mu, t.nu)
-            if t.kind == "scalar":
-                scalars[key] = scalars.get(key, 0.0) + t.coeff
-            elif t.kind == "linear_f":
-                lin_f[key] = lin_f.get(key, 0.0) + t.vector
-            elif t.kind == "linear_fbar":
-                lin_fb[key] = lin_fb.get(key, 0.0) + t.vector
-            elif t.tail is QUARTIC:
-                quartics[key] = quartics.get(key, 0.0) + t.coeff
-            else:
-                sig = (key, t.a, t.b,
-                       tuple(sorted(digest(p) for p in t.alphas)),
-                       tuple(sorted(digest(p) for p in t.betas)),
-                       b"" if t.tail is None else digest(t.tail))
-                held = comp_by_sig.get(sig)
-                if held is None:
-                    comp_by_sig[sig] = [t, t.coeff]
-                else:
-                    held[1] += t.coeff
-        composite = []
-        for rep, coeff in comp_by_sig.values():
-            if abs(coeff) > MERGE_TOL:
-                composite.append(rep if coeff == rep.coeff else HamTerm(
-                    coeff, rep.m, rep.mu, rep.nu, rep.alphas, rep.betas,
-                    rep.a, rep.b, rep.tail))
-        out: list[HamTerm] = []
-        for (m, mu, nu), c in scalars.items():
-            if abs(c) > MERGE_TOL:
-                out.append(HamTerm(c, m, mu, nu))
-        for (m, mu, nu), v in lin_f.items():
-            if np.max(np.abs(v)) > MERGE_TOL:
-                out.append(HamTerm(1.0, m, mu, nu, alphas=(v,)))
-        for (m, mu, nu), v in lin_fb.items():
-            if np.max(np.abs(v)) > MERGE_TOL:
-                out.append(HamTerm(1.0, m, mu, nu, betas=(v,)))
-        for (m, mu, nu), c in quartics.items():
-            if abs(c) > MERGE_TOL:
-                out.append(HamTerm(c, m, mu, nu, a=2, b=2, tail=QUARTIC))
-        out.extend(composite)
-        return HamExpansion(out)
+        # self.terms keeps every vector alive, so its id() digests stay valid
+        return HamExpansion(_merge(
+            ((t.coeff, t.m, t.mu, t.nu, t.alphas, t.betas, t.a, t.b, t.tail)
+             for t in self.terms),
+            _digester(self.terms)))
 
     def evaluate(self, t: float, z, f, h: float) -> complex:
         z = np.asarray(z, dtype=complex)
@@ -353,8 +419,8 @@ def generator_info(chi: HamExpansion) -> GeneratorInfo:
     return GeneratorInfo(m0=m0, big_m0=big_m0)
 
 
-def _lie_term(coeff, m, mu, nu, alphas, betas, a, b, tail) -> HamTerm:
-    """A Lie output, with an a + b = 1 tail folded into the linear factors."""
+def _lie_output(coeff, m, mu, nu, alphas, betas, a, b, tail) -> tuple:
+    """A raw Lie output, with an a + b = 1 tail folded into the linear factors."""
     if a + b == 1:
         if a:
             alphas = alphas + (tail,)
@@ -362,104 +428,123 @@ def _lie_term(coeff, m, mu, nu, alphas, betas, a, b, tail) -> HamTerm:
             betas = betas + (tail,)
         a = b = 0
         tail = None
-    return HamTerm(coeff, m, mu, nu, alphas, betas, a, b, tail)
+    return coeff, m, mu, nu, alphas, betas, a, b, tail
 
 
-def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[HamTerm]:
-    """{g, chi_term}: z-part plus the two f-pairings."""
-    out: list[HamTerm] = []
-    mu_g, nu_g = np.asarray(g.mu), np.asarray(g.nu)
-    mu_c, nu_c = np.asarray(ct.mu), np.asarray(ct.nu)
+def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[tuple]:
+    """{g, chi_term} as raw outputs: z-part plus the two f-pairings."""
+    out: list[tuple] = []
     m_new = g.m + ct.m
     base = g.coeff * ct.coeff
+    mu_n = tuple(map(add, g.mu, ct.mu))
+    nu_n = tuple(map(add, g.nu, ct.nu))
 
     # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j), j = 0..n;
     # chi has at most one linear factor and no tail
-    for j in range(len(mu_g)):
-        w = nu_g[j] * mu_c[j] - mu_g[j] * nu_c[j]
+    for j in range(len(mu_n)):
+        w = g.nu[j] * ct.mu[j] - g.mu[j] * ct.nu[j]
         if w == 0:
             continue
-        mu_n = mu_g + mu_c
-        nu_n = nu_g + nu_c
-        mu_n[j] -= 1
-        nu_n[j] -= 1
-        out.append(_lie_term(1j * w * base, m_new, mu_n, nu_n, g.alphas + ct.alphas,
-                             g.betas + ct.betas, g.a, g.b, g.tail))
+        out.append(_lie_output(1j * w * base, m_new,
+                               mu_n[:j] + (mu_n[j] - 1,) + mu_n[j + 1:],
+                               nu_n[:j] + (nu_n[j] - 1,) + nu_n[j + 1:],
+                               g.alphas + ct.alphas, g.betas + ct.betas, g.a, g.b, g.tail))
 
-    mu_n, nu_n = mu_g + mu_c, nu_g + nu_c
     # + i <grad_fbar g, grad_f chi>: chi contributes its Phi coupling
-    if ct.kind == "linear_f":
+    if ct.alphas:
         out.extend(_pair_slots(g, ct.alphas[0], +1j * base, m_new, mu_n, nu_n, h, pc,
                                fbar=True))
     # - i <grad_fbar chi, grad_f g>: chi contributes its Psi coupling
-    if ct.kind == "linear_fbar":
+    if ct.betas:
         out.extend(_pair_slots(g, ct.betas[0], -1j * base, m_new, mu_n, nu_n, h, pc,
                                fbar=False))
     return out
 
 
-def _pair_slots(g, vec, scale, m_new, mu_n, nu_n, h, pc, fbar: bool) -> list[HamTerm]:
-    """Pair the gradient of g on one side against vec.
+def _pair_slots(g, vec, scale, m_new, mu_n, nu_n, h, pc, fbar: bool) -> list[tuple]:
+    """Pair the gradient of g on one side against vec, as raw outputs.
 
     fbar=True takes grad_fbar g (each conj(f) slot, the b conj(f)-powers of
     the tail), fbar=False the mirror-image grad_f g.
     """
     slots = g.betas if fbar else g.alphas
 
-    def term(coeff, kept, a, b, tail):
+    def output(coeff, kept, a, b, tail):
         alphas, betas = (g.alphas, kept) if fbar else (kept, g.betas)
-        return _lie_term(coeff, m_new, mu_n, nu_n, alphas, betas, a, b, tail)
+        return _lie_output(coeff, m_new, mu_n, nu_n, alphas, betas, a, b, tail)
 
-    out = [term(scale * pairing(p, vec, h), slots[:idx] + slots[idx + 1:],
-                g.a, g.b, g.tail)
+    out = [output(scale * pairing(p, vec, h), slots[:idx] + slots[idx + 1:],
+                  g.a, g.b, g.tail)
            for idx, p in enumerate(slots)]
     power = g.b if fbar else g.a
     if g.tail is QUARTIC:
         # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
-        out.append(term(scale * 0.5, slots, *((2, 1) if fbar else (1, 2)), pc(vec)))
+        out.append(output(scale * 0.5, slots, *((2, 1) if fbar else (1, 2)), pc(vec)))
     elif power > 0:
         a, b = (g.a, g.b - 1) if fbar else (g.a - 1, g.b)
-        out.append(term(scale * power, slots, a, b, g.tail * vec))
+        out.append(output(scale * power, slots, a, b, g.tail * vec))
     return out
 
 
-def lie_derivative(chi: HamExpansion, g, model: OperatorModel) -> HamExpansion:
-    """lie_chi(g) = {g, chi} for a generator-class chi.
+def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
+                   degree_cap: int | None = None,
+                   dropped: DropLedger | None = None) -> HamExpansion:
+    """lie_chi(g) = {g, chi} for a generator-class chi, merged.
 
-    Asserts the closure ledger on every output term generated from a balanced
-    input: sizes grow by exactly M0 and |m'| <= m0 + |m|.
+    Every raw output is checked before it is merged: the structural rules of
+    HamTerm; on outputs of a balanced input the closure ledger (sizes grow by
+    exactly M0); |m'| <= m0 + |m|; and fewer than four f-powers on a tail.
+    Survivors of the merge within degree_cap are built as terms; those over
+    it are counted into `dropped` and never built.  Without a cap every
+    survivor is built.
     """
     info = generator_info(chi)
     h = model.grid.h
     pc = model.project_pc
     terms = g.terms if isinstance(g, HamExpansion) else [g]
-    out: list[HamTerm] = []
-    for t in terms:
-        balanced = t.is_balanced
-        size_in = t.size
-        for ct in chi.terms:
-            for nt in _lie_single(t, ct, h, pc):
-                if abs(nt.coeff) <= MERGE_TOL and nt.kind in ("scalar",):
-                    continue
-                if balanced:
-                    if not nt.is_balanced:
-                        raise LedgerViolation(f"lie output unbalanced: {nt}")
-                    if nt.ledger != size_in - 1 + info.big_m0:
+    if dropped is None:
+        dropped = DropLedger()
+
+    def outputs():
+        for t in terms:
+            balanced = t.is_balanced
+            size_in = t.size
+            m_bound = info.m0 + abs(t.m)
+            for ct in chi.terms:
+                for raw in _lie_single(t, ct, h, pc):
+                    coeff, m, mu, nu, alphas, betas, a, b, tail = raw
+                    error = _structure_error(mu, nu, alphas, betas, a, b, tail)
+                    if error:
+                        raise ValueError(error)
+                    if not (alphas or betas or a or b) and abs(coeff) <= MERGE_TOL:
+                        continue
+                    if balanced:
+                        lhs = sum(mu) + len(alphas) + a
+                        if lhs != sum(nu) + len(betas) + b:
+                            raise LedgerViolation(
+                                f"lie output unbalanced: m={m}, mu={mu}, nu={nu}")
+                        if lhs - 1 != size_in - 1 + info.big_m0:
+                            raise LedgerViolation(
+                                f"ledger law broken: L' = {lhs - 1}, expected "
+                                f"{size_in - 1} + {info.big_m0}")
+                    if abs(m) > m_bound:
                         raise LedgerViolation(
-                            f"ledger law broken: L' = {nt.ledger}, expected "
-                            f"{size_in - 1} + {info.big_m0}")
-                if abs(nt.m) > info.m0 + abs(t.m):
-                    raise LedgerViolation(f"harmonic bound broken on {nt}")
-                if nt.a + nt.b >= 4 and nt.tail is not QUARTIC:
-                    raise LedgerViolation("f-power count must stay below 4")
-                out.append(nt)
-    return HamExpansion(out).merged()
+                            f"harmonic bound broken: m={m}, mu={mu}, nu={nu}")
+                    if a + b >= 4 and tail is not QUARTIC:
+                        raise LedgerViolation("f-power count must stay below 4")
+                    yield raw
+
+    return HamExpansion(_merge(outputs(), _digester(chi.terms + terms),
+                               degree_cap, dropped))
 
 
 @dataclass
 class DropLedger:
-    """Terms discarded by the degree cap (the observed remainder class).
+    """Lie outputs discarded by the degree cap (the observed remainder class).
 
+    The outputs over the cap are merged like any others and counted here,
+    but never built as terms: `count`, `by_size` and `coeff_mass` are those
+    of the merged sums over the cap, added in merge order.
     normal_form_round merges a chain's ledger once per block it feeds: K's
     twice, for its Lie tail and the Taylor block of H_F.
     """
@@ -468,10 +553,10 @@ class DropLedger:
     coeff_mass: float = 0.0
     by_size: dict = field(default_factory=dict)
 
-    def add(self, term: HamTerm):
+    def add(self, size: int, coeff: complex):
         self.count += 1
-        self.coeff_mass += abs(term.coeff)
-        self.by_size[term.size] = self.by_size.get(term.size, 0) + 1
+        self.coeff_mass += abs(complex(coeff))
+        self.by_size[size] = self.by_size.get(size, 0) + 1
 
     def merge(self, other: "DropLedger"):
         self.count += other.count
@@ -491,9 +576,11 @@ def lie_series(
 
     Terms whose polynomial degree 2(L + 1) exceeds degree_cap are dropped and
     counted: they belong to the observed-only remainder class, whose bound
-    carries the exponent degree_cap in the field amplitudes.  The chain stops
-    at the first power the cap empties.  The caller weights the powers (1/l!
-    for ham o F - ham).
+    carries the exponent degree_cap in the field amplitudes.  They are merged
+    and counted but never built (see lie_derivative); the merge hashes each
+    factor vector by content, caching by id() only the vectors chi and the
+    input hold for the whole call.  The chain stops at the first power the
+    cap empties.  The caller weights the powers (1/l! for ham o F - ham).
     """
     dropped = DropLedger()
     powers: list[HamExpansion] = []
@@ -501,15 +588,9 @@ def lie_series(
         return powers, dropped
     current = ham
     for _ in range(n0):
-        keep = []
-        for t in lie_derivative(chi, current, model).terms:
-            if 2 * t.size > degree_cap:
-                dropped.add(t)
-            else:
-                keep.append(t)
-        if not keep:
+        current = lie_derivative(chi, current, model, degree_cap, dropped)
+        if not len(current):
             break
-        current = HamExpansion(keep)
         powers.append(current)
     return powers, dropped
 

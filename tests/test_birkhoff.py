@@ -250,9 +250,9 @@ def test_round_differentiates_each_input_once(small_model, monkeypatch):
     seen = []
     derivative = hamalg.lie_derivative
 
-    def recorder(chi, g, model):
+    def recorder(chi, g, model, *cap):
         seen.append((_content_digest(chi), _content_digest(g)))
-        return derivative(chi, g, model)
+        return derivative(chi, g, model, *cap)
 
     monkeypatch.setattr(hamalg, "lie_derivative", recorder)
     ep = expand_potential_energy(small_model, gamma0=1.0, gamma1=0.5)

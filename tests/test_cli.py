@@ -158,21 +158,51 @@ CONFIG_ERRORS = [
 def test_config_error_exit(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "missing.cfg"
     if section is not None:
-        text = SMALL_CONFIG.format(out=tmp_path / "out")
-        path = tmp_path / "bad.cfg"
-        if value is None:
-            path.write_text(text.replace(f"{key} = ", f"{key} = 512\n{key} = ", 1))
-        else:
-            cp = configparser.ConfigParser()
-            cp.read_string(text)
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, key, value)
-            with open(path, "w") as fh:
-                cp.write(fh)
+        path = _config_with(tmp_path, section, key, value)
     rc = cli.main([command, "--config", str(path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def _config_with(tmp_path, section, key, value):
+    """SMALL_CONFIG with `key` set to `value`, or given twice if value is None."""
+    text = SMALL_CONFIG.format(out=tmp_path / "out")
+    path = tmp_path / "bad.cfg"
+    if value is None:
+        path.write_text(text.replace(f"{key} = ", f"{key} = 512\n{key} = ", 1))
+    else:
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+        with open(path, "w") as fh:
+            cp.write(fh)
+    return path
+
+
+NON_FINITE = [
+    ("simulation", "dt", "nan"),
+    ("simulation", "t_end", "nan"),
+    ("simulation", "t_end", "inf"),
+    ("simulation", "mode_amplitudes", "0.05,nan"),
+    ("model", "l_box", "nan"),
+    ("model", "l_box", "inf"),
+    ("model", "a", "nan"),
+    ("forcing", "gamma0", "nan"),
+]
+
+
+# NaN passes every `<=` test and inf overflows the step count, so each float
+# is checked for finiteness where it is parsed
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+@pytest.mark.parametrize("section, key, value", NON_FINITE,
+                         ids=[f"{key}={value}" for _, key, value in NON_FINITE])
+def test_non_finite_config_value_exits_config(tmp_path, capsys, command, section, key, value):
+    rc = cli.main([command, "--config", str(_config_with(tmp_path, section, key, value))])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
 
 
 def test_linear_fast_path(tmp_path):
@@ -245,7 +275,15 @@ def test_manifest_records_the_drop_ledger(small_config, capsys):
     for led in rounds:
         assert sum(led["dropped_by_size"].values()) == led["dropped"]
         assert led["dropped_mass"] >= 0.0
+        chains = led["chains"]
+        assert set(chains) == {"z", "k", "rest"}
+        for chain in chains.values():
+            assert all(count > 0 for count in chain["powers"])
+        # K's powers feed two blocks, so its drops are counted twice
+        assert led["dropped"] == (chains["z"]["dropped"] + 2 * chains["k"]["dropped"]
+                                  + chains["rest"]["dropped"])
     assert any(led["dropped"] > 0 for led in rounds)
+    assert any(led["chains"]["k"]["dropped"] > 0 for led in rounds)
 
 
 def test_normalform_command(small_config, capsys):

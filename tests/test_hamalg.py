@@ -198,6 +198,85 @@ def test_lie_series_degree_structure(small_model):
             assert t.size >= 1 + 2 * generator_info(chi).big_m0
 
 
+# --- capped Lie series against an uncapped reference -------------------------
+
+
+def _reference_series(chi, ham, model, n0, cap):
+    """lie_series from uncapped lie_derivative calls, filtered on 2 size > cap."""
+    powers, count, by_size, mass = [], 0, {}, 0.0
+    current = ham
+    for _ in range(n0):
+        keep = []
+        for t in lie_derivative(chi, current, model).terms:
+            if 2 * t.size > cap:
+                count += 1
+                mass += abs(t.coeff)
+                by_size[t.size] = by_size.get(t.size, 0) + 1
+            else:
+                keep.append(t)
+        if not keep:
+            break
+        current = HamExpansion(keep)
+        powers.append(current)
+    return powers, count, by_size, mass
+
+
+def _exact(exp):
+    """Every record and vector byte of an expansion."""
+    records, vectors = hamalg.expansion_to_records(exp)
+    return json.dumps(records), {key: v.tobytes() for key, v in vectors.items()}
+
+
+def _oracle_chi(model):
+    # M0 = 1: scalar, <Phi, f> and <Psi, conj f> terms at harmonics 0 and +-1
+    x = model.grid.x
+    phi = model.project_pc((np.exp(-x ** 2 / 2) * (1 + 0.3j)).astype(complex))
+    psi = model.project_pc(np.exp(-(x - 1) ** 2 / 3).astype(complex))
+    return HamExpansion([
+        scalar_term(0.3j, 0, (2, 0), (1, 1)), scalar_term(0.3j, 0, (1, 1), (2, 0)),
+        scalar_term(0.1 - 0.2j, 1, (1, 1), (0, 2)),
+        hamalg.linear_f_term(1, (1, 0), (0, 2), phi),
+        hamalg.linear_fbar_term(-1, (0, 2), (1, 0), np.conj(phi)),
+        hamalg.linear_f_term(0, (0, 1), (1, 1), psi),
+    ])
+
+
+def _oracle_input(name, model, chi):
+    x = model.grid.x
+    if name == "quartic":
+        # quartic markers: P_c vec tails, then tail * vec, then folded a + b = 1
+        return HamExpansion([HamTerm(1.0, 0, (0, 0), (0, 0), a=2, b=2, tail=QUARTIC),
+                             HamTerm(0.5, 1, (0, 0), (0, 0), a=2, b=2, tail=QUARTIC)])
+    tail = np.exp(-x ** 2 / 4) * (1 - 0.2j)
+    if name == "folded":
+        # a = b = 1 tails: one f-pairing folds the rest into a linear factor
+        return HamExpansion([HamTerm(1.0, 0, (1, 0), (1, 0), a=1, b=1, tail=tail),
+                             HamTerm(0.7j, -1, (0, 1), (1, 0), a=1, b=1, tail=tail)])
+    energy = expand_potential_energy(model, gamma0=1.0, gamma1=0.5)
+    if name == "energy":
+        # scalar, linear, quartic and composite terms, all of size 2
+        return energy
+    # sizes 2 and 3, so one cap keeps some outputs of a power and drops others
+    return energy + lie_derivative(chi, energy, model).terms
+
+
+@pytest.mark.parametrize("name, cap", [("quartic", 8), ("quartic", 10), ("folded", 6),
+                                       ("folded", 8), ("energy", 6), ("energy", 8),
+                                       ("mixed", 6), ("mixed", 8)])
+def test_capped_lie_series_matches_the_uncapped_reference(small_model, name, cap):
+    chi = _oracle_chi(small_model)
+    ham = _oracle_input(name, small_model, chi)
+    powers, dropped = lie_series(chi, ham, small_model, n0=3, degree_cap=cap)
+    want, count, by_size, mass = _reference_series(chi, ham, small_model, 3, cap)
+    assert [_exact(p) for p in powers] == [_exact(p) for p in want]
+    assert (dropped.count, dropped.by_size, dropped.coeff_mass) == (count, by_size, mass)
+    assert powers
+    if (name, cap) in (("quartic", 10), ("folded", 6)):
+        assert any(t.kind in ("linear_f", "linear_fbar") for p in powers for t in p.terms)
+    if name == "mixed" and cap == 6:
+        first = {t.size for t in lie_derivative(chi, ham, small_model).terms}
+        assert first == {3, 4} and dropped.by_size.get(4, 0) > 0
+
 def test_ledger_law_enforced(small_model):
     # every lie output from balanced input satisfies L' = L + M0; build a
     # balanced input and a generator, then scan sizes
