@@ -158,8 +158,8 @@ class RoundLedger:
     class_counts: dict
     dropped: DropLedger
     reality_ok: bool
-    # per Lie chain ("z", "k", "rest"): the term count of each capped power
-    # and the chain's own drop count
+    # per Lie chain ("z", "k", "rest"): the term count of each capped power,
+    # the chain's own drop count and its raw Lie outputs merged
     chains: dict
 
 
@@ -247,7 +247,8 @@ def normal_form_round(
                                        ("k", k_exp, [], (_lie_weight, _taylor_weight)),
                                        ("rest", rest, rest.terms, (_lie_weight,))):
         powers, d = lie_series(chi, ham, model, n0, degree_cap)
-        chains[name] = {"powers": [len(p) for p in powers], "dropped": d.count}
+        chains[name] = {"powers": [len(p) for p in powers], "dropped": d.count,
+                        "generated": d.generated}
         for weight in weights:
             dropped.merge(d)
             new_remainder_terms.extend(_weighted_sum(prefix, powers, weight).terms)

@@ -174,20 +174,24 @@ def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
          n: int = 1) -> np.ndarray:
     """n Strang steps from t to t + n dt; half_kinetic = exp(-i k^2 dt / 2).
 
-    The second half-step of one step and the first of the next are applied
-    as one full kinetic factor, so each step costs one FFT pair.  The sponge
-    mask must sit between the kinetic factors of consecutive steps: it is
-    applied after the last step and needs n = 1.
+    Without a sponge, the second half-step of one step and the first of the
+    next are applied as one full kinetic factor, so each step costs one FFT
+    pair.  The sponge mask sits between the kinetic factors of consecutive
+    steps, so a sponge step stays unfused: K/2 N K/2 S, two FFT pairs.  For
+    t = k dt, sponge step i evaluates gamma at (k + i) dt + dt / 2, with the
+    rounding of n one-step calls at t = k dt, (k + 1) dt, ...
     """
-    if sponge is not None and n != 1:
-        raise ValueError("a sponge step takes n = 1")
     full_kinetic = half_kinetic * half_kinetic
     static_phase = -dt * (model.v + model.c)
     rotation = np.empty(len(static_phase), dtype=complex)
     uh = np.fft.fft(u) * half_kinetic
     for i in range(n):
         u = np.fft.ifft(uh)
-        g = config.gamma0 + config.gamma1 * math.cos(t + (i + 0.5) * dt)
+        if sponge is None:
+            mid = t + (i + 0.5) * dt
+        else:
+            mid = (t if i == 0 else (round(t / dt) + i) * dt) + 0.5 * dt
+        g = config.gamma0 + config.gamma1 * math.cos(mid)
         phase = u.real ** 2 + u.imag ** 2
         phase *= -dt * g
         phase += static_phase
@@ -195,11 +199,15 @@ def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
         np.sin(phase, out=rotation.imag)
         u *= rotation
         uh = np.fft.fft(u)
-        uh *= full_kinetic if i < n - 1 else half_kinetic
-    u = np.fft.ifft(uh)
-    if sponge is not None:
-        u *= sponge
-    return u
+        last = i == n - 1
+        if sponge is None:
+            uh *= half_kinetic if last else full_kinetic
+        else:
+            u = np.fft.ifft(uh * half_kinetic)
+            u *= sponge
+            if not last:
+                uh = np.fft.fft(u) * half_kinetic
+    return np.fft.ifft(uh) if sponge is None else u
 
 
 def simulate(model: OperatorModel, config: SimConfig,
@@ -288,10 +296,8 @@ def simulate(model: OperatorModel, config: SimConfig,
     for target in sorted({*range(stride, n_steps + 1, stride), *snap_at}):
         if target > n_steps:
             break
-        while done < target:
-            n = 1 if sponge is not None else target - done
-            u = step(u, dt, done * dt, model, config, half_kinetic, sponge, n)
-            done += n
+        u = step(u, dt, done * dt, model, config, half_kinetic, sponge, target - done)
+        done = target
         for ts in snap_at.get(done, ()):
             snapshots[ts] = free_flow_undo(u, done * dt, grid, model.c)
         if done % stride == 0:

@@ -16,13 +16,22 @@ Degree bookkeeping follows the closure ledger: a term is balanced when
 |mu| + #alphas + a = |nu| + #betas + b = L + 1, and Lie derivatives along a
 generator of order M_0 raise L by exactly M_0 while harmonics obey
 |m'| <= m_0 + |m|.  These two laws are asserted on every generated term.
+
+A Lie derivative works on arrays, not on one Python tuple per output: the
+raw outputs of all (input term, generator term) pairs are enumerated family
+by family, with each factor vector as an integer id interned by content
+digest, and merged by sorting packed integer keys.  Coefficients follow
+CPython's complex arithmetic one rounding at a time, and every merged sum
+runs in generation order, so the result has the bits of the term-by-term
+merge that HamExpansion.merged() performs.  Merged sums over the degree cap
+are only counted (DropLedger); no term or product vector is built for them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from operator import add
+from itertools import chain
 
 import numpy as np
 
@@ -210,96 +219,68 @@ def _content_digest(v: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
 
 
-def _digester(held):
-    """The factor-vector digest of one merge.
+# The buckets of a merge, in the order their survivors come out.  Scalar,
+# linear and quartic-marker terms merge on (m, mu, nu); a linear bucket sums
+# coefficient times vector and survives on its largest entry.  Composites
+# merge on the indices plus the content of every factor vector.
+_BUCKETS = ("scalar", "linear_f", "linear_fbar", QUARTIC, "composite")
 
-    The vectors of the terms in `held`, which the caller keeps alive for the
-    whole merge, are hashed once and cached by id().  Any other vector, such
-    as one a Lie output creates, is hashed by content where it is seen and
-    never cached: it may be freed, and its id reused, within the merge.
+
+def _bucket(t: HamTerm) -> str:
+    return QUARTIC if t.tail is QUARTIC else t.kind
+
+
+def _merge(terms) -> list[HamTerm]:
+    """Merge terms: sums within MERGE_TOL of zero vanish, and the survivors
+    come out bucket by bucket in _BUCKETS order, each in first-seen order.
+
+    Composites merge on their factor-vector digests, cached by id(): the
+    caller keeps every vector alive for the whole merge.
     """
-    cache = {id(v): None for t in held
-             for v in t.alphas + t.betas + (() if t.tail is None or t.tail is QUARTIC
-                                            else (t.tail,))}
+    cache: dict = {}
 
     def digest(v: np.ndarray) -> bytes:
-        key = id(v)
-        if key not in cache:
-            return _content_digest(v)
-        d = cache[key]
+        d = cache.get(id(v))
         if d is None:
-            d = cache[key] = _content_digest(v)
+            d = cache[id(v)] = _content_digest(v)
         return d
 
-    return digest
-
-
-def _merge(raw, digest, degree_cap=None, dropped=None) -> list[HamTerm]:
-    """Merge raw terms (coeff, m, mu, nu, alphas, betas, a, b, tail).
-
-    The parts are canonical and checked: int tuples mu and nu, tuples of
-    complex vectors, an a + b = 1 tail already folded.  Scalar, linear and
-    quartic-marker terms merge on (m, mu, nu); other composites merge on the
-    indices plus the digests of every factor vector.  Sums within MERGE_TOL
-    of zero vanish.  The survivors come out scalars first, then linear_f,
-    linear_fbar, quartic markers and composites, each in first-seen order.
-    With a degree_cap, a survivor of size s with 2 s > degree_cap goes to
-    `dropped` in that order and is never built; its bucket holds only its
-    summed coefficient (summed vector for a linear term) and its size.
-    """
-    scalars: dict = {}
-    lin_f: dict = {}
-    lin_fb: dict = {}
-    quartics: dict = {}
-    composites: dict = {}
-    for coeff, m, mu, nu, alphas, betas, a, b, tail in raw:
-        key = (m, mu, nu)
-        n_lin = len(alphas) + len(betas)
-        if n_lin + a + b == 0:
-            scalars[key] = scalars.get(key, 0.0) + coeff
-        elif n_lin + a + b == 1:
-            bucket = lin_f if alphas else lin_fb
-            bucket[key] = bucket.get(key, 0.0) + coeff * (alphas or betas)[0]
-        elif tail is QUARTIC:
-            quartics[key] = quartics.get(key, 0.0) + coeff
-        else:
-            sig = (key, a, b,
-                   tuple(sorted(map(digest, alphas))),
-                   tuple(sorted(map(digest, betas))),
-                   b"" if tail is None else digest(tail))
-            held = composites.get(sig)
+    buckets: dict = {kind: {} for kind in _BUCKETS}
+    for t in terms:
+        kind = _bucket(t)
+        bucket = buckets[kind]
+        key = (t.m, t.mu, t.nu)
+        if kind == "composite":
+            key = (key, t.a, t.b, tuple(sorted(map(digest, t.alphas))),
+                   tuple(sorted(map(digest, t.betas))),
+                   b"" if t.tail is None else digest(t.tail))
+            held = bucket.get(key)
             if held is None:
-                size = max(sum(mu) + len(alphas) + a, sum(nu) + len(betas) + b)
-                kept = degree_cap is None or 2 * size <= degree_cap
-                composites[sig] = [coeff, size,
-                                   (m, mu, nu, alphas, betas, a, b, tail) if kept else None]
+                bucket[key] = [t.coeff, t]
             else:
-                held[0] += coeff
-
-    # (size, coefficient, parts); parts None for an over-cap composite
-    survivors = []
-    for (m, mu, nu), c in scalars.items():
-        if abs(c) > MERGE_TOL:
-            survivors.append((max(sum(mu), sum(nu)), c, (m, mu, nu, (), (), 0, 0, None)))
-    for (m, mu, nu), v in lin_f.items():
-        if np.max(np.abs(v)) > MERGE_TOL:
-            survivors.append((max(sum(mu) + 1, sum(nu)), 1.0, (m, mu, nu, (v,), (), 0, 0, None)))
-    for (m, mu, nu), v in lin_fb.items():
-        if np.max(np.abs(v)) > MERGE_TOL:
-            survivors.append((max(sum(mu), sum(nu) + 1), 1.0, (m, mu, nu, (), (v,), 0, 0, None)))
-    for (m, mu, nu), c in quartics.items():
-        if abs(c) > MERGE_TOL:
-            survivors.append((max(sum(mu), sum(nu)) + 2, c, (m, mu, nu, (), (), 2, 2, QUARTIC)))
-    for c, size, parts in composites.values():
-        if abs(c) > MERGE_TOL:
-            survivors.append((size, c, parts))
+                held[0] += t.coeff
+        elif kind in ("linear_f", "linear_fbar"):
+            bucket[key] = bucket.get(key, 0.0) + t.vector
+        else:
+            bucket[key] = bucket.get(key, 0.0) + t.coeff
 
     out: list[HamTerm] = []
-    for size, c, parts in survivors:
-        if degree_cap is not None and 2 * size > degree_cap:
-            dropped.add(size, c)
-        else:
-            out.append(HamTerm._checked(c, *parts))
+    for kind in _BUCKETS:
+        for key, total in buckets[kind].items():
+            if kind == "composite":
+                c, t = total
+                if abs(c) > MERGE_TOL:
+                    out.append(HamTerm._checked(c, t.m, t.mu, t.nu, t.alphas, t.betas,
+                                                t.a, t.b, t.tail))
+                continue
+            m, mu, nu = key
+            if kind in ("linear_f", "linear_fbar"):
+                if np.max(np.abs(total)) > MERGE_TOL:
+                    vec = ((total,), ()) if kind == "linear_f" else ((), (total,))
+                    out.append(HamTerm._checked(1.0, m, mu, nu, *vec, 0, 0, None))
+            elif abs(total) > MERGE_TOL:
+                out.append(HamTerm._checked(total, m, mu, nu, (), (), *(
+                    (2, 2, QUARTIC) if kind == QUARTIC else (0, 0, None))))
     return out
 
 
@@ -328,11 +309,7 @@ class HamExpansion:
 
     def merged(self) -> "HamExpansion":
         """Canonical form: merge mergeable kinds, drop negligible terms."""
-        # self.terms keeps every vector alive, so its id() digests stay valid
-        return HamExpansion(_merge(
-            ((t.coeff, t.m, t.mu, t.nu, t.alphas, t.betas, t.a, t.b, t.tail)
-             for t in self.terms),
-            _digester(self.terms)))
+        return HamExpansion(_merge(self.terms))
 
     def evaluate(self, t: float, z, f, h: float) -> complex:
         z = np.asarray(z, dtype=complex)
@@ -419,71 +396,416 @@ def generator_info(chi: HamExpansion) -> GeneratorInfo:
     return GeneratorInfo(m0=m0, big_m0=big_m0)
 
 
-def _lie_output(coeff, m, mu, nu, alphas, betas, a, b, tail) -> tuple:
-    """A raw Lie output, with an a + b = 1 tail folded into the linear factors."""
-    if a + b == 1:
-        if a:
-            alphas = alphas + (tail,)
-        else:
-            betas = betas + (tail,)
-        a = b = 0
-        tail = None
-    return coeff, m, mu, nu, alphas, betas, a, b, tail
+_ID = np.int32                      # factor ids, exponents and the other small integers
+_NO_TAIL, _QUARTIC_TAIL = -1, -2   # tail ids besides the factor ids >= 0
+_ID_SPAN = 1 << 32                  # packs a pair of factor ids into one int64
+_SUM_BYTES = 1 << 20                # vectors gathered per step of the linear sums
 
 
-def _lie_single(g: HamTerm, ct: HamTerm, h: float, pc) -> list[tuple]:
-    """{g, chi_term} as raw outputs: z-part plus the two f-pairings."""
-    out: list[tuple] = []
-    m_new = g.m + ct.m
-    base = g.coeff * ct.coeff
-    mu_n = tuple(map(add, g.mu, ct.mu))
-    nu_n = tuple(map(add, g.nu, ct.nu))
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython multiplies complex numbers.
 
-    # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j), j = 0..n;
-    # chi has at most one linear factor and no tail
-    for j in range(len(mu_n)):
-        w = g.nu[j] * ct.mu[j] - g.mu[j] * ct.nu[j]
-        if w == 0:
-            continue
-        out.append(_lie_output(1j * w * base, m_new,
-                               mu_n[:j] + (mu_n[j] - 1,) + mu_n[j + 1:],
-                               nu_n[:j] + (nu_n[j] - 1,) + nu_n[j + 1:],
-                               g.alphas + ct.alphas, g.betas + ct.betas, g.a, g.b, g.tail))
-
-    # + i <grad_fbar g, grad_f chi>: chi contributes its Phi coupling
-    if ct.alphas:
-        out.extend(_pair_slots(g, ct.alphas[0], +1j * base, m_new, mu_n, nu_n, h, pc,
-                               fbar=True))
-    # - i <grad_fbar chi, grad_f g>: chi contributes its Psi coupling
-    if ct.betas:
-        out.extend(_pair_slots(g, ct.betas[0], -1j * base, m_new, mu_n, nu_n, h, pc,
-                               fbar=False))
-    return out
-
-
-def _pair_slots(g, vec, scale, m_new, mu_n, nu_n, h, pc, fbar: bool) -> list[tuple]:
-    """Pair the gradient of g on one side against vec, as raw outputs.
-
-    fbar=True takes grad_fbar g (each conj(f) slot, the b conj(f)-powers of
-    the tail), fbar=False the mirror-image grad_f g.
+    NumPy's complex multiply may fuse a multiply and an add; these real
+    operations round one at a time, so the parts agree bit for bit with the
+    Python complex arithmetic the terms use.
     """
-    slots = g.betas if fbar else g.alphas
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    def output(coeff, kept, a, b, tail):
-        alphas, betas = (g.alphas, kept) if fbar else (kept, g.betas)
-        return _lie_output(coeff, m_new, mu_n, nu_n, alphas, betas, a, b, tail)
 
-    out = [output(scale * pairing(p, vec, h), slots[:idx] + slots[idx + 1:],
-                  g.a, g.b, g.tail)
-           for idx, p in enumerate(slots)]
-    power = g.b if fbar else g.a
-    if g.tail is QUARTIC:
-        # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
-        out.append(output(scale * 0.5, slots, *((2, 1) if fbar else (1, 2)), pc(vec)))
-    elif power > 0:
-        a, b = (g.a, g.b - 1) if fbar else (g.a - 1, g.b)
-        out.append(output(scale * power, slots, a, b, g.tail * vec))
+def _above_tol(re, im) -> np.ndarray:
+    """abs(complex(re, im)) > MERGE_TOL elementwise, as CPython's abs decides it."""
+    mag = np.hypot(re, im)
+    out = mag > MERGE_TOL
+    for i in np.flatnonzero(np.abs(mag - MERGE_TOL) <= 1e-6 * MERGE_TOL):
+        out[i] = abs(complex(re[i], im[i])) > MERGE_TOL
     return out
+
+
+class _Factors:
+    """The factor vectors of one Lie derivative, interned as integer ids.
+
+    Two vectors share an id when their content digests agree.  The vectors
+    of chi and of the input live through the call and are digested once
+    each, cached by id().  A product (`tail * vec`, `P_c vec`) is formed and
+    digested once per pair of operand ids and kept as its recipe only;
+    `vector` rebuilds it when a built term or a linear sum reads it.
+    """
+
+    def __init__(self, project_pc):
+        self.project_pc = project_pc
+        self.ids: dict = {}        # content digest -> id
+        self.held: dict = {}       # id() of a held vector -> id
+        self.made: dict = {}       # recipe -> id
+        self.vectors: list = []    # id -> vector, None for a product not rebuilt
+        self.recipes: dict = {}    # id -> recipe of a product
+
+    def _intern(self, v: np.ndarray, recipe=None) -> int:
+        digest = _content_digest(v)
+        fid = self.ids.get(digest)
+        if fid is None:
+            fid = self.ids[digest] = len(self.vectors)
+            self.vectors.append(v if recipe is None else None)
+            if recipe is not None:
+                self.recipes[fid] = recipe
+        return fid
+
+    def of(self, v: np.ndarray) -> int:
+        """The id of a vector that lives through the call."""
+        fid = self.held.get(id(v))
+        if fid is None:
+            fid = self.held[id(v)] = self._intern(v)
+        return fid
+
+    def vector(self, fid: int) -> np.ndarray:
+        v = self.vectors[fid]
+        return self._build(self.recipes[fid]) if v is None else v
+
+    def _build(self, recipe) -> np.ndarray:
+        op, left, right = recipe
+        if op == "pc":
+            return self.project_pc(self.vector(right))
+        return self.vector(left) * self.vector(right)
+
+    def _distinct(self, left, right, value) -> tuple[list, np.ndarray]:
+        """value(l, r) for each row's pair of ids, computed once per distinct pair."""
+        pairs, inverse = np.unique(left.astype(np.int64) * _ID_SPAN + right,
+                                   return_inverse=True)
+        values = [value(*divmod(p, _ID_SPAN)) for p in pairs.tolist()]
+        return values, inverse
+
+    def derived(self, op: str, left, right) -> np.ndarray:
+        """Ids of left * right (op "mul") or of P_c right (op "pc", left = right),
+        row by row."""
+        def make(l, r):
+            recipe = (op, l, r)
+            fid = self.made.get(recipe)
+            if fid is None:
+                fid = self.made[recipe] = self._intern(self._build(recipe), recipe)
+            return fid
+
+        ids, inverse = self._distinct(left, right, make)
+        return np.array(ids, dtype=_ID)[inverse]
+
+    def pairings(self, left, right, h: float):
+        """The real and imaginary parts of <left, right>, row by row."""
+        values, inverse = self._distinct(
+            left, right, lambda l, r: pairing(self.vector(l), self.vector(r), h))
+        values = np.array(values, dtype=complex)[inverse]
+        return values.real, values.imag
+
+
+def _id_rows(lists, width: int) -> np.ndarray:
+    rows = np.full((len(lists), width), -1, dtype=_ID)
+    for r, ids in enumerate(lists):
+        rows[r, :len(ids)] = ids
+    return rows
+
+
+def _appended(rows, counts, ids) -> np.ndarray:
+    """Each row with ids[r] written after its counts[r] ids (-1 appends nothing)."""
+    rows = rows.copy()
+    rows[np.arange(len(rows)), counts] = ids
+    return rows
+
+
+def _removed(rows, idx: int) -> np.ndarray:
+    """Each row without its idx-th id."""
+    return np.concatenate([rows[:, :idx], rows[:, idx + 1:],
+                           np.full((len(rows), 1), -1, dtype=_ID)], axis=1)
+
+
+# the columns of a table of raw Lie outputs
+_COLUMNS = ("order", "i", "re", "im", "m", "mu", "nu", "a", "b", "tail", "alpha", "beta")
+
+
+def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: float) -> dict:
+    """Every raw output of {g, chi_term}, checked, as arrays in generation order.
+
+    Generation order runs over the inputs, then the chi terms, then per pair:
+    the z-part of each mode j, then chi's Phi against each conj(f) slot and
+    the conj(f)-powers of the tail, then chi's Psi against each f slot and
+    the f-powers of the tail.  An a + b = 1 tail is folded into the linear
+    factors.  Factor vectors are ids, -1 padded, in output order.  Scalar
+    outputs within MERGE_TOL of zero are left out.
+    """
+    n = len(chi_terms[0].mu)
+    if any(len(t.mu) != n for t in terms):
+        raise ValueError("input and generator terms have different mode counts")
+    n_in, n_chi = len(terms), len(chi_terms)
+    slots = max(max(len(t.alphas), len(t.betas)) for t in terms)
+    width = slots + 1
+    g_alpha = _id_rows([[factors.of(v) for v in t.alphas] for t in terms], width)
+    g_beta = _id_rows([[factors.of(v) for v in t.betas] for t in terms], width)
+    n_alpha = np.array([len(t.alphas) for t in terms], dtype=_ID)
+    n_beta = np.array([len(t.betas) for t in terms], dtype=_ID)
+    g_tail = np.array([_NO_TAIL if t.tail is None else _QUARTIC_TAIL if t.tail is QUARTIC
+                       else factors.of(t.tail) for t in terms], dtype=_ID)
+    g_a = np.array([t.a for t in terms], dtype=_ID)
+    g_b = np.array([t.b for t in terms], dtype=_ID)
+    g_m = np.array([t.m for t in terms], dtype=_ID)
+    g_mu, g_nu = (e.astype(_ID) for e in exponent_table(terms, n))
+    g_c = np.array([t.coeff for t in terms], dtype=complex)
+    c_m = np.array([t.m for t in chi_terms], dtype=_ID)
+    c_mu, c_nu = (e.astype(_ID) for e in exponent_table(chi_terms, n))
+    c_c = np.array([t.coeff for t in chi_terms], dtype=complex)
+    # generator terms carry at most one linear factor and no tail
+    c_alpha = np.array([factors.of(t.alphas[0]) if t.alphas else -1 for t in chi_terms],
+                       dtype=_ID)
+    c_beta = np.array([factors.of(t.betas[0]) if t.betas else -1 for t in chi_terms],
+                      dtype=_ID)
+    base_re, base_im = _cmul(g_c.real[:, None], g_c.imag[:, None], c_c.real, c_c.imag)
+
+    span = n + 2 * (slots + 1)   # output positions within one (input, chi term) pair
+    parts: dict = {name: [] for name in _COLUMNS}
+
+    def emit(i, k, pos, dec, re, im, a, b, tail, alpha, beta):
+        mu = g_mu[i] + c_mu[k]
+        nu = g_nu[i] + c_nu[k]
+        if dec >= 0:
+            mu[:, dec] -= 1
+            nu[:, dec] -= 1
+        for name, col in zip(_COLUMNS, ((i * n_chi + k) * span + pos, i.astype(_ID), re, im,
+                                        g_m[i] + c_m[k], mu, nu, a, b, tail, alpha, beta)):
+            parts[name].append(col)
+
+    # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j)
+    for j in range(n):
+        w = g_nu[:, j, None] * c_mu[:, j] - g_mu[:, j, None] * c_nu[:, j]
+        i, k = np.nonzero(w)
+        iw = _cmul(0.0, 1.0, w[i, k].astype(float), 0.0)
+        emit(i, k, j, j, *_cmul(*iw, base_re[i, k], base_im[i, k]), g_a[i], g_b[i],
+             g_tail[i], _appended(g_alpha[i], n_alpha[i], c_alpha[k]),
+             _appended(g_beta[i], n_beta[i], c_beta[k]))
+
+    # + i <grad_fbar g, grad_f chi> pairs chi's Phi with each conj(f) of g;
+    # - i <grad_fbar chi, grad_f g> pairs chi's Psi with each f of g
+    for side, (c_vec, unit) in enumerate(((c_alpha, (0.0, 1.0)), (c_beta, (-0.0, -1.0)))):
+        fbar = side == 0
+        i, k = np.nonzero(np.broadcast_to(c_vec >= 0, (n_in, n_chi)))
+        s_re, s_im = _cmul(*unit, base_re[i, k], base_im[i, k])
+        own, n_own, power = (g_beta, n_beta, g_b) if fbar else (g_alpha, n_alpha, g_a)
+        first = n + side * (slots + 1)
+        for idx in range(slots):
+            sel = np.flatnonzero(n_own[i] > idx)
+            ii, kk = i[sel], k[sel]
+            p = factors.pairings(own[ii, idx], c_vec[kk], h)
+            kept = _removed(own[ii], idx)
+            emit(ii, kk, first + idx, -1, *_cmul(s_re[sel], s_im[sel], *p), g_a[ii], g_b[ii],
+                 g_tail[ii], *((g_alpha[ii], kept) if fbar else (kept, g_beta[ii])))
+        # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
+        sel = np.flatnonzero(g_tail[i] == _QUARTIC_TAIL)
+        ii, kk = i[sel], k[sel]
+        emit(ii, kk, first + slots, -1, *_cmul(s_re[sel], s_im[sel], 0.5, 0.0),
+             np.full(len(sel), 1 + fbar, dtype=_ID), np.full(len(sel), 2 - fbar, dtype=_ID),
+             factors.derived("pc", c_vec[kk], c_vec[kk]), g_alpha[ii], g_beta[ii])
+        # power * f^a conj(f)^b / (conj(f) or f) against the tail
+        sel = np.flatnonzero((g_tail[i] >= 0) & (power[i] > 0))
+        ii, kk = i[sel], k[sel]
+        a, b = g_a[ii] - (not fbar), g_b[ii] - fbar
+        tail = factors.derived("mul", g_tail[ii], c_vec[kk])
+        fold = a + b == 1
+        emit(ii, kk, first + slots, -1,
+             *_cmul(s_re[sel], s_im[sel], power[ii].astype(float), 0.0),
+             np.where(fold, 0, a), np.where(fold, 0, b), np.where(fold, _NO_TAIL, tail),
+             _appended(g_alpha[ii], n_alpha[ii], np.where(fold & (a == 1), tail, -1)),
+             _appended(g_beta[ii], n_beta[ii], np.where(fold & (b == 1), tail, -1)))
+
+    order = np.argsort(np.concatenate(parts.pop("order")))
+    out = {}
+    for name in _COLUMNS[1:]:
+        out[name] = np.concatenate(parts.pop(name))[order]
+    del order
+    _check_outputs(out, terms, info)
+    keep = ~out.pop("skip")
+    return {name: col[keep] for name, col in out.items()}
+
+
+def _check_outputs(out: dict, terms, info: GeneratorInfo):
+    """The checks of every raw output; raises on the first output that fails.
+
+    HamTerm's structural rules; then, unless the output is a scalar within
+    MERGE_TOL of zero (marked in out["skip"]): on outputs of a balanced input
+    the closure ledger (sizes grow by exactly M0); |m'| <= m0 + |m|; and
+    fewer than four f-powers on a tail.
+    """
+    mu, nu, a, b, tail, m = out["mu"], out["nu"], out["a"], out["b"], out["tail"], out["m"]
+    n_alpha = (out["alpha"] >= 0).sum(axis=1)
+    n_beta = (out["beta"] >= 0).sum(axis=1)
+    ab = a + b
+    quartic = tail == _QUARTIC_TAIL
+    # the rules of _structure_error, which words the error
+    malformed = ((mu < 0).any(axis=1) | (nu < 0).any(axis=1) | (ab > 4)
+                 | (quartic & ((a != 2) | (b != 2) | (n_alpha + n_beta > 0)))
+                 | (~quartic & (((ab >= 2) & (tail == _NO_TAIL)) | (ab == 1)
+                                | ((ab == 0) & (tail >= 0)))))
+    out["skip"] = skip = (n_alpha + n_beta + ab == 0) & ~_above_tol(out["re"], out["im"])
+    lhs = mu.sum(axis=1) + n_alpha + a
+    rhs = nu.sum(axis=1) + n_beta + b
+    i = out["i"]
+    balanced = ~skip & np.array([t.is_balanced for t in terms])[i]
+    size_in = np.array([t.size for t in terms])[i]
+    unbalanced = balanced & (lhs != rhs)
+    law_broken = balanced & (lhs - 1 != size_in - 1 + info.big_m0)
+    harmonic = ~skip & (np.abs(m) > info.m0 + np.abs(np.array([t.m for t in terms]))[i])
+    f_power = ~skip & (ab >= 4) & ~quartic
+    bad = malformed | unbalanced | law_broken | harmonic | f_power
+    if not bad.any():
+        return
+    f = int(np.argmax(bad))
+    t = int(tail[f])
+    error = _structure_error(mu[f].tolist(), nu[f].tolist(), range(n_alpha[f]),
+                             range(n_beta[f]), int(a[f]), int(b[f]),
+                             None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else t)
+    if error:
+        raise ValueError(error)
+    where = f"m={int(m[f])}, mu={tuple(mu[f].tolist())}, nu={tuple(nu[f].tolist())}"
+    if unbalanced[f]:
+        raise LedgerViolation(f"lie output unbalanced: {where}")
+    if law_broken[f]:
+        raise LedgerViolation(f"ledger law broken: L' = {lhs[f] - 1}, expected "
+                              f"{size_in[f] - 1} + {info.big_m0}")
+    if harmonic[f]:
+        raise LedgerViolation(f"harmonic bound broken: {where}")
+    raise LedgerViolation("f-power count must stay below 4")
+
+
+def _pack(columns) -> list[np.ndarray]:
+    """Integer key columns packed, mixed radix, into as few int64 words as hold them."""
+    words: list = []
+    word, room = None, 0
+    for col in columns:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if word is not None and room * span < 1 << 62:
+            word = word * span + (col - lo)
+            room *= span
+        else:
+            if word is not None:
+                words.append(word)
+            word, room = (col - lo).astype(np.int64), span
+    words.append(word)
+    return words
+
+
+def _groups(words) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each row of packed keys, groups numbered in first-seen
+    order, and the first row of each group."""
+    order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for w in words:
+        w = w[order]
+        new[1:] |= w[1:] != w[:-1]
+    first = order[new]                 # a stable sort leads each group with its first row
+    rank = np.argsort(first)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(len(rank))
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = number[np.cumsum(new) - 1]
+    return group, first[rank]
+
+
+def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int, n_pts: int) -> list:
+    """[sum over the rows r with slot[r] = s of coeff[r] * vector(fids[r]), for
+    each s < n_sums], each added in row order.
+
+    Pass k adds the k-th row of every sum, so each sum rounds as a
+    sequential one does.  The sums are stored longest first, so the sums a
+    pass adds to are a prefix of the store.
+    """
+    counts = np.bincount(slot, minlength=n_sums)
+    by_length = np.argsort(-counts, kind="stable")
+    place = np.empty(n_sums, dtype=np.int64)
+    place[by_length] = np.arange(n_sums)
+    lengths = counts[by_length]
+    pos = place[slot]
+    by_pos = np.argsort(pos, kind="stable")
+    rank = np.empty(len(slot), dtype=np.int64)
+    rank[by_pos] = np.arange(len(slot)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    order = np.lexsort((pos, rank))
+    store = np.zeros((n_sums, n_pts), dtype=complex)
+    step = max(1, _SUM_BYTES // (16 * n_pts))
+    done = 0
+    for k in range(lengths[0]):
+        rows = order[done:done + np.count_nonzero(lengths > k)]
+        done += len(rows)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            vecs = np.stack([factors.vector(fid) for fid in fids[chunk].tolist()])
+            np.multiply(coeff[chunk, None], vecs, out=vecs)
+            store[lo:lo + len(chunk)] += vecs
+    return [store[p] for p in place]
+
+
+def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger",
+           n_pts: int) -> list[HamTerm]:
+    """Merge checked raw outputs like _merge; build the survivors within the
+    cap and count those over it into `dropped`, in survivor order."""
+    alpha, beta, tail, a, b = out["alpha"], out["beta"], out["tail"], out["a"], out["b"]
+    n_alpha = (alpha >= 0).sum(axis=1)
+    n_beta = (beta >= 0).sum(axis=1)
+    n_f = n_alpha + n_beta + a + b
+    kind = np.select([n_f == 0, (n_f == 1) & (n_alpha == 1), n_f == 1, tail == _QUARTIC_TAIL],
+                     [0, 1, 2, 3], 4)          # index into _BUCKETS
+    composite = kind == 4
+    # a composite also merges on a, b, its tail and its factor-id multisets
+    extra = (np.where(composite, col, -1) for col in chain(
+        (a, b, tail), np.sort(alpha, axis=1).T, np.sort(beta, axis=1).T))
+    group, first = _groups(_pack(chain((kind, out["m"]), out["mu"].T, out["nu"].T, extra)))
+    n_groups = len(first)
+    g_kind = kind[first]
+    sums = [np.bincount(group, weights=part, minlength=n_groups)
+            for part in (out["re"], out["im"])]
+    # bincount sums from +0.0; a composite sum starts from its first addend,
+    # so it stays -0.0 where every addend is
+    members = np.bincount(group, minlength=n_groups)
+    for total, part in zip(sums, (out["re"], out["im"])):
+        negative_zero = np.bincount(group, weights=np.signbit(part) & (part == 0),
+                                    minlength=n_groups) == members
+        total[negative_zero & (g_kind == 4)] = -0.0
+    coeff = np.empty(n_groups, dtype=complex)
+    coeff.real, coeff.imag = sums
+    alive = _above_tol(*sums)
+
+    linear = np.flatnonzero((g_kind == 1) | (g_kind == 2))
+    vectors = {}
+    if len(linear):
+        rows = np.flatnonzero((kind == 1) | (kind == 2))
+        lin_coeff = np.empty(len(rows), dtype=complex)
+        lin_coeff.real, lin_coeff.imag = out["re"][rows], out["im"][rows]
+        # the one factor id of a linear output; the other column holds -1
+        fids = np.maximum(alpha[rows, 0], beta[rows, 0])
+        lin_sums = _linear_sums(np.searchsorted(linear, group[rows]), fids, lin_coeff,
+                                factors, len(linear), n_pts)
+        coeff[linear] = 1.0
+        for g, v in zip(linear.tolist(), lin_sums):
+            alive[g] = np.max(np.abs(v)) > MERGE_TOL
+            vectors[g] = v
+
+    size = np.maximum(out["mu"].sum(axis=1) + n_alpha + a, out["nu"].sum(axis=1) + n_beta + b)
+    survivors = np.argsort(g_kind, kind="stable")
+    survivors = survivors[alive[survivors]]
+    over = (2 * size[first[survivors]] > degree_cap if degree_cap is not None
+            else np.zeros(len(survivors), dtype=bool))
+    dropped.tally(size[first[survivors[over]]], coeff[survivors[over]])
+
+    terms: list[HamTerm] = []
+    for g in survivors[~over].tolist():
+        r = first[g]
+        m, mu, nu = int(out["m"][r]), tuple(out["mu"][r].tolist()), tuple(out["nu"][r].tolist())
+        if g in vectors:
+            vec = vectors[g].copy()
+            terms.append(HamTerm._checked(1.0, m, mu, nu, *(
+                ((vec,), ()) if g_kind[g] == 1 else ((), (vec,))), 0, 0, None))
+            continue
+        t = int(tail[r])
+        terms.append(HamTerm._checked(
+            complex(coeff[g]), m, mu, nu,
+            tuple(factors.vector(f) for f in alpha[r].tolist() if f >= 0),
+            tuple(factors.vector(f) for f in beta[r].tolist() if f >= 0),
+            int(a[r]), int(b[r]),
+            None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else factors.vector(t)))
+    return terms
 
 
 def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
@@ -491,51 +813,27 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
                    dropped: DropLedger | None = None) -> HamExpansion:
     """lie_chi(g) = {g, chi} for a generator-class chi, merged.
 
-    Every raw output is checked before it is merged: the structural rules of
-    HamTerm; on outputs of a balanced input the closure ledger (sizes grow by
-    exactly M0); |m'| <= m0 + |m|; and fewer than four f-powers on a tail.
-    Survivors of the merge within degree_cap are built as terms; those over
-    it are counted into `dropped` and never built.  Without a cap every
-    survivor is built.
+    The raw outputs of every (input term, chi term) pair are enumerated as
+    arrays, with factor vectors as interned integer ids (see _Factors), and
+    every output is checked before it is merged (see _check_outputs).  The
+    merge groups sorted, packed integer keys and sums each group in
+    generation order, so it gives the bits, the survivors and the order of
+    _merge.  Survivors within degree_cap are built as terms; those over it
+    are counted into `dropped` and never built.  Without a cap every
+    survivor is built.  `dropped.generated` grows by the raw outputs merged.
     """
     info = generator_info(chi)
-    h = model.grid.h
-    pc = model.project_pc
     terms = g.terms if isinstance(g, HamExpansion) else [g]
     if dropped is None:
         dropped = DropLedger()
-
-    def outputs():
-        for t in terms:
-            balanced = t.is_balanced
-            size_in = t.size
-            m_bound = info.m0 + abs(t.m)
-            for ct in chi.terms:
-                for raw in _lie_single(t, ct, h, pc):
-                    coeff, m, mu, nu, alphas, betas, a, b, tail = raw
-                    error = _structure_error(mu, nu, alphas, betas, a, b, tail)
-                    if error:
-                        raise ValueError(error)
-                    if not (alphas or betas or a or b) and abs(coeff) <= MERGE_TOL:
-                        continue
-                    if balanced:
-                        lhs = sum(mu) + len(alphas) + a
-                        if lhs != sum(nu) + len(betas) + b:
-                            raise LedgerViolation(
-                                f"lie output unbalanced: m={m}, mu={mu}, nu={nu}")
-                        if lhs - 1 != size_in - 1 + info.big_m0:
-                            raise LedgerViolation(
-                                f"ledger law broken: L' = {lhs - 1}, expected "
-                                f"{size_in - 1} + {info.big_m0}")
-                    if abs(m) > m_bound:
-                        raise LedgerViolation(
-                            f"harmonic bound broken: m={m}, mu={mu}, nu={nu}")
-                    if a + b >= 4 and tail is not QUARTIC:
-                        raise LedgerViolation("f-power count must stay below 4")
-                    yield raw
-
-    return HamExpansion(_merge(outputs(), _digester(chi.terms + terms),
-                               degree_cap, dropped))
+    if not terms:
+        return HamExpansion([])
+    factors = _Factors(model.project_pc)
+    out = _lie_outputs(chi.terms, terms, info, factors, model.grid.h)
+    dropped.generated += len(out["m"])
+    if not len(out["m"]):
+        return HamExpansion([])
+    return HamExpansion(_tally(out, factors, degree_cap, dropped, model.grid.m_pts))
 
 
 @dataclass
@@ -544,7 +842,9 @@ class DropLedger:
 
     The outputs over the cap are merged like any others and counted here,
     but never built as terms: `count`, `by_size` and `coeff_mass` are those
-    of the merged sums over the cap, added in merge order.
+    of the merged sums over the cap, added in survivor order (coeff_mass as
+    a sequential sum).  `generated` counts the raw outputs that passed the
+    checks and entered the merge, within the cap or over it.
     normal_form_round merges a chain's ledger once per block it feeds: K's
     twice, for its Lie tail and the Taylor block of H_F.
     """
@@ -552,15 +852,29 @@ class DropLedger:
     count: int = 0
     coeff_mass: float = 0.0
     by_size: dict = field(default_factory=dict)
+    generated: int = 0
 
     def add(self, size: int, coeff: complex):
         self.count += 1
         self.coeff_mass += abs(complex(coeff))
         self.by_size[size] = self.by_size.get(size, 0) + 1
 
+    def tally(self, sizes: np.ndarray, coeffs: np.ndarray):
+        """add(size, coeff) for each pair in turn."""
+        self.count += len(sizes)
+        values, first, counts = np.unique(sizes, return_index=True, return_counts=True)
+        for k in np.argsort(first).tolist():
+            size = int(values[k])
+            self.by_size[size] = self.by_size.get(size, 0) + int(counts[k])
+        mass = self.coeff_mass
+        for c in coeffs.tolist():
+            mass += abs(c)
+        self.coeff_mass = mass
+
     def merge(self, other: "DropLedger"):
         self.count += other.count
         self.coeff_mass += other.coeff_mass
+        self.generated += other.generated
         for k, v in other.by_size.items():
             self.by_size[k] = self.by_size.get(k, 0) + v
 
@@ -577,10 +891,10 @@ def lie_series(
     Terms whose polynomial degree 2(L + 1) exceeds degree_cap are dropped and
     counted: they belong to the observed-only remainder class, whose bound
     carries the exponent degree_cap in the field amplitudes.  They are merged
-    and counted but never built (see lie_derivative); the merge hashes each
-    factor vector by content, caching by id() only the vectors chi and the
-    input hold for the whole call.  The chain stops at the first power the
-    cap empties.  The caller weights the powers (1/l! for ham o F - ham).
+    and counted but never built (see lie_derivative): each call tallies them
+    on interned factor ids, and a product vector that only they read is
+    digested and never kept.  The chain stops at the first power the cap
+    empties.  The caller weights the powers (1/l! for ham o F - ham).
     """
     dropped = DropLedger()
     powers: list[HamExpansion] = []
@@ -623,7 +937,7 @@ def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
     # scalar, linear and quartic-marker terms: a merged term per (kind, m, mu, nu)
     structural = {}
     for t in ham.terms:
-        kind = QUARTIC if t.tail is QUARTIC else t.kind
+        kind = _bucket(t)
         if kind in _MIRROR_KIND:
             value = t.coeff if kind in ("scalar", QUARTIC) else t.vector
             structural[(kind, t.m, t.mu, t.nu)] = value

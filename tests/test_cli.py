@@ -279,6 +279,8 @@ def test_manifest_records_the_drop_ledger(small_config, capsys):
         assert set(chains) == {"z", "k", "rest"}
         for chain in chains.values():
             assert all(count > 0 for count in chain["powers"])
+            # every merged sum, built or dropped, has at least one raw output
+            assert chain["generated"] >= sum(chain["powers"]) + chain["dropped"]
         # K's powers feed two blocks, so its drops are counted twice
         assert led["dropped"] == (chains["z"]["dropped"] + 2 * chains["k"]["dropped"]
                                   + chains["rest"]["dropped"])

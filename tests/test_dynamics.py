@@ -309,6 +309,21 @@ def test_fused_steps_match_single_steps(pt_model):
         assert np.max(np.abs(fused - u)) <= 1e-12 * np.max(np.abs(u))
 
 
+def test_sponge_steps_match_one_step_calls(pt_model):
+    # simulate takes a sponge run in stretches; each must keep the bits of
+    # the one-step calls at t = k dt, k + 1 dt, ... it stands for
+    rng = np.random.default_rng(12)
+    u0 = (0.1 * pt_model.phi[0]).astype(complex) + random_radiation(pt_model, rng, 0.05)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0)
+    half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
+    sponge = dynamics._sponge_mask(pt_model.grid, cfg.dt)
+    for k0, n in ((0, 3), (2000, 1000)):
+        u = u0
+        for i in range(n):
+            u = step(u, cfg.dt, (k0 + i) * cfg.dt, pt_model, cfg, half, sponge)
+        assert np.array_equal(step(u0, cfg.dt, k0 * cfg.dt, pt_model, cfg, half, sponge, n), u)
+
+
 def test_batched_monitors_match_single_sample_helpers(pt_model, pt_aux, monkeypatch):
     # a 5-sample buffer over 13 samples: two full batches and a partial one
     monkeypatch.setattr(dynamics, "MONITOR_BATCH", 5)

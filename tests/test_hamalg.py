@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lie_reference
 from nlsnf import hamalg, spectral
 from nlsnf.errors import GeneratorClassError, LedgerViolation
 from nlsnf.hamalg import (
@@ -202,12 +204,13 @@ def test_lie_series_degree_structure(small_model):
 
 
 def _reference_series(chi, ham, model, n0, cap):
-    """lie_series from uncapped lie_derivative calls, filtered on 2 size > cap."""
+    """lie_series from uncapped calls of the term-by-term reference Lie
+    derivative, filtered on 2 size > cap."""
     powers, count, by_size, mass = [], 0, {}, 0.0
     current = ham
     for _ in range(n0):
         keep = []
-        for t in lie_derivative(chi, current, model).terms:
+        for t in lie_reference.lie_derivative(chi, current, model).terms:
             if 2 * t.size > cap:
                 count += 1
                 mass += abs(t.coeff)
@@ -276,6 +279,136 @@ def test_capped_lie_series_matches_the_uncapped_reference(small_model, name, cap
     if name == "mixed" and cap == 6:
         first = {t.size for t in lie_derivative(chi, ham, small_model).terms}
         assert first == {3, 4} and dropped.by_size.get(4, 0) > 0
+
+
+# --- the array Lie derivative against the term-by-term reference -------------
+
+
+def _lie_outcome(lie, chi, ham, model, cap):
+    """Every record and vector byte of lie(chi, ham) and its DropLedger, or
+    the type and message of the error it raised."""
+    dropped = hamalg.DropLedger()
+    try:
+        out = lie(chi, ham, model, cap, dropped)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return _exact(out), (dropped.count, list(dropped.by_size.items()),
+                         dropped.coeff_mass, dropped.generated)
+
+
+def _assert_matches_reference(chi, ham, model, cap):
+    want = _lie_outcome(lie_reference.lie_derivative, chi, ham, model, cap)
+    assert _lie_outcome(lie_derivative, chi, ham, model, cap) == want
+    return want
+
+
+def _lie_strategies(st, model):
+    """Generator-class chi (M0 = 1, two modes) and input terms of every shape:
+    scalar, linear, two-slot composite, quartic marker, and tails whose a + b
+    drops to 1 and folds.  A pool of three vectors makes content collisions,
+    and coefficients with -0.0 parts exercise the signs of merged zeros."""
+    rng = np.random.default_rng(5)
+    x = model.grid.x
+    pool = [model.project_pc((rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
+                             * np.exp(-x ** 2 / 8)) for _ in range(3)]
+    vec = st.sampled_from(pool)
+    coeff = st.builds(complex, st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                                         st.floats(-2.0, 2.0)),
+                      st.one_of(st.sampled_from([0.0, -0.0, 0.25]), st.floats(-2.0, 2.0)))
+    m = st.integers(-1, 1)
+    pair = st.sampled_from([(2, 0), (1, 1), (0, 2)])
+    single = st.sampled_from([(1, 0), (0, 1)])
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    @st.composite
+    def chi_term(draw):
+        kind = draw(st.sampled_from(["scalar", "linear_f", "linear_fbar"]))
+        if kind == "scalar":
+            return HamTerm(draw(coeff), draw(m), draw(pair), draw(pair))
+        if kind == "linear_f":
+            return HamTerm(draw(coeff), draw(m), draw(single), draw(pair), alphas=(draw(vec),))
+        return HamTerm(draw(coeff), draw(m), draw(pair), draw(single), betas=(draw(vec),))
+
+    @st.composite
+    def input_term(draw):
+        c, mm, mu, nu = draw(coeff), draw(m), draw(exps), draw(exps)
+        kind = draw(st.sampled_from(["scalar", "linear", "two-slot", "quartic", "tail"]))
+        if kind == "scalar":
+            return HamTerm(c, mm, mu, nu)
+        if kind == "linear":
+            side = draw(st.booleans())
+            return HamTerm(c, mm, mu, nu, alphas=(draw(vec),) if side else (),
+                           betas=() if side else (draw(vec),))
+        if kind == "two-slot":
+            n_alpha = draw(st.integers(0, 2))
+            return HamTerm(c, mm, mu, nu, alphas=tuple(draw(vec) for _ in range(n_alpha)),
+                           betas=tuple(draw(vec) for _ in range(2 - n_alpha)))
+        if kind == "quartic":
+            # as in the energy: with z-exponents, a linear chi term would give
+            # a quartic marker a linear factor, which the checks refuse
+            return HamTerm(c, mm, (0, 0), (0, 0), a=2, b=2, tail=QUARTIC)
+        # (2, 2) with a vector tail trips the f-power check
+        a, b = draw(st.sampled_from([(2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)]))
+        n_alpha, n_beta = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        return HamTerm(c, mm, mu, nu, alphas=tuple(draw(vec) for _ in range(n_alpha)),
+                       betas=tuple(draw(vec) for _ in range(n_beta)), a=a, b=b, tail=draw(vec))
+
+    return st.lists(chi_term(), min_size=1, max_size=4), st.lists(input_term(), min_size=1,
+                                                                   max_size=5)
+
+
+def test_lie_derivative_matches_the_term_by_term_reference(small_model):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    chis, inputs = _lie_strategies(st, small_model)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(chi=chis, ham=inputs, cap=st.one_of(st.none(), st.integers(2, 10)))
+    def check(chi, ham, cap):
+        _assert_matches_reference(HamExpansion(chi), HamExpansion(ham), small_model, cap)
+
+    check()
+
+
+def test_lie_derivative_drops_outputs_that_cancel(small_model):
+    # two inputs whose outputs, all over the cap, cancel to below MERGE_TOL
+    chi = _oracle_chi(small_model)
+    tail = np.exp(-small_model.grid.x ** 2 / 4) * (1 - 0.2j)
+    g = HamTerm(1.0, 0, (1, 0), (1, 0), a=1, b=1, tail=tail)
+    alone = _assert_matches_reference(chi, HamExpansion([g]), small_model, 4)
+    assert alone[1][0] > 0
+    ham = HamExpansion([g, g.scaled(-(1.0 + 2.0 ** -52))])
+    for cap in (4, None):
+        records, (count, by_size, mass, generated) = _assert_matches_reference(
+            chi, ham, small_model, cap)
+        assert records == ("[]", {}) and count == 0 and generated == 2 * alone[1][3]
+
+
+@pytest.mark.parametrize("tail, error", [
+    (QUARTIC, ("ValueError", "quartic marker requires a = b = 2 and no linear factors")),
+    ("vector", ("LedgerViolation", "f-power count must stay below 4"))])
+def test_lie_derivative_refuses_what_the_reference_refuses(small_model, tail, error):
+    # a z-derivative keeps the input's tail and adds chi's linear factor
+    chi = _oracle_chi(small_model)
+    if tail == "vector":
+        tail = np.exp(-small_model.grid.x ** 2 / 4).astype(complex)
+    ham = HamExpansion([HamTerm(1.0, 0, (1, 0), (1, 0), a=2, b=2, tail=tail)])
+    assert _assert_matches_reference(chi, ham, small_model, None) == error
+
+
+@pytest.mark.parametrize("field, message", [("big_m0", "ledger law broken"),
+                                            ("m0", "harmonic bound broken")])
+def test_lie_derivative_checks_the_closure_laws(small_model, monkeypatch, field, message):
+    # understating the generator's order or harmonic reach must trip the check
+    chi = _oracle_chi(small_model)
+    ham = expand_potential_energy(small_model, gamma0=1.0, gamma1=0.5)
+    assert len(lie_derivative(chi, ham, small_model))
+    info = generator_info(chi)
+    understated = dataclasses.replace(info, **{field: getattr(info, field) - 1})
+    monkeypatch.setattr(hamalg, "generator_info", lambda chi: understated)
+    with pytest.raises(LedgerViolation, match=message):
+        lie_derivative(chi, ham, small_model)
+
 
 def test_ledger_law_enforced(small_model):
     # every lie output from balanced input satisfies L' = L + M0; build a
