@@ -43,9 +43,9 @@ def classify_term(term: HamTerm, lam, c: float, r: int,
 
     Scalar terms: Z0 iff m = 0 and lambda.(mu - nu) = 0 (with |mu| = |nu|);
     linear terms: Z1 iff the frequency combination falls beyond the continuum
-    threshold on the matching side.  Terms of size above the current round are
-    remainder classes R0/R1/R(a+b)/R6.  Within tol_res of a threshold the
-    classification refuses.
+    threshold on the matching side.  Terms of size other than r + 1 are
+    remainder classes R0/R1/R(a+b)/R6.  Round r refuses a term of size r + 1
+    within tol_res of a threshold, and a resonant scalar with m != 0.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(term.mu)
@@ -53,27 +53,26 @@ def classify_term(term: HamTerm, lam, c: float, r: int,
     omega = float(lam @ (mu - nu)) - term.m
     scale = max(1.0, abs(c))
     kind = term.kind
+    in_round = term.size == r + 1
 
     if kind == "scalar":
         if abs(omega) < tol_res * scale:
             if term.m == 0 and sum(term.mu) == sum(term.nu):
                 return Z0
-            raise ClassificationError(
-                f"scalar term resonant with m = {term.m} != 0 or |mu| != |nu|: "
-                f"an (H8)-type degeneracy: {term}")
-        return NONRESONANT if term.size == r + 1 else "R0"
-    if kind == "linear_f":
-        if abs(omega + c) < tol_res * scale:
-            raise ClassificationError(f"(H7)-type threshold hit for {term}")
-        if omega < -c and abs(term.m) <= sum(term.mu):
+            if in_round:
+                raise ClassificationError(
+                    f"scalar term resonant with m = {term.m} != 0 or |mu| != |nu|: "
+                    f"an (H8)-type degeneracy: {term}")
+        return NONRESONANT if in_round else "R0"
+    if kind in ("linear_f", "linear_fbar"):
+        side = -1.0 if kind == "linear_f" else 1.0
+        if abs(omega - side * c) < tol_res * scale:
+            if in_round:
+                raise ClassificationError(f"(H7)-type threshold hit for {term}")
+            return "R1"
+        if side * omega > c and abs(term.m) <= sum(term.mu if side < 0 else term.nu):
             return Z1
-        return NONRESONANT if term.size == r + 1 else "R1"
-    if kind == "linear_fbar":
-        if abs(omega - c) < tol_res * scale:
-            raise ClassificationError(f"(H7)-type threshold hit for {term}")
-        if omega > c and abs(term.m) <= sum(term.nu):
-            return Z1
-        return NONRESONANT if term.size == r + 1 else "R1"
+        return NONRESONANT if in_round else "R1"
     # composite remainder classes, labeled by the f-power count of the tail
     if term.tail is not None and term.a + term.b == 4:
         return "R6"

@@ -17,14 +17,17 @@ Degree bookkeeping follows the closure ledger: a term is balanced when
 generator of order M_0 raise L by exactly M_0 while harmonics obey
 |m'| <= m_0 + |m|.  These two laws are asserted on every generated term.
 
-A Lie derivative works on arrays, not on one Python tuple per output: the
-raw outputs of all (input term, generator term) pairs are enumerated family
-by family, with each factor vector as an integer id interned by content
-digest, and merged by sorting packed integer keys.  Coefficients follow
-CPython's complex arithmetic one rounding at a time, and every merged sum
-runs in generation order, so the result has the bits of the term-by-term
-merge that HamExpansion.merged() performs.  Merged sums over the degree cap
-are only counted (DropLedger); no term or product vector is built for them.
+Terms are merged on arrays, not one Python object at a time: a term list
+becomes id columns (_term_columns), with each factor vector an integer id
+(_Factors), and one merge (_tally) groups sorted, packed integer keys, in
+which a factor vector stands for its content digest.  HamExpansion.merged()
+and lie_derivative both run on it; a Lie derivative enumerates the raw
+outputs of all (input term, generator term) pairs as such columns, family
+by family.  Coefficients follow CPython's complex arithmetic one rounding
+at a time, and every merged sum runs in input order, so the merge has the
+bits of a term-by-term one.  Merged sums over the degree cap are only
+counted (DropLedger); no term or product vector is built for them.
+check_reality and evaluate pair the same ids with their states in one table.
 """
 
 from __future__ import annotations
@@ -174,20 +177,6 @@ class HamTerm:
 
     # -- evaluation -----------------------------------------------------------
 
-    def f_factor(self, f: np.ndarray, h: float) -> complex:
-        """The radiation part: the pairings with f and conj(f) and the tail."""
-        val = 1.0 + 0.0j
-        fb = np.conj(f)
-        for p in self.alphas:
-            val *= pairing(p, f, h)
-        for p in self.betas:
-            val *= pairing(p, fb, h)
-        if self.tail is QUARTIC:
-            val *= 0.25 * pairing(f ** 2, fb ** 2, h)
-        elif self.tail is not None:
-            val *= pairing(f ** self.a * fb ** self.b, self.tail, h)
-        return val
-
     def mirror(self) -> "HamTerm":
         """Conjugate-mirror m -> -m, mu <-> nu, couplings conjugated."""
         tail = self.tail
@@ -219,77 +208,13 @@ def _content_digest(v: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
 
 
-# The buckets of a merge, in the order their survivors come out.  Scalar,
-# linear and quartic-marker terms merge on (m, mu, nu); a linear bucket sums
-# coefficient times vector and survives on its largest entry.  Composites
-# merge on the indices plus the content of every factor vector.
-_BUCKETS = ("scalar", "linear_f", "linear_fbar", QUARTIC, "composite")
-
-
-def _bucket(t: HamTerm) -> str:
-    return QUARTIC if t.tail is QUARTIC else t.kind
-
-
-def _merge(terms) -> list[HamTerm]:
-    """Merge terms: sums within MERGE_TOL of zero vanish, and the survivors
-    come out bucket by bucket in _BUCKETS order, each in first-seen order.
-
-    Composites merge on their factor-vector digests, cached by id(): the
-    caller keeps every vector alive for the whole merge.
-    """
-    cache: dict = {}
-
-    def digest(v: np.ndarray) -> bytes:
-        d = cache.get(id(v))
-        if d is None:
-            d = cache[id(v)] = _content_digest(v)
-        return d
-
-    buckets: dict = {kind: {} for kind in _BUCKETS}
-    for t in terms:
-        kind = _bucket(t)
-        bucket = buckets[kind]
-        key = (t.m, t.mu, t.nu)
-        if kind == "composite":
-            key = (key, t.a, t.b, tuple(sorted(map(digest, t.alphas))),
-                   tuple(sorted(map(digest, t.betas))),
-                   b"" if t.tail is None else digest(t.tail))
-            held = bucket.get(key)
-            if held is None:
-                bucket[key] = [t.coeff, t]
-            else:
-                held[0] += t.coeff
-        elif kind in ("linear_f", "linear_fbar"):
-            bucket[key] = bucket.get(key, 0.0) + t.vector
-        else:
-            bucket[key] = bucket.get(key, 0.0) + t.coeff
-
-    out: list[HamTerm] = []
-    for kind in _BUCKETS:
-        for key, total in buckets[kind].items():
-            if kind == "composite":
-                c, t = total
-                if abs(c) > MERGE_TOL:
-                    out.append(HamTerm._checked(c, t.m, t.mu, t.nu, t.alphas, t.betas,
-                                                t.a, t.b, t.tail))
-                continue
-            m, mu, nu = key
-            if kind in ("linear_f", "linear_fbar"):
-                if np.max(np.abs(total)) > MERGE_TOL:
-                    vec = ((total,), ()) if kind == "linear_f" else ((), (total,))
-                    out.append(HamTerm._checked(1.0, m, mu, nu, *vec, 0, 0, None))
-            elif abs(total) > MERGE_TOL:
-                out.append(HamTerm._checked(total, m, mu, nu, (), (), *(
-                    (2, 2, QUARTIC) if kind == QUARTIC else (0, 0, None))))
-    return out
-
-
 class HamExpansion:
-    """Multiset of terms; scalar and linear terms merge on (m, mu, nu).
+    """Multiset of terms; scalar, linear and quartic-marker terms merge on
+    (m, mu, nu).
 
     Composite terms merge on the full symbolic signature (indices plus the
-    content hashes of every factor vector); without this, iterated Lie
-    derivatives multiply the term count geometrically.
+    content of every factor vector, as interned ids); without this, iterated
+    Lie derivatives multiply the term count geometrically.
     """
 
     def __init__(self, terms=()):
@@ -309,16 +234,21 @@ class HamExpansion:
 
     def merged(self) -> "HamExpansion":
         """Canonical form: merge mergeable kinds, drop negligible terms."""
-        return HamExpansion(_merge(self.terms))
+        if not self.terms:
+            return HamExpansion([])
+        factors = _Factors(None)
+        return HamExpansion(_tally(_term_columns(self.terms, factors), factors, None,
+                                   DropLedger()))
 
     def evaluate(self, t: float, z, f, h: float) -> complex:
-        z = np.asarray(z, dtype=complex)
-        f = np.asarray(f, dtype=complex)
+        if not self.terms:
+            return 0j
+        factors = _Factors(None)
+        cols = _term_columns(self.terms, factors)
         coeffs = np.array([term.coeff for term in self.terms], dtype=complex)
-        m = np.array([term.m for term in self.terms], dtype=int)
-        radiation = np.array([term.f_factor(f, h) for term in self.terms], dtype=complex)
-        zmons = monomials(z, *exponent_table(self.terms, len(z)))
-        return complex(np.sum(coeffs * np.exp(1j * m * t) * zmons * radiation))
+        radiation = _f_factors(cols, factors, [np.asarray(f, dtype=complex)], h)[:, 0]
+        zmons = monomials(np.asarray(z, dtype=complex), cols["mu"], cols["nu"])
+        return complex(np.sum(coeffs * np.exp(1j * cols["m"] * t) * zmons * radiation))
 
     def select(self, pred) -> "HamExpansion":
         return HamExpansion([t for t in self.terms if pred(t)])
@@ -422,39 +352,50 @@ def _above_tol(re, im) -> np.ndarray:
 
 
 class _Factors:
-    """The factor vectors of one Lie derivative, interned as integer ids.
+    """The factor vectors of one merge, Lie derivative or reality check, as
+    integer ids.
 
-    Two vectors share an id when their content digests agree.  The vectors
-    of chi and of the input live through the call and are digested once
-    each, cached by id().  A product (`tail * vec`, `P_c vec`) is formed and
-    digested once per pair of operand ids and kept as its recipe only;
-    `vector` rebuilds it when a built term or a linear sum reads it.
+    A vector of the terms gets an id per array, cached by id(): the terms
+    keep it alive through the call.  A product (`tail * vec`, `P_c vec`)
+    gets an id per pair of operand ids and is kept as its recipe only;
+    `vector` rebuilds it when it is read.  Merge keys read `canonical` ids,
+    which agree exactly when the content digests do; an id is digested once,
+    when a key first reads it, so a vector no key reads is never digested.
     """
 
     def __init__(self, project_pc):
         self.project_pc = project_pc
-        self.ids: dict = {}        # content digest -> id
         self.held: dict = {}       # id() of a held vector -> id
         self.made: dict = {}       # recipe -> id
-        self.vectors: list = []    # id -> vector, None for a product not rebuilt
-        self.recipes: dict = {}    # id -> recipe of a product
+        self.vectors: list = []    # id -> vector, None for a product
+        self.recipes: list = []    # id -> recipe of a product, None for a held vector
+        self.digests: dict = {}    # content digest -> canonical id
+        self.canon: list = []      # id -> canonical id, -1 until a key reads it
 
-    def _intern(self, v: np.ndarray, recipe=None) -> int:
-        digest = _content_digest(v)
-        fid = self.ids.get(digest)
-        if fid is None:
-            fid = self.ids[digest] = len(self.vectors)
-            self.vectors.append(v if recipe is None else None)
-            if recipe is not None:
-                self.recipes[fid] = recipe
-        return fid
+    def _add(self, v, recipe=None) -> int:
+        self.vectors.append(v)
+        self.canon.append(-1)
+        self.recipes.append(recipe)
+        return len(self.canon) - 1
 
     def of(self, v: np.ndarray) -> int:
         """The id of a vector that lives through the call."""
         fid = self.held.get(id(v))
         if fid is None:
-            fid = self.held[id(v)] = self._intern(v)
+            fid = self.held[id(v)] = self._add(v)
         return fid
+
+    def canonical(self, *ids: np.ndarray) -> np.ndarray:
+        """A table from id to canonical id, filled for the ids given; an id
+        not filled yet reads -1, and the ids -2 and -1 read themselves."""
+        need = np.zeros(len(self.canon) + 2, dtype=bool)
+        for part in ids:
+            need[part] = True
+        for fid in np.flatnonzero(need[:-2]).tolist():
+            if self.canon[fid] < 0:
+                digest = _content_digest(self.vector(fid))
+                self.canon[fid] = self.digests.setdefault(digest, fid)
+        return np.array(self.canon + [-2, -1], dtype=_ID)
 
     def vector(self, fid: int) -> np.ndarray:
         v = self.vectors[fid]
@@ -480,7 +421,7 @@ class _Factors:
             recipe = (op, l, r)
             fid = self.made.get(recipe)
             if fid is None:
-                fid = self.made[recipe] = self._intern(self._build(recipe), recipe)
+                fid = self.made[recipe] = self._add(None, recipe)
             return fid
 
         ids, inverse = self._distinct(left, right, make)
@@ -494,11 +435,38 @@ class _Factors:
         return values.real, values.imag
 
 
-def _id_rows(lists, width: int) -> np.ndarray:
-    rows = np.full((len(lists), width), -1, dtype=_ID)
-    for r, ids in enumerate(lists):
-        rows[r, :len(ids)] = ids
-    return rows
+def _term_columns(terms, factors: _Factors) -> dict:
+    """The columns of a nonempty term list over `factors`, a row per term:
+    re, im, m, a, b, the tail id (_NO_TAIL, _QUARTIC_TAIL or a factor id),
+    mu, nu, and the alpha and beta ids, -1 padded to one more than the
+    longest list of either."""
+    n = len(terms[0].mu)
+    width = max(max(len(t.alphas), len(t.betas)) for t in terms) + 1
+
+    def ids(vectors):
+        return [factors.of(v) for v in vectors] + [-1] * (width - len(vectors))
+
+    coeff = np.array([t.coeff for t in terms], dtype=complex)
+    table = np.array([(t.m, t.a, t.b, _NO_TAIL if t.tail is None else _QUARTIC_TAIL
+                       if t.tail is QUARTIC else factors.of(t.tail),
+                       *t.mu, *t.nu, *ids(t.alphas), *ids(t.betas)) for t in terms], dtype=_ID)
+    cols = dict(zip(("m", "a", "b", "tail"), table[:, :4].T))
+    cols.update(re=coeff.real, im=coeff.imag, mu=table[:, 4:4 + n],
+                nu=table[:, 4 + n:4 + 2 * n], alpha=table[:, 4 + 2 * n:4 + 2 * n + width],
+                beta=table[:, 4 + 2 * n + width:])
+    return cols
+
+
+def _kinds(cols: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's kind, numbered in the order merged survivors come out
+    (0 scalar, 1 linear_f, 2 linear_fbar, 3 quartic marker, 4 composite),
+    and its counts of alpha and beta ids."""
+    n_alpha = (cols["alpha"] >= 0).sum(axis=1)
+    n_beta = (cols["beta"] >= 0).sum(axis=1)
+    n_f = n_alpha + n_beta + cols["a"] + cols["b"]
+    kind = np.select([n_f == 0, (n_f == 1) & (n_alpha == 1), n_f == 1,
+                      cols["tail"] == _QUARTIC_TAIL], [0, 1, 2, 3], 4)
+    return kind, n_alpha, n_beta
 
 
 def _appended(rows, counts, ids) -> np.ndarray:
@@ -532,28 +500,15 @@ def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: fl
     if any(len(t.mu) != n for t in terms):
         raise ValueError("input and generator terms have different mode counts")
     n_in, n_chi = len(terms), len(chi_terms)
-    slots = max(max(len(t.alphas), len(t.betas)) for t in terms)
-    width = slots + 1
-    g_alpha = _id_rows([[factors.of(v) for v in t.alphas] for t in terms], width)
-    g_beta = _id_rows([[factors.of(v) for v in t.betas] for t in terms], width)
-    n_alpha = np.array([len(t.alphas) for t in terms], dtype=_ID)
-    n_beta = np.array([len(t.betas) for t in terms], dtype=_ID)
-    g_tail = np.array([_NO_TAIL if t.tail is None else _QUARTIC_TAIL if t.tail is QUARTIC
-                       else factors.of(t.tail) for t in terms], dtype=_ID)
-    g_a = np.array([t.a for t in terms], dtype=_ID)
-    g_b = np.array([t.b for t in terms], dtype=_ID)
-    g_m = np.array([t.m for t in terms], dtype=_ID)
-    g_mu, g_nu = (e.astype(_ID) for e in exponent_table(terms, n))
-    g_c = np.array([t.coeff for t in terms], dtype=complex)
-    c_m = np.array([t.m for t in chi_terms], dtype=_ID)
-    c_mu, c_nu = (e.astype(_ID) for e in exponent_table(chi_terms, n))
-    c_c = np.array([t.coeff for t in chi_terms], dtype=complex)
+    g, c = _term_columns(terms, factors), _term_columns(chi_terms, factors)
+    g_alpha, g_beta, g_tail, g_a, g_b, g_m, g_mu, g_nu = (
+        g[name] for name in ("alpha", "beta", "tail", "a", "b", "m", "mu", "nu"))
+    c_m, c_mu, c_nu = c["m"], c["mu"], c["nu"]
+    slots = g_alpha.shape[1] - 1
+    n_alpha, n_beta = ((ids >= 0).sum(axis=1, dtype=_ID) for ids in (g_alpha, g_beta))
     # generator terms carry at most one linear factor and no tail
-    c_alpha = np.array([factors.of(t.alphas[0]) if t.alphas else -1 for t in chi_terms],
-                       dtype=_ID)
-    c_beta = np.array([factors.of(t.betas[0]) if t.betas else -1 for t in chi_terms],
-                      dtype=_ID)
-    base_re, base_im = _cmul(g_c.real[:, None], g_c.imag[:, None], c_c.real, c_c.imag)
+    c_alpha, c_beta = c["alpha"][:, 0], c["beta"][:, 0]
+    base_re, base_im = _cmul(g["re"][:, None], g["im"][:, None], c["re"], c["im"])
 
     span = n + 2 * (slots + 1)   # output positions within one (input, chi term) pair
     parts: dict = {name: [] for name in _COLUMNS}
@@ -705,7 +660,7 @@ def _groups(words) -> tuple[np.ndarray, np.ndarray]:
     return group, first[rank]
 
 
-def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int, n_pts: int) -> list:
+def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int) -> list:
     """[sum over the rows r with slot[r] = s of coeff[r] * vector(fids[r]), for
     each s < n_sums], each added in row order.
 
@@ -723,6 +678,7 @@ def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int, n_pts: int) 
     rank = np.empty(len(slot), dtype=np.int64)
     rank[by_pos] = np.arange(len(slot)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     order = np.lexsort((pos, rank))
+    n_pts = len(factors.vector(int(fids[0])))
     store = np.zeros((n_sums, n_pts), dtype=complex)
     step = max(1, _SUM_BYTES // (16 * n_pts))
     done = 0
@@ -737,20 +693,23 @@ def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int, n_pts: int) 
     return [store[p] for p in place]
 
 
-def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger",
-           n_pts: int) -> list[HamTerm]:
-    """Merge checked raw outputs like _merge; build the survivors within the
-    cap and count those over it into `dropped`, in survivor order."""
+def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger") -> list[HamTerm]:
+    """Merge the rows of `out` (see _term_columns); build the survivors
+    within the cap and count those over it into `dropped`.
+
+    Scalar, linear and quartic-marker rows merge on (m, mu, nu), composites
+    also on a, b and the contents of the tail, the alphas and the betas (as
+    multisets).  Every sum runs in row order with the bits of a sequential
+    one; sums within MERGE_TOL of zero vanish.  Survivors come out by kind
+    (see _kinds), each kind in first-seen order.
+    """
     alpha, beta, tail, a, b = out["alpha"], out["beta"], out["tail"], out["a"], out["b"]
-    n_alpha = (alpha >= 0).sum(axis=1)
-    n_beta = (beta >= 0).sum(axis=1)
-    n_f = n_alpha + n_beta + a + b
-    kind = np.select([n_f == 0, (n_f == 1) & (n_alpha == 1), n_f == 1, tail == _QUARTIC_TAIL],
-                     [0, 1, 2, 3], 4)          # index into _BUCKETS
+    kind, n_alpha, n_beta = _kinds(out)
     composite = kind == 4
-    # a composite also merges on a, b, its tail and its factor-id multisets
+    # a composite also merges on a, b and the contents of its factor vectors
+    canon = factors.canonical(tail[composite], alpha[composite], beta[composite])
     extra = (np.where(composite, col, -1) for col in chain(
-        (a, b, tail), np.sort(alpha, axis=1).T, np.sort(beta, axis=1).T))
+        (a, b, canon[tail]), np.sort(canon[alpha], axis=1).T, np.sort(canon[beta], axis=1).T))
     group, first = _groups(_pack(chain((kind, out["m"]), out["mu"].T, out["nu"].T, extra)))
     n_groups = len(first)
     g_kind = kind[first]
@@ -776,7 +735,7 @@ def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger",
         # the one factor id of a linear output; the other column holds -1
         fids = np.maximum(alpha[rows, 0], beta[rows, 0])
         lin_sums = _linear_sums(np.searchsorted(linear, group[rows]), fids, lin_coeff,
-                                factors, len(linear), n_pts)
+                                factors, len(linear))
         coeff[linear] = 1.0
         for g, v in zip(linear.tolist(), lin_sums):
             alive[g] = np.max(np.abs(v)) > MERGE_TOL
@@ -789,22 +748,26 @@ def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger",
             else np.zeros(len(survivors), dtype=bool))
     dropped.tally(size[first[survivors[over]]], coeff[survivors[over]])
 
+    built = survivors[~over]
+    rows = first[built]
+    # one array per content among the built composites, so a product is built once
+    ids = canon[np.concatenate([tail[rows], alpha[rows].ravel(), beta[rows].ravel()])]
+    shared = {fid: factors.vector(fid) for fid in np.unique(ids[ids >= 0]).tolist()}
+    canon = canon.tolist()
     terms: list[HamTerm] = []
-    for g in survivors[~over].tolist():
-        r = first[g]
-        m, mu, nu = int(out["m"][r]), tuple(out["mu"][r].tolist()), tuple(out["nu"][r].tolist())
+    for g, c, g_k, m, mu, nu, a_r, b_r, t, al, be in zip(
+            built.tolist(), coeff[built].tolist(), g_kind[built].tolist(),
+            *(out[name][rows].tolist() for name in ("m", "mu", "nu", "a", "b", "tail",
+                                                    "alpha", "beta"))):
         if g in vectors:
             vec = vectors[g].copy()
-            terms.append(HamTerm._checked(1.0, m, mu, nu, *(
-                ((vec,), ()) if g_kind[g] == 1 else ((), (vec,))), 0, 0, None))
+            terms.append(HamTerm._checked(1.0, m, tuple(mu), tuple(nu), *(
+                ((vec,), ()) if g_k == 1 else ((), (vec,))), 0, 0, None))
             continue
-        t = int(tail[r])
         terms.append(HamTerm._checked(
-            complex(coeff[g]), m, mu, nu,
-            tuple(factors.vector(f) for f in alpha[r].tolist() if f >= 0),
-            tuple(factors.vector(f) for f in beta[r].tolist() if f >= 0),
-            int(a[r]), int(b[r]),
-            None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else factors.vector(t)))
+            c, m, tuple(mu), tuple(nu), tuple(shared[canon[f]] for f in al if f >= 0),
+            tuple(shared[canon[f]] for f in be if f >= 0), a_r, b_r,
+            None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else shared[canon[t]]))
     return terms
 
 
@@ -814,11 +777,10 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
     """lie_chi(g) = {g, chi} for a generator-class chi, merged.
 
     The raw outputs of every (input term, chi term) pair are enumerated as
-    arrays, with factor vectors as interned integer ids (see _Factors), and
-    every output is checked before it is merged (see _check_outputs).  The
-    merge groups sorted, packed integer keys and sums each group in
-    generation order, so it gives the bits, the survivors and the order of
-    _merge.  Survivors within degree_cap are built as terms; those over it
+    id columns, with factor vectors as interned integer ids (see _Factors),
+    and every output is checked before it is merged (see _check_outputs).
+    The merge is merged()'s (_tally), run on the outputs in generation
+    order.  Survivors within degree_cap are built as terms; those over it
     are counted into `dropped` and never built.  Without a cap every
     survivor is built.  `dropped.generated` grows by the raw outputs merged.
     """
@@ -833,7 +795,7 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
     dropped.generated += len(out["m"])
     if not len(out["m"]):
         return HamExpansion([])
-    return HamExpansion(_tally(out, factors, degree_cap, dropped, model.grid.m_pts))
+    return HamExpansion(_tally(out, factors, degree_cap, dropped))
 
 
 @dataclass
@@ -892,8 +854,8 @@ def lie_series(
     counted: they belong to the observed-only remainder class, whose bound
     carries the exponent degree_cap in the field amplitudes.  They are merged
     and counted but never built (see lie_derivative): each call tallies them
-    on interned factor ids, and a product vector that only they read is
-    digested and never kept.  The chain stops at the first power the cap
+    on factor ids, and a product vector that only they read is built only to
+    be digested, and never kept.  The chain stops at the first power the cap
     empties.  The caller weights the powers (1/l! for ham o F - ham).
     """
     dropped = DropLedger()
@@ -917,27 +879,62 @@ _MIRROR_KIND = {"scalar": "scalar", "linear_f": "linear_fbar",
                 "linear_fbar": "linear_f", QUARTIC: QUARTIC}
 
 
+def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
+    """The radiation part of each row of cols at each probe state f: the
+    pairings with f and conj(f) and the tail, as a (rows, probes) array.
+
+    The pairings of every factor vector with f, conj(f) and the f^a conj(f)^b
+    of the tails are one matrix product, taken over chunks of vectors; a
+    row's value is the product of its gathered entries.
+    """
+    alpha, beta, tail = cols["alpha"], cols["beta"], cols["tail"]
+    powers, ab = np.unique(np.stack([cols["a"], cols["b"]], axis=1), axis=0,
+                           return_inverse=True)
+    used = np.setdiff1d(np.concatenate([alpha.ravel(), beta.ravel(), tail]), [-2, -1])
+    # a table row per used vector, then one for the quartic marker (tail id
+    # -2, (1/4) int f^2 conj(f)^2) and a row of ones for the id -1 (none)
+    row = np.full(len(factors.vectors) + 2, len(used) + 1)
+    row[used] = np.arange(len(used))
+    row[-2] = len(used)
+    width = 2 + len(powers)
+    probe_cols = np.stack([w for f in probes for w in (
+        f, np.conj(f), *(f ** pa * np.conj(f) ** pb for pa, pb in powers.tolist()))], axis=1)
+    table = np.ones((len(used) + 2, len(probes) * width), dtype=complex)
+    step = max(1, _SUM_BYTES // (16 * len(probe_cols)))
+    for lo in range(0, len(used), step):
+        vecs = np.stack([factors.vector(fid) for fid in used[lo:lo + step].tolist()])
+        table[lo:lo + len(vecs)] = h * (vecs @ probe_cols)
+    table = table.reshape(len(used) + 2, len(probes), width)
+    table[len(used), :, 2:] = [[0.25 * pairing(f ** 2, np.conj(f) ** 2, h)] for f in probes]
+    return (table[row[alpha], :, 0].prod(axis=1) * table[row[beta], :, 1].prod(axis=1)
+            * table[row[tail], :, 2 + ab.reshape(-1)])
+
+
 def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
     """True iff every term's conjugate mirror is present with conjugate data.
 
     Scalar, linear and quartic-marker terms are compared structurally after
-    merging; the other composite terms are compared bucketwise through
+    merging.  The other composite terms are compared bucketwise through
     deterministic probe states (a bucket is the set of terms sharing
-    (m, mu, nu, a, b, #alphas, #betas)).
+    (m, mu, nu, a, b, #alphas, #betas)): a term's mirror has the conjugate
+    f-factor (see _f_factors), so a bucket's sum S at a probe must equal
+    conj(S) of its mirror bucket.
     Returns (ok, first_violation_description).
     """
     ham = ham.merged()
-    h = grid.h
-    scale = max((abs(t.coeff) * (1.0 + sum(np.max(np.abs(p)) for p in t.alphas + t.betas))
-                 for t in ham.terms), default=0.0)
-    if scale == 0.0:
+    if not len(ham):
         return True, None
+    factors = _Factors(None)
+    cols = _term_columns(ham.terms, factors)
+    vmax = np.array([np.max(np.abs(v)) for v in factors.vectors] + [0.0])   # id -1 reads 0
+    scale = float(np.max(np.hypot(cols["re"], cols["im"]) * (
+        1.0 + (vmax[cols["alpha"]].sum(axis=1) + vmax[cols["beta"]].sum(axis=1)))))
     tol_abs = tol * max(scale, 1.0)
 
     # scalar, linear and quartic-marker terms: a merged term per (kind, m, mu, nu)
     structural = {}
     for t in ham.terms:
-        kind = _bucket(t)
+        kind = QUARTIC if t.tail is QUARTIC else t.kind
         if kind in _MIRROR_KIND:
             value = t.coeff if kind in ("scalar", QUARTIC) else t.vector
             structural[(kind, t.m, t.mu, t.nu)] = value
@@ -946,31 +943,33 @@ def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
         if other is None or np.max(np.abs(np.conj(value) - other)) > tol_abs:
             return False, f"{kind} term (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
 
-    comps = [t for t in ham.terms if t.kind == "composite" and t.tail is not QUARTIC]
-    if comps:
-        buckets: dict = {}
-        for t in comps:
-            key = (t.m, t.mu, t.nu, t.a, t.b, len(t.alphas), len(t.betas))
-            buckets.setdefault(key, []).append(t)
-        rng = np.random.default_rng(20240817)
-        probes = [
-            (rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
-            * np.exp(-grid.x ** 2 / (2.0 * (0.2 * grid.l_box) ** 2))
-            for _ in range(3)
-        ]
-        z0 = rng.standard_normal(len(comps[0].mu)) + 1j * rng.standard_normal(len(comps[0].mu))
-        for key, terms in buckets.items():
-            m, mu, nu, a, b, na, nb = key
-            mkey = (-m, nu, mu, b, a, nb, na)
-            # a bucket and the mirrors of its mirror bucket share z0^mu conj(z0)^nu
-            zmon = monomials(z0, mu, nu)
-            mirror_terms = [t.mirror() for t in buckets.get(mkey, [])]
-            for f in probes:
-                v1 = zmon * sum(t.coeff * t.f_factor(f, h) for t in terms)
-                v2 = zmon * sum(t.coeff * t.f_factor(f, h) for t in mirror_terms)
-                # mirror of the mirror-bucket must reproduce the bucket
-                if abs(v1 - v2) > tol_abs * (1.0 + abs(v1)):
-                    return False, f"composite bucket {key} has no conjugate mirror"
+    kind, n_alpha, n_beta = _kinds(cols)
+    comps = np.flatnonzero(kind == 4)
+    if not len(comps):
+        return True, None
+    rng = np.random.default_rng(20240817)
+    probes = [(rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
+              * np.exp(-grid.x ** 2 / (2.0 * (0.2 * grid.l_box) ** 2)) for _ in range(3)]
+    c = {name: col[comps] for name, col in cols.items()}
+    z0 = rng.standard_normal(c["mu"].shape[1]) + 1j * rng.standard_normal(c["mu"].shape[1])
+    # one numbering for the buckets and, after them, mirror keys without one
+    key = (c["m"], *c["mu"].T, *c["nu"].T, c["a"], c["b"], n_alpha[comps], n_beta[comps])
+    mirror = (-c["m"], *c["nu"].T, *c["mu"].T, c["b"], c["a"], n_beta[comps], n_alpha[comps])
+    group, first = _groups(_pack([np.concatenate(pair) for pair in zip(key, mirror)]))
+    own, of_mirror = group[:len(comps)], group[len(comps):]
+    sums = np.zeros((len(first), len(probes)), dtype=complex)
+    coeff = c["re"] + 1j * c["im"]
+    np.add.at(sums, own, coeff[:, None] * _f_factors(c, factors, probes, grid.h))
+    lead = first[:own.max() + 1]          # the first row of each bucket
+    # a bucket and the mirrors of its mirror bucket share z0^mu conj(z0)^nu
+    zmon = monomials(z0, c["mu"][lead], c["nu"][lead])[:, None]
+    v1 = zmon * sums[:len(lead)]
+    v2 = zmon * np.conj(sums[of_mirror[lead]])
+    bad = np.flatnonzero((np.abs(v1 - v2) > tol_abs * (1.0 + np.abs(v1))).any(axis=1))
+    if len(bad):
+        t = ham.terms[comps[lead[bad[0]]]]
+        key = (t.m, t.mu, t.nu, t.a, t.b, len(t.alphas), len(t.betas))
+        return False, f"composite bucket {key} has no conjugate mirror"
     return True, None
 
 

@@ -3,8 +3,9 @@
 This is the term-by-term implementation that `hamalg.lie_derivative`
 replaced with array enumeration.  It stays here as an independent oracle:
 the tests require both to agree bit for bit, on the merged terms and on the
-DropLedger.  It shares with the library only the term type, its structural
-rules, the pairing and the generator-class check.
+DropLedger.  Its merge, `_merge`, is also the oracle of
+`HamExpansion.merged()`.  It shares with the library only the term type,
+its structural rules, the pairing and the generator-class check.
 """
 
 from __future__ import annotations

@@ -84,6 +84,21 @@ def test_classify_degenerate_scalar_errors():
         classify_term(t, lam, 2.25, r=1)
 
 
+def test_classify_refuses_only_within_the_round(small_model):
+    # omega = 1.2 (0 - 3) + 3 = -0.6 = -c: an (H7)-type threshold hit on a term
+    # of size 4, which no round before r = 3 solves
+    phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
+    lam, c = np.array([0.0, 1.2]), 0.6
+    t = hamalg.linear_f_term(-3, (3, 0), (1, 3), phi)
+    assert t.size == 4
+    assert classify_term(t, lam, c, r=1) == "R1"
+    with pytest.raises(ClassificationError, match=r"\(H7\)-type threshold hit"):
+        classify_term(t, lam, c, r=3)
+    # a resonant scalar with m != 0 is a remainder class below its round too
+    s = scalar_term(1.0, 1, (0, 2), (0, 1))
+    assert classify_term(s, np.array([0.0, 1.0]), 2.25, r=2) == "R0"
+
+
 def test_classify_remainder_classes(small_model):
     t = scalar_term(1.0, 1, (2, 1), (2, 1))   # nonresonant, size 3 at r = 1
     assert classify_term(t, LAM, C, r=1) == "R0"

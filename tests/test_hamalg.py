@@ -447,6 +447,47 @@ def test_check_reality(small_model):
     assert ok, why
 
 
+def _composite(model):
+    """A composite with a slot factor and an (a, b) = (1, 2) tail, and a
+    conjugate-mirror pair of scalars to keep it company."""
+    x = model.grid.x
+    phi = model.project_pc((np.exp(-x ** 2 / 2) * (1 + 0.2j)).astype(complex))
+    tail = np.exp(-(x - 0.5) ** 2 / 3) * (1 - 0.4j)
+    comp = HamTerm(0.7 + 0.2j, 1, (1, 0), (0, 1), alphas=(phi,), a=1, b=2, tail=tail)
+    pair = [scalar_term(0.3 - 0.1j, 0, (2, 0), (1, 1)),
+            scalar_term(0.3 + 0.1j, 0, (1, 1), (2, 0))]
+    return comp, pair
+
+
+def test_check_reality_flags_a_composite_without_its_mirror(small_model):
+    comp, pair = _composite(small_model)
+    ok, why = check_reality(HamExpansion(pair + [comp]), small_model.grid)
+    assert not ok
+    assert why == "composite bucket (1, (1, 0), (0, 1), 1, 2, 1, 0) has no conjugate mirror"
+
+
+def test_check_reality_flags_a_composite_whose_mirror_tail_is_off(small_model):
+    comp, pair = _composite(small_model)
+    mirror = comp.mirror()
+    off = HamTerm(mirror.coeff, mirror.m, mirror.mu, mirror.nu, mirror.alphas, mirror.betas,
+                  mirror.a, mirror.b, mirror.tail * (1.0 + 1e-6))
+    ok, why = check_reality(HamExpansion(pair + [comp, off]), small_model.grid)
+    assert not ok
+    assert why == "composite bucket (1, (1, 0), (0, 1), 1, 2, 1, 0) has no conjugate mirror"
+
+
+def test_check_reality_passes_a_composite_mirror_pair(small_model):
+    # (a, b) = (1, 2) against its mirror (2, 1); a second term in each bucket,
+    # listed in the other order, checks that buckets are compared as sums
+    comp, pair = _composite(small_model)
+    other = HamTerm(-0.4j, 1, (1, 0), (0, 1), alphas=(comp.tail,), a=1, b=2,
+                    tail=comp.alphas[0])
+    assert other.mirror().a == 2 and other.mirror().b == 1
+    ham = HamExpansion(pair + [comp, other, other.mirror(), comp.mirror()])
+    ok, why = check_reality(ham, small_model.grid)
+    assert ok, why
+
+
 def test_expand_potential_reality(small_model):
     ep = expand_potential_energy(small_model, gamma0=0.7, gamma1=1.3)
     ok, why = check_reality(ep, small_model.grid)
@@ -675,20 +716,24 @@ def _gaussian_int_monomial(z, mu, nu):
 def _term_strategy(st):
     """Random HamTerms of every kind on two modes and 8-point vectors.
 
-    Small index ranges and a few vector seeds make merge collisions common.
+    Small index ranges and a few vector seeds make merge collisions common;
+    every vector is a new array, so equal contents come as distinct copies.
+    Coefficient parts include -0.0 and values below MERGE_TOL.
     """
+    part = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 3e-15, -8e-15]))
 
     @st.composite
     def term(draw):
         exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
         mu, nu, m = draw(exps), draw(exps), draw(st.integers(-1, 1))
-        coeff = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        coeff = complex(draw(part), draw(part))
 
         def vec():
             rng = np.random.default_rng(draw(st.integers(0, 3)))
             return rng.standard_normal(8) + 1j * rng.standard_normal(8)
 
-        kind = draw(st.sampled_from(["scalar", "linear_f", "linear_fbar", "quartic", "tail"]))
+        kind = draw(st.sampled_from(["scalar", "linear_f", "linear_fbar", "quartic",
+                                     "two-slot", "tail"]))
         if kind == "scalar":
             return HamTerm(coeff, m, mu, nu)
         if kind == "linear_f":
@@ -697,6 +742,10 @@ def _term_strategy(st):
             return HamTerm(coeff, m, mu, nu, betas=(vec(),))
         if kind == "quartic":
             return HamTerm(coeff, m, mu, nu, a=2, b=2, tail=QUARTIC)
+        if kind == "two-slot":
+            n_alpha = draw(st.integers(0, 2))
+            return HamTerm(coeff, m, mu, nu, alphas=tuple(vec() for _ in range(n_alpha)),
+                           betas=tuple(vec() for _ in range(2 - n_alpha)))
         a, b = draw(st.sampled_from([(2, 0), (1, 1), (0, 2), (2, 1), (1, 2)]))
         alphas = tuple(vec() for _ in range(draw(st.integers(0, 1))))
         betas = tuple(vec() for _ in range(draw(st.integers(0, 1))))
@@ -811,6 +860,24 @@ def test_merged_is_idempotent():
 
     check()
     check_copy()
+
+
+def test_merged_matches_the_term_by_term_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(terms=st.lists(_term_strategy(st), max_size=12), data=st.data())
+    def check(terms, data):
+        # negated copies make sums cancel, linear ones included
+        if terms:
+            terms = terms + [t.scaled(-1.0) for t in
+                             data.draw(st.lists(st.sampled_from(terms), max_size=4))]
+        raw = [(t.coeff, t.m, t.mu, t.nu, t.alphas, t.betas, t.a, t.b, t.tail) for t in terms]
+        want = lie_reference._merge(raw, lie_reference._digester(terms))
+        assert _exact(HamExpansion(terms).merged()) == _exact(HamExpansion(want))
+
+    check()
 
 
 def test_expansion_records_round_trip():
