@@ -124,11 +124,15 @@ def solve_homological(
 
 
 def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8):
-    """Check {chi, H_F} = K through the bracket table, term by term."""
-    residual = []
-    for t in chi.merged().terms:
-        residual.append(bracket_hf(t, model.lam, model).scaled(-1.0))
+    """Check {chi, H_F} = K for a merged chi through the bracket table, term
+    by term."""
+    residual = [bracket_hf(t, model.lam, model).scaled(-1.0) for t in chi.terms]
     combined = (HamExpansion(residual) + k_exp.scaled(-1.0)).merged()
+    kscale = max(
+        [abs(s.coeff) for s in k_exp.terms if s.kind == "scalar"]
+        + [float(np.max(np.abs(s.vector))) for s in k_exp.terms
+           if s.kind in ("linear_f", "linear_fbar")]
+        + [1e-300])
     for t in combined.terms:
         if skip_continuum and t.kind in ("linear_f", "linear_fbar"):
             omega = float(np.asarray(model.lam) @ (np.asarray(t.mu) - np.asarray(t.nu))) - t.m
@@ -138,11 +142,6 @@ def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8):
         size = abs(t.coeff)
         if t.kind in ("linear_f", "linear_fbar"):
             size = float(np.max(np.abs(t.vector)))
-        kscale = max(
-            [abs(s.coeff) for s in k_exp.terms if s.kind == "scalar"]
-            + [float(np.max(np.abs(s.vector))) for s in k_exp.terms
-               if s.kind in ("linear_f", "linear_fbar")]
-            + [1e-300])
         if size > rtol * max(kscale, 1.0):
             raise NlsnfError(f"homological verification failed on {t} (residual {size:.2e})")
 
@@ -207,14 +206,13 @@ def normal_form_round(
     degree_cap: int,
     tol_res: float = TOL_RES,
 ) -> tuple[HamExpansion, HamExpansion, HamExpansion, RoundLedger]:
-    """One induction step H^{(r)} -> H^{(r+1)}.
+    """One induction step H^{(r)} -> H^{(r+1)}, from a merged remainder.
 
     Returns (new Z, new remainder, chi_{r+1}, ledger).  The blocks follow the
     standard splitting: the Lie tails of Z and K, the Taylor block of H_F
     (whose first Lie derivative cancels K by the homological equation), and
     the full transforms of the non-extracted remainder classes.
     """
-    remainder = remainder.merged()
     lam = model.lam
 
     def in_ktilde(t: HamTerm) -> bool:
@@ -317,6 +315,7 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
 
     Raises when a resonant coupling's index lies outside bigM and bigM', and
     re-verifies the reality pairing between the retained coupling families.
+    Z and the remainder of `result` come merged from normal_form.
     """
     big_m = set((t.m, t.mu, t.nu) for t in catalog.big_m)
     big_mp = set((t.m, t.mu, t.nu) for t in catalog.big_m_prime)
@@ -326,7 +325,7 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
     z1_m: dict = {}
     z1_mp: dict = {}
     displaced = []
-    for t in result.z1().merged().terms:
+    for t in result.z1().terms:
         key = (t.m, t.mu, t.nu)
         if t.kind == "linear_f":
             if key not in big_m:
@@ -352,6 +351,6 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
         if float(np.max(np.abs(np.conj(phi) - psi))) > 1e-10 * max(1.0, float(np.max(np.abs(phi)))):
             raise NlsnfError(f"reality pairing broken between {trip} and {mirror}")
 
-    remainder = (result.remainder + displaced).merged()
-    return ReducedForm(z0=result.z0().merged(), z1_m=z1_m, z1_mprime=z1_mp,
+    remainder = (result.remainder + displaced).merged() if displaced else result.remainder
+    return ReducedForm(z0=result.z0(), z1_m=z1_m, z1_mprime=z1_mp,
                        remainder=remainder, catalog=catalog)

@@ -22,7 +22,7 @@ import numpy as np
 from .birkhoff import ReducedForm
 from .errors import ConfigError, NumericalError
 from .fgr import FgrPacket, packet_form
-from .hamalg import exponent_table, gradient_zbar, monomials
+from .hamalg import exponent_table, linear_f_term, linear_fbar_term, monomials
 from .resonance import ResonanceCatalog, TOL_RES
 from .spectral import (
     GridSpec,
@@ -471,30 +471,17 @@ def reduced_ode_rhs(z, f, reduced: ReducedForm, model: OperatorModel,
                     t: float = 0.0) -> np.ndarray:
     """dz_j/dt of the normal-form mode system (remainder gradient excluded).
 
-    i zdot_j = lambda_j z_j + dZ0/dconj(z_j)
-             + sum_M nu_j e^{imt} z^mu conj(z)^{nu - e_j} <f, Phi>
-             + sum_M' nu_j e^{imt} z^mu conj(z)^{nu - e_j} <conj f, Psi>.
+    i zdot_j = lambda_j z_j + dZ/dconj(z_j), where Z is Z0 plus the retained
+    couplings e^{imt} z^mu conj(z)^nu <f, Phi> (M) and <conj f, Psi> (M'),
+    read from Z's Hamiltonian field (HamExpansion.field).  f = None stands
+    for no radiation.
     """
     z = np.asarray(z, dtype=complex)
-    h = model.grid.h
-    f = np.zeros(model.grid.m_pts, dtype=complex) if f is None else np.asarray(f, dtype=complex)
-    rhs = model.lam * z
-    for j in range(len(z)):
-        rhs[j] += gradient_zbar(reduced.z0, j).evaluate(t, z, f, h)
-    if not np.any(f):   # no radiation: the Z1 couplings contribute nothing
-        return -1j * rhs
-    trips = list(reduced.z1_m) + list(reduced.z1_mprime)
-    pairs = np.array([pairing(f, phi, h) for phi in reduced.z1_m.values()]
-                     + [pairing(np.conj(f), psi, h) for psi in reduced.z1_mprime.values()])
-    base = np.exp(1j * np.array([tr.m for tr in trips]) * t) * pairs
-    mu, nu = exponent_table(trips, len(z))
-    for j in range(len(z)):
-        # d/dconj(z_j) of conj(z)^nu is nu_j conj(z)^{nu - e_j}; rows with
-        # nu_j = 0 are zeroed by their factor nu_j
-        nu_j = nu.copy()
-        nu_j[:, j] = np.maximum(nu[:, j] - 1, 0)
-        rhs[j] += np.sum(nu[:, j] * base * monomials(z, mu, nu_j))
-    return -1j * rhs
+    f = np.zeros(model.grid.m_pts, dtype=complex) if f is None else f
+    z1 = ([linear_f_term(tr.m, tr.mu, tr.nu, phi) for tr, phi in reduced.z1_m.items()]
+          + [linear_fbar_term(tr.m, tr.mu, tr.nu, psi) for tr, psi in reduced.z1_mprime.items()])
+    dz, _ = (reduced.z0 + z1).field(t, z, f, model)
+    return -1j * (model.lam * z + dz)
 
 
 def integrate_reduced(z0, t_grid, reduced: ReducedForm, model: OperatorModel,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .birkhoff import ReducedForm
 from .errors import NlsnfError
-from .hamalg import HamExpansion, exponent_table, gradient_zbar, monomials
+from .hamalg import HamExpansion, exponent_table, monomials
 from .resonance import IndexTriple
 from .spectral import OperatorModel, density_gram, pv_gram
 
@@ -207,7 +207,9 @@ def cancellation_checks(
 
     (a) the Z0 phase sum is real; (b) the weighted P.V. double sum is real;
     (c) the weighted delta double sum collapses to minus the packet forms.
-    (b) and (c) hold for any hermitian Gram data.  (a) requires a real,
+    (b) and (c) hold for any hermitian Gram data.  (a) sums conj(zeta_j)
+    dZ0/dconj(zeta_j) over j, each written by Euler's identity as the sum of
+    nu_j c zeta^mu conj(zeta)^nu over Z0's scalar terms.  It requires a real,
     gauge-invariant Z0: a term c zeta^mu conj(zeta)^nu adds |nu| c zeta^mu
     conj(zeta)^nu to the sum, and its mirror makes the pair real exactly when
     |mu| = |nu|; a lone mu = nu term with complex c leaves |mu| Im c
@@ -217,19 +219,16 @@ def cancellation_checks(
     """
     z0 = z0.merged()
     worst_r = _reality_residual(z0)
+    scalars = z0.select(lambda t: t.kind == "scalar").terms
+    coeffs = np.array([t.coeff for t in scalars], dtype=complex)
     worst_a = worst_b = worst_c = 0.0
     for zeta in zeta_samples:
         zeta = np.asarray(zeta, dtype=complex)
-        nm = len(zeta)
         # (a)
-        total = 0.0 + 0.0j
-        scale = 1e-300
-        for j in range(nm):
-            gj = gradient_zbar(z0, j).evaluate(0.0, zeta, np.zeros(1), 1.0) \
-                if len(z0) else 0.0
-            term = np.conj(zeta[j]) * gj
-            total += term
-            scale = max(scale, abs(term))
+        mu, nu = exponent_table(scalars, len(zeta))
+        terms = nu.T @ (coeffs * monomials(zeta, mu, nu))
+        total = np.sum(terms)
+        scale = max(1e-300, float(np.max(np.abs(terms))))
         worst_a = max(worst_a, abs(total.imag) / max(scale, 1.0))
 
         # (b) and (c)

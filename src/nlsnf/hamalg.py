@@ -27,7 +27,9 @@ by family.  Coefficients follow CPython's complex arithmetic one rounding
 at a time, and every merged sum runs in input order, so the merge has the
 bits of a term-by-term one.  Merged sums over the degree cap are only
 counted (DropLedger); no term or product vector is built for them.
-check_reality and evaluate pair the same ids with their states in one table.
+check_reality, evaluate and field pair the same ids with their states in one
+table (_f_entries); field is the Hamiltonian field (dH/dconj(z_j),
+P_c grad_{conj f} H) that the generator flow and the reduced mode ODE read.
 """
 
 from __future__ import annotations
@@ -249,6 +251,57 @@ class HamExpansion:
         radiation = _f_factors(cols, factors, [np.asarray(f, dtype=complex)], h)[:, 0]
         zmons = monomials(np.asarray(z, dtype=complex), cols["mu"], cols["nu"])
         return complex(np.sum(coeffs * np.exp(1j * cols["m"] * t) * zmons * radiation))
+
+    def field(self, t: float, z, f, model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
+        """The Hamiltonian field at (t, z, f): (dz, df) with dz[j] = dH/dconj(z_j)
+        and df = P_c grad_{conj f} H.
+
+        It reads evaluate's pairing table (_f_entries).  A beta slot releases
+        its Psi times the product of the row's other entries (a product, not
+        a quotient: a pairing can be exactly 0), a vector tail releases
+        b f^a conj(f)^(b-1) tail and the quartic marker (1/2) f^2 conj(f).
+        The releases are summed per factor id and shape, and P_c is applied
+        once.
+        """
+        z = np.asarray(z, dtype=complex)
+        f = np.asarray(f, dtype=complex)
+        if not self.terms:
+            return np.zeros(len(z), dtype=complex), np.zeros(len(f), dtype=complex)
+        factors = _Factors(None)
+        cols = _term_columns(self.terms, factors)
+        alphas, betas, tail = (e[..., 0] for e in _f_entries(cols, factors, [f], model.grid.h))
+        mu, nu, beta, tail_id = cols["mu"], cols["nu"], cols["beta"], cols["tail"]
+        phased = (np.array([term.coeff for term in self.terms], dtype=complex)
+                  * np.exp(1j * cols["m"] * t))
+        with_alphas = phased * alphas.prod(axis=1)
+        # d/dconj(z_j) of conj(z)^nu is nu_j conj(z)^(nu - e_j); rows with
+        # nu_j = 0 are zeroed by their factor nu_j
+        lowered = np.maximum(nu[None] - np.eye(len(z), dtype=nu.dtype)[:, None], 0)
+        radiation = with_alphas * betas.prod(axis=1) * tail
+        dz = (nu.T * monomials(z, mu, lowered) * radiation).sum(axis=1)
+
+        # a beta slot releases its Psi as a (0, 1) tail would; a vector tail
+        # releases b f^a conj(f)^(b - 1) tail
+        weight = with_alphas * monomials(z, mu, nu)
+        rows = np.flatnonzero((tail_id >= 0) & (cols["b"] > 0))
+        ids = [tail_id[rows]]
+        ab = [np.stack([cols["a"][rows], cols["b"][rows]], axis=1)]
+        parts = [(cols["b"] * weight * betas.prod(axis=1))[rows]]
+        for slot in range(beta.shape[1]):
+            rows = np.flatnonzero(beta[:, slot] >= 0)
+            ids.append(beta[rows, slot])
+            ab.append(np.tile([0, 1], (len(rows), 1)))
+            parts.append((weight * np.delete(betas, slot, axis=1).prod(axis=1) * tail)[rows])
+        powers, shape = np.unique(np.concatenate(ab), axis=0, return_inverse=True)
+        fids, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+        released = np.zeros((len(powers), len(fids)), dtype=complex)
+        np.add.at(released, (shape.reshape(-1), inverse), np.concatenate(parts))
+        df = 0.5 * f ** 2 * np.conj(f) * np.sum(weight[tail_id == _QUARTIC_TAIL])
+        if len(fids):
+            sums = released @ np.stack([factors.vector(fid) for fid in fids.tolist()])
+            for (pa, pb), v in zip(powers.tolist(), sums):
+                df = df + f ** pa * np.conj(f) ** (pb - 1) * v
+        return dz, model.project_pc(df)
 
     def select(self, pred) -> "HamExpansion":
         return HamExpansion([t for t in self.terms if pred(t)])
@@ -879,13 +932,15 @@ _MIRROR_KIND = {"scalar": "scalar", "linear_f": "linear_fbar",
                 "linear_fbar": "linear_f", QUARTIC: QUARTIC}
 
 
-def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
-    """The radiation part of each row of cols at each probe state f: the
-    pairings with f and conj(f) and the tail, as a (rows, probes) array.
+def _f_entries(cols: dict, factors: _Factors, probes, h: float):
+    """The radiation entries of each row of cols at each probe state f:
+    <Phi, f> per alpha slot and <Psi, conj(f)> per beta slot, as (rows,
+    slots, probes) arrays, and the tail value as a (rows, probes) array.
+    An empty slot and a missing tail read 1.
 
     The pairings of every factor vector with f, conj(f) and the f^a conj(f)^b
-    of the tails are one matrix product, taken over chunks of vectors; a
-    row's value is the product of its gathered entries.
+    of the tails are one matrix product, taken over chunks of vectors, and
+    each row gathers its entries from that table.
     """
     alpha, beta, tail = cols["alpha"], cols["beta"], cols["tail"]
     powers, ab = np.unique(np.stack([cols["a"], cols["b"]], axis=1), axis=0,
@@ -906,8 +961,15 @@ def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
         table[lo:lo + len(vecs)] = h * (vecs @ probe_cols)
     table = table.reshape(len(used) + 2, len(probes), width)
     table[len(used), :, 2:] = [[0.25 * pairing(f ** 2, np.conj(f) ** 2, h)] for f in probes]
-    return (table[row[alpha], :, 0].prod(axis=1) * table[row[beta], :, 1].prod(axis=1)
-            * table[row[tail], :, 2 + ab.reshape(-1)])
+    return (table[row[alpha], :, 0], table[row[beta], :, 1],
+            table[row[tail], :, 2 + ab.reshape(-1)])
+
+
+def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
+    """The radiation part of each row of cols at each probe state f, as a
+    (rows, probes) array: the product of the row's _f_entries."""
+    alphas, betas, tail = _f_entries(cols, factors, probes, h)
+    return alphas.prod(axis=1) * betas.prod(axis=1) * tail
 
 
 def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
@@ -1053,68 +1115,6 @@ def hf_value(model: OperatorModel, z, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradients
-
-
-def gradient_zbar(ham: HamExpansion, j: int) -> HamExpansion:
-    out = []
-    for t in ham.terms:
-        if t.nu[j] == 0:
-            continue
-        nu = list(t.nu)
-        nu[j] -= 1
-        out.append(HamTerm(t.coeff * t.nu[j], t.m, t.mu, tuple(nu),
-                           t.alphas, t.betas, t.a, t.b, t.tail))
-    return HamExpansion(out)
-
-
-class FbarGradient:
-    """grad_{conj f} of an expansion: evaluable, with the f-independent part listed."""
-
-    def __init__(self, ham: HamExpansion, model: OperatorModel):
-        self.ham = ham.merged()
-        self.model = model
-        self.coeffs = np.array([t.coeff for t in self.ham.terms], dtype=complex)
-        self.m = np.array([t.m for t in self.ham.terms], dtype=int)
-        self.mu, self.nu = exponent_table(self.ham.terms, len(model.lam))
-
-    def evaluate(self, t: float, z, f) -> np.ndarray:
-        model = self.model
-        h = model.grid.h
-        f = np.asarray(f, dtype=complex)
-        fb = np.conj(f)
-        out = np.zeros(model.grid.m_pts, dtype=complex)
-        zmons = self.coeffs * np.exp(1j * self.m * t) * monomials(z, self.mu, self.nu)
-        for term, zmon in zip(self.ham.terms, zmons):
-            if zmon == 0.0:
-                continue
-            pair_alpha = [pairing(p, f, h) for p in term.alphas]
-            pair_beta = [pairing(p, fb, h) for p in term.betas]
-            prod_alpha = complex(np.prod(pair_alpha)) if pair_alpha else 1.0
-            if term.tail is QUARTIC:
-                # grad_{conj f} (1/4) f^2 conj(f)^2 = (1/2) f^2 conj(f)
-                out += zmon * 0.5 * f ** 2 * fb
-                continue
-            tail_val = (pairing(f ** term.a * fb ** term.b, term.tail, h)
-                        if term.tail is not None else 1.0)
-            # each <Psi_j, conj f> slot releases its vector Psi_j
-            for idx, p in enumerate(term.betas):
-                others = complex(np.prod(pair_beta[:idx] + pair_beta[idx + 1:])) \
-                    if len(pair_beta) > 1 else 1.0
-                out += zmon * prod_alpha * others * tail_val * p
-            # the tail contributes b f^a conj(f)^{b-1} tail
-            if term.tail is not None and term.b > 0:
-                prod_beta = complex(np.prod(pair_beta)) if pair_beta else 1.0
-                out += (zmon * prod_alpha * prod_beta * term.b
-                        * f ** term.a * fb ** (term.b - 1) * term.tail)
-        return self.model.project_pc(out)
-
-
-def gradient_fbar(ham: HamExpansion, model: OperatorModel) -> FbarGradient:
-    return FbarGradient(ham, model)
-
-
-# ---------------------------------------------------------------------------
 # generator flow (used by the truncation-consistency checks)
 
 
@@ -1122,26 +1122,24 @@ def generator_flow(chi: HamExpansion, t: float, z, f, model: OperatorModel,
                    steps: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
     """Time-1 flow of the Hamiltonian field of chi from (z, f), fixed t slice.
 
-    RK4 on zdot_j = -i dchi/dzbar_j, fdot = -i grad_{conj f} chi, and the
-    action shift psidot = dchi/dt.  The harmonic factor is frozen at the given
-    t (the flow parameter does not advance t), but the shift psi feeds the
-    -tau part of the quadratic Hamiltonian, so composition identities need it.
+    RK4 on zdot_j = -i dchi/dzbar_j, fdot = -i grad_{conj f} chi (one
+    HamExpansion.field call per stage), and the action shift psidot =
+    dchi/dt.  The harmonic factor is frozen at the given t (the flow
+    parameter does not advance t), but the shift psi feeds the -tau part of
+    the quadratic Hamiltonian, so composition identities need it.
     Returns (z', f', psi).  Requires a real-symmetric chi: the flow is tracked
     on the reality plane conj(z), conj(f).
     """
     z = np.asarray(z, dtype=complex).copy()
     f = np.asarray(f, dtype=complex).copy()
-    grads = [gradient_zbar(chi, j) for j in range(len(z))]
-    gfbar = gradient_fbar(chi, model)
     dchidt = HamExpansion([term.scaled(1j * term.m) for term in chi.terms if term.m])
     h = model.grid.h
     psi = 0.0
 
     def rhs(zc, fc):
-        dz = np.array([-1j * g.evaluate(t, zc, fc, h) for g in grads])
-        df = -1j * gfbar.evaluate(t, zc, fc)
+        dz, df = chi.field(t, zc, fc, model)
         dpsi = dchidt.evaluate(t, zc, fc, h).real if len(dchidt) else 0.0
-        return dz, df, dpsi
+        return -1j * dz, -1j * df, dpsi
 
     ds = 1.0 / steps
     for _ in range(steps):

@@ -17,8 +17,6 @@ from nlsnf.hamalg import (
     check_reality,
     expand_potential_energy,
     generator_info,
-    gradient_fbar,
-    gradient_zbar,
     lie_derivative,
     lie_series,
     scalar_term,
@@ -541,55 +539,87 @@ def test_expand_potential_evaluation_consistency(small_model):
         assert val.real == pytest.approx(direct, rel=1e-10)
 
 
-def test_gradient_zbar_quadratic():
+def test_gradient_zbar_quadratic(small_model):
     # H = |z0|^4: d/dzbar_0 = 2 z0^2 zbar0
     ham = HamExpansion([scalar_term(1.0, 0, (2,), (2,))])
-    g = gradient_zbar(ham, 0)
     z = np.array([0.7 + 0.3j])
-    val = g.evaluate(0.0, z, np.zeros(4), 1.0)
+    (val,), _ = ham.field(0.0, z, np.zeros(small_model.grid.m_pts), small_model)
     assert val == pytest.approx(2.0 * z[0] ** 2 * np.conj(z[0]))
 
 
 def test_gradients_match_finite_differences(small_model):
+    # E_P, and lie(chi, E_P) with its two-slot composites and slot-plus-tail rows
+    from nlsnf.birkhoff import normal_form_round
+
     rng = np.random.default_rng(3)
     grid = small_model.grid
     h = grid.h
     ep = expand_potential_energy(small_model, gamma0=1.0, gamma1=0.4)
+    _, _, chi, _ = normal_form_round(HamExpansion([]), ep, small_model, r=1, n0=1, degree_cap=4)
+    lie = lie_derivative(chi, ep, small_model)
+    assert any(len(t.betas) == 2 for t in lie) and any(t.betas and t.b for t in lie)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     f = small_model.project_pc(
         (rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
         * np.exp(-grid.x ** 2 / 12))
     t = 0.37
     dd = 1e-6
-
-    # Wirtinger d/dzbar_0 = (d/dx + i d/dy)/2 on H(z, zbar)
-    def ev(zz):
-        return ep.evaluate(t, zz, f, h)
-
-    for j in range(2):
-        step = np.zeros(2)
-        dx = np.zeros(2, dtype=complex)
-        dx[j] = dd
-        d_re = (ev(z + dx) - ev(z - dx)) / (2 * dd)
-        d_im = (ev(z + 1j * dx) - ev(z - 1j * dx)) / (2 * dd)
-        fd = 0.5 * (d_re + 1j * d_im)
-        sym = gradient_zbar(ep, j).evaluate(t, z, f, h)
-        assert sym == pytest.approx(fd, rel=1e-6)
-        del step
-
-    # directional derivative in f: d/ds H(f + s v) = <grad_f H, v> + <grad_fbar H, conj v>
     v = small_model.project_pc(np.exp(-(grid.x - 1.0) ** 2 / 4).astype(complex))
-    gf = gradient_fbar(ep, small_model)
 
-    def evf(ff):
-        return ep.evaluate(t, z, ff, h)
+    for ham in (ep, lie):
+        dz, df = ham.field(t, z, f, small_model)
 
-    d_re = (evf(f + dd * v) - evf(f - dd * v)) / (2 * dd)
-    d_im = (evf(f + 1j * dd * v) - evf(f - 1j * dd * v)) / (2 * dd)
-    # combine to isolate the conj-f gradient: <grad_fbar H, conj v>
-    fbar_dir = 0.5 * (d_re + 1j * d_im)
-    got = spectral.pairing(gf.evaluate(t, z, f), np.conj(v), h)
-    assert got == pytest.approx(fbar_dir, rel=1e-6)
+        # Wirtinger d/dzbar_0 = (d/dx + i d/dy)/2 on H(z, zbar)
+        def ev(zz):
+            return ham.evaluate(t, zz, f, h)
+
+        for j in range(2):
+            dx = np.zeros(2, dtype=complex)
+            dx[j] = dd
+            d_re = (ev(z + dx) - ev(z - dx)) / (2 * dd)
+            d_im = (ev(z + 1j * dx) - ev(z - 1j * dx)) / (2 * dd)
+            fd = 0.5 * (d_re + 1j * d_im)
+            assert dz[j] == pytest.approx(fd, rel=1e-6)
+
+        # directional derivative in f: d/ds H(f + s v) = <grad_f H, v> + <grad_fbar H, conj v>
+        def evf(ff):
+            return ham.evaluate(t, z, ff, h)
+
+        d_re = (evf(f + dd * v) - evf(f - dd * v)) / (2 * dd)
+        d_im = (evf(f + 1j * dd * v) - evf(f - 1j * dd * v)) / (2 * dd)
+        # combine to isolate the conj-f gradient: <grad_fbar H, conj v>
+        fbar_dir = 0.5 * (d_re + 1j * d_im)
+        got = spectral.pairing(df, np.conj(v), h)
+        assert got == pytest.approx(fbar_dir, rel=1e-6)
+
+
+def test_field_gives_the_lie_derivative_as_a_bracket(small_model):
+    # for real-symmetric g and chi, d/dz = conj d/dzbar and grad_f = conj grad_fbar, so
+    # {g, chi} = i sum_j (g_j conj(chi_j) - conj(g_j) chi_j)
+    #            + i <grad_fbar g, conj grad_fbar chi> - i <grad_fbar chi, conj grad_fbar g>
+    # with g_j = dg/dzbar_j: the field against lie_derivative, term by term
+    from nlsnf.birkhoff import normal_form_round
+
+    model = small_model
+    grid = model.grid
+    h = grid.h
+    ep = expand_potential_energy(model, gamma0=1.0, gamma1=0.6)
+    _, _, chi, _ = normal_form_round(HamExpansion([]), ep, model, r=1, n0=1, degree_cap=4)
+    rng = np.random.default_rng(23)
+    for g in (ep, lie_derivative(chi, ep, model)):
+        lie = lie_derivative(chi, g, model)
+        for _ in range(3):
+            z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            f = model.project_pc((rng.standard_normal(grid.m_pts)
+                                  + 1j * rng.standard_normal(grid.m_pts)) * np.exp(-grid.x ** 2 / 8))
+            f *= 0.5 / spectral.l2_norm(f, h)
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            gz, gf = g.field(t, z, f, model)
+            cz, cf = chi.field(t, z, f, model)
+            bracket = (1j * np.sum(gz * np.conj(cz) - np.conj(gz) * cz)
+                       + 1j * spectral.pairing(gf, np.conj(cf), h)
+                       - 1j * spectral.pairing(cf, np.conj(gf), h))
+            assert bracket == pytest.approx(lie.evaluate(t, z, f, h), rel=1e-10)
 
 
 def test_hf_gradients(small_model):
