@@ -220,22 +220,29 @@ def save_expansion(ham, path_json: str, path_npz: str):
 # pipeline
 
 
-# the stages a subcommand stops after: spectrum, normalform, fgr, pipeline
-STOP_STAGES = ("model", "normal_form", "fgr", "simulate")
+# The stages each config subcommand runs, in order, after `config` has checked
+# every section.  A linear run (gamma0 = gamma1 = 0) records its normal form
+# as skipped and runs no stage that reads one.
+COMMAND_STAGES = {
+    "spectrum": ("model",),
+    "normalform": ("model", "resonance", "catalog", "normal_form"),
+    "fgr": ("model", "resonance", "catalog", "normal_form", "reduce", "fgr"),
+    "pipeline": ("model", "resonance", "catalog", "normal_form", "reduce", "fgr", "simulate"),
+    "simulate": ("model", "simulate"),
+}
 
 
-def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
-    """Run config, model, resonance, normal_form, reduce, fgr and simulate in
-    order, up to and including `last` (one of STOP_STAGES).
+def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
+    """Run the `config` stage, then the stages COMMAND_STAGES lists for `command`.
 
     The `config` stage checks every section before anything is built.  The
     manifest is rewritten after each stage and records a failing stage;
-    `incomplete` turns false once stage `last` is done.  Each stage records
+    `incomplete` turns false once the last stage is done.  Each stage records
     its wall time in `seconds` and the process's peak RSS so far in
-    `peak_rss_mb`; a skipped stage records only why it was skipped.
+    `peak_rss_mb`; a skipped stage records only why it was skipped.  The
+    simulation gets the reduced-form monitors when the `fgr` stage ran.
     """
-    if last not in STOP_STAGES:
-        raise ValueError(f"unknown stop stage {last!r}; expected one of {STOP_STAGES}")
+    run = COMMAND_STAGES[command]
     manifest: dict = {
         "config": {s: dict(cp[s]) for s in cp.sections()},
         "config_hash": config_hash(cp),
@@ -258,17 +265,19 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, default=_json_default)
 
-    def reached(name: str) -> bool:
-        """Write the manifest after stage `name`; True when the run ends there."""
-        if name == last:
-            manifest["incomplete"] = False
+    def done(name: str):
+        """Write the manifest after stage `name`; the run is complete after its last."""
+        manifest["incomplete"] = name != run[-1]
         flush()
-        return name == last
 
     stage = "config"
     try:
         sim_config = sim_config_from(cp)
         analysis = analysis_config_from(cp)
+        linear = sim_config.gamma0 == 0.0 and sim_config.gamma1 == 0.0
+        if linear:
+            run = tuple(name for name in run if name not in ("reduce", "fgr"))
+
         stage = "model"
         model = build_model_from_config(cp)
         manifest["stages"]["model"] = {
@@ -278,43 +287,41 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
             "grid": {"l_box": model.grid.l_box, "m_pts": model.grid.m_pts},
         }
         spectral.export_eigenpairs_csv(model, os.path.join(outdir, "eigenpairs.csv"))
-        if reached("model"):
-            return manifest
+        done("model")
 
-        stage = "resonance"
-        tol = analysis.tol_res
-        budget = resonance.resonance_budget(model.lam, model.c, tol)
-        report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
-        h4 = spectral.threshold_blowup_report(model)
-        manifest["stages"]["resonance"] = {
-            "N": budget.big_n, "N_j": budget.n_j, "floor_c": budget.floor_c,
-            "h5": report.h5_ok, "h7": report.h7_ok, "h8": report.h8_ok,
-            "h10": sim_config.gamma1 != 0.0,
-            "witnesses": report.witnesses,
-            "h4": {key: h4[key] for key in ("growth_exponents", "suspicious")},
-        }
-        flush()
-        if not report.all_ok:
-            raise HypothesisViolation("hypothesis check failed",
-                                      witnesses=report.witnesses)
-        catalog = resonance.build_index_sets(model.lam, model.c, budget, report, tol)
-        with open(os.path.join(outdir, "resonance_report.txt"), "w") as fh:
-            fh.write(resonance.catalog_report(catalog, budget, report))
-        manifest["stages"]["catalog"] = {
-            "bigM": len(catalog.big_m), "M": len(catalog.minimal),
-            "X": catalog.x_values, "min_gap": catalog.min_gap,
-        }
-        flush()
+        if "resonance" in run:
+            stage = "resonance"
+            tol = analysis.tol_res
+            budget = resonance.resonance_budget(model.lam, model.c, tol)
+            report = resonance.check_hypotheses(model.lam, model.c, budget, tol)
+            h4 = spectral.threshold_blowup_report(model)
+            manifest["stages"]["resonance"] = {
+                "N": budget.big_n, "N_j": budget.n_j, "floor_c": budget.floor_c,
+                "h5": report.h5_ok, "h7": report.h7_ok, "h8": report.h8_ok,
+                "h10": sim_config.gamma1 != 0.0,
+                "witnesses": report.witnesses,
+                "h4": {key: h4[key] for key in ("growth_exponents", "suspicious")},
+            }
+            done("resonance")
+            if not report.all_ok:
+                raise HypothesisViolation("hypothesis check failed",
+                                          witnesses=report.witnesses)
 
-        linear = sim_config.gamma0 == 0.0 and sim_config.gamma1 == 0.0
-        if linear:
-            # linear fast path: no normal form content at all, and nothing
-            # between here and the simulation
+        if "catalog" in run:
+            stage = "catalog"
+            catalog = resonance.build_index_sets(model.lam, model.c, budget, report, tol)
+            with open(os.path.join(outdir, "resonance_report.txt"), "w") as fh:
+                fh.write(resonance.catalog_report(catalog, budget, report))
+            manifest["stages"]["catalog"] = {
+                "bigM": len(catalog.big_m), "M": len(catalog.minimal),
+                "X": catalog.x_values, "min_gap": catalog.min_gap,
+            }
+            done("catalog")
+
+        if "normal_form" in run and linear:
             manifest["stages"]["normal_form"] = {"skipped": "linear run"}
-            if last != "simulate":
-                reached(last)
-                return manifest
-        else:
+            done("normal_form")
+        elif "normal_form" in run:
             stage = "normal_form"
             e_p = hamalg.expand_potential_energy(model, sim_config.gamma0, sim_config.gamma1)
             r_max = budget.big_n + 1 if analysis.r_max is None else analysis.r_max
@@ -344,9 +351,9 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
                                os.path.join(outdir, f"chi_{i + 2}.npz"))
             save_expansion(nf.z_part, os.path.join(outdir, "z_part.json"),
                            os.path.join(outdir, "z_part.npz"))
-            if reached("normal_form"):
-                return manifest
+            done("normal_form")
 
+        if "reduce" in run:
             stage = "reduce"
             reduced = birkhoff.reduce_to_minimal(nf, catalog)
             save_expansion(reduced.z0, os.path.join(outdir, "z0.json"),
@@ -356,8 +363,9 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
                 "z1_M": len(reduced.z1_m), "z1_Mprime": len(reduced.z1_mprime),
                 "remainder_terms": len(reduced.remainder),
             }
-            flush()
+            done("reduce")
 
+        if "fgr" in run:
             stage = "fgr"
             packets = fgr.build_packets(model, reduced, estimator=analysis.estimator)
             ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
@@ -371,20 +379,20 @@ def run_pipeline(cp, outdir: str, last: str = "simulate") -> dict:
             }
             np.savetxt(os.path.join(outdir, "rayleigh_quotients.csv"),
                        ray.quotients, delimiter=",", header="quotient", comments="")
-            if reached("fgr"):
-                return manifest
+            done("fgr")
 
-        stage = "simulate"
-        aux = None if linear else dynamics.ReducedAux(
-            catalog=catalog, reduced=reduced, packets=packets,
-            zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
-            g_couplings=dynamics.build_g_couplings(model, reduced),
-        )
-        sim_start = time.perf_counter()
-        record = dynamics.simulate(model, sim_config, aux=aux)
-        _record_sim(manifest, record, time.perf_counter() - sim_start)
-        write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
-        reached("simulate")
+        if "simulate" in run:
+            stage = "simulate"
+            aux = None if "fgr" not in run else dynamics.ReducedAux(
+                catalog=catalog, reduced=reduced, packets=packets,
+                zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
+                g_couplings=dynamics.build_g_couplings(model, reduced),
+            )
+            sim_start = time.perf_counter()
+            record = dynamics.simulate(model, sim_config, aux=aux)
+            _record_sim(manifest, record, time.perf_counter() - sim_start)
+            write_trajectory_csv(record, os.path.join(outdir, "trajectory.csv"))
+            done("simulate")
         return manifest
     except Exception as exc:
         manifest["failed_stage"] = stage
@@ -431,7 +439,7 @@ def cmd_spectrum(args) -> int:
         if val is not None:
             cp.set("model", name, str(val))
     outdir = _output_dir(cp)
-    stage = run_pipeline(cp, outdir, "model")["stages"]["model"]
+    stage = run_pipeline(cp, outdir, "spectrum")["stages"]["model"]
     print(f"c = {stage['c']:.10g}")
     print("eigenvalues:", ", ".join(f"{l:.10g}" for l in stage["eigenvalues"]))
     print(f"wrote {os.path.join(outdir, 'eigenpairs.csv')}")
@@ -460,7 +468,7 @@ def cmd_resonance_check(args) -> int:
 def cmd_pipeline(args) -> int:
     cp = load_config(args.config)
     outdir = _output_dir(cp)
-    manifest = run_pipeline(cp, outdir, "simulate")
+    manifest = run_pipeline(cp, outdir, "pipeline")
     print(f"pipeline complete; manifest at {os.path.join(outdir, 'manifest.json')}")
     verdict = manifest["stages"].get("fgr", {}).get("h9prime_verdict")
     if verdict is not None:
@@ -470,7 +478,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_normalform(args) -> int:
     cp = load_config(args.config)
-    stage = run_pipeline(cp, _output_dir(cp), "normal_form")["stages"]["normal_form"]
+    stage = run_pipeline(cp, _output_dir(cp), "normalform")["stages"]["normal_form"]
     if "skipped" in stage:
         print(f"normal form skipped: {stage['skipped']}")
         return EXIT_OK
@@ -493,11 +501,9 @@ def cmd_fgr(args) -> int:
 def cmd_simulate(args) -> int:
     cp = load_config(args.config)
     outdir = _output_dir(cp)
-    model = build_model_from_config(cp)
-    record = dynamics.simulate(model, sim_config_from(cp), aux=None)
-    path = os.path.join(outdir, "trajectory.csv")
-    write_trajectory_csv(record, path)
-    print(f"mass drift {record.mass_drift():.3e}; wrote {path}")
+    stage = run_pipeline(cp, outdir, "simulate")["stages"]["simulate"]
+    print(f"mass drift {stage['mass_drift']:.3e}; "
+          f"wrote {os.path.join(outdir, 'trajectory.csv')}")
     return EXIT_OK
 
 

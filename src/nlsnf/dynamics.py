@@ -60,6 +60,8 @@ class SimConfig:
             raise ConfigError("dt must be finite and positive, t_end finite and nonnegative")
         if self.wrap_policy not in ("warn", "error", "ignore"):
             raise ConfigError("wrap_policy must be warn, error or ignore")
+        if self.output_stride < 1:
+            raise ConfigError(f"output_stride must be at least 1, got {self.output_stride}")
 
 
 @dataclass
@@ -233,7 +235,7 @@ def simulate(model: OperatorModel, config: SimConfig,
     u = initial_state(model, config)
     eps = h1_norm(u, grid)
     n_steps = int(round(config.t_end / dt))
-    stride = max(1, int(config.output_stride))
+    stride = int(config.output_stride)
     half_kinetic = np.exp(-0.5j * grid.k ** 2 * dt)
     sponge = _sponge_mask(grid, dt) if config.sponge else None
     weight = (1.0 + grid.x ** 2) ** (-WEIGHT_S / 2.0)

@@ -411,13 +411,16 @@ class _Factors:
     A vector of the terms gets an id per array, cached by id(): the terms
     keep it alive through the call.  A product (`tail * vec`, `P_c vec`)
     gets an id per pair of operand ids and is kept as its recipe only;
-    `vector` rebuilds it when it is read.  Merge keys read `canonical` ids,
-    which agree exactly when the content digests do; an id is digested once,
-    when a key first reads it, so a vector no key reads is never digested.
+    `vector` rebuilds it when it is read, and `stack` a stack of them, with
+    the bound-state weights of a `P_c vec` taken once per id.  Merge keys
+    read `canonical` ids, which agree exactly when the content digests do; an
+    id is digested once, when a key first reads it, so a vector no key reads
+    is never digested.
     """
 
-    def __init__(self, project_pc):
-        self.project_pc = project_pc
+    def __init__(self, model):
+        self.model = model         # the operator of P_c, None where no product is projected
+        self.weights: dict = {}    # operand id of a P_c product -> its bound-state weights
         self.held: dict = {}       # id() of a held vector -> id
         self.made: dict = {}       # recipe -> id
         self.vectors: list = []    # id -> vector, None for a product
@@ -457,8 +460,30 @@ class _Factors:
     def _build(self, recipe) -> np.ndarray:
         op, left, right = recipe
         if op == "pc":
-            return self.project_pc(self.vector(right))
+            return self.model.project_pc(self.vector(right))
         return self.vector(left) * self.vector(right)
+
+    def stack(self, fids, out: np.ndarray) -> np.ndarray:
+        """The vectors of `fids` written to the rows of `out`, bit for bit as
+        `vector` builds them; the P_c products among them are projected as
+        one stack."""
+        fids = fids.tolist()
+        pc = [i for i, fid in enumerate(fids)
+              if self.recipes[fid] is not None and self.recipes[fid][0] == "pc"]
+        for i in pc:
+            fids[i] = self.recipes[fids[i]][2]   # the row starts as the operand
+        for row, fid in zip(out, fids):
+            row[...] = self.vector(fid)
+        if pc:
+            weights = np.zeros((len(fids), len(self.model.lam)), dtype=complex)
+            for i in pc:
+                if fids[i] not in self.weights:
+                    self.weights[fids[i]] = self.model.bound_weights(out[i])
+                weights[i] = self.weights[fids[i]]
+            is_pc = np.zeros((len(fids), 1), dtype=bool)
+            is_pc[pc] = True
+            self.model.remove_bound(out, weights, where=is_pc)
+        return out
 
     def _distinct(self, left, right, value) -> tuple[list, np.ndarray]:
         """value(l, r) for each row's pair of ids, computed once per distinct pair."""
@@ -546,8 +571,9 @@ def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: fl
     the z-part of each mode j, then chi's Phi against each conj(f) slot and
     the conj(f)-powers of the tail, then chi's Psi against each f slot and
     the f-powers of the tail.  An a + b = 1 tail is folded into the linear
-    factors.  Factor vectors are ids, -1 padded, in output order.  Scalar
-    outputs within MERGE_TOL of zero are left out.
+    factors, projected onto the continuum like every coupling on f.  Factor
+    vectors are ids, -1 padded, in output order.  Scalar outputs within
+    MERGE_TOL of zero are left out.
     """
     n = len(chi_terms[0].mu)
     if any(len(t.mu) != n for t in terms):
@@ -612,11 +638,13 @@ def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: fl
         a, b = g_a[ii] - (not fbar), g_b[ii] - fbar
         tail = factors.derived("mul", g_tail[ii], c_vec[kk])
         fold = a + b == 1
+        linear = tail.copy()
+        linear[fold] = factors.derived("pc", tail[fold], tail[fold])
         emit(ii, kk, first + slots, -1,
              *_cmul(s_re[sel], s_im[sel], power[ii].astype(float), 0.0),
              np.where(fold, 0, a), np.where(fold, 0, b), np.where(fold, _NO_TAIL, tail),
-             _appended(g_alpha[ii], n_alpha[ii], np.where(fold & (a == 1), tail, -1)),
-             _appended(g_beta[ii], n_beta[ii], np.where(fold & (b == 1), tail, -1)))
+             _appended(g_alpha[ii], n_alpha[ii], np.where(fold & (a == 1), linear, -1)),
+             _appended(g_beta[ii], n_beta[ii], np.where(fold & (b == 1), linear, -1)))
 
     order = np.argsort(np.concatenate(parts.pop("order")))
     out = {}
@@ -734,13 +762,14 @@ def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int) -> list:
     n_pts = len(factors.vector(int(fids[0])))
     store = np.zeros((n_sums, n_pts), dtype=complex)
     step = max(1, _SUM_BYTES // (16 * n_pts))
+    buffer = np.empty((min(step, len(slot)), n_pts), dtype=complex)
     done = 0
     for k in range(lengths[0]):
         rows = order[done:done + np.count_nonzero(lengths > k)]
         done += len(rows)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
-            vecs = np.stack([factors.vector(fid) for fid in fids[chunk].tolist()])
+            vecs = factors.stack(fids[chunk], buffer[:len(chunk)])
             np.multiply(coeff[chunk, None], vecs, out=vecs)
             store[lo:lo + len(chunk)] += vecs
     return [store[p] for p in place]
@@ -843,7 +872,7 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
         dropped = DropLedger()
     if not terms:
         return HamExpansion([])
-    factors = _Factors(model.project_pc)
+    factors = _Factors(model)
     out = _lie_outputs(chi.terms, terms, info, factors, model.grid.h)
     dropped.generated += len(out["m"])
     if not len(out["m"]):

@@ -190,19 +190,25 @@ class OperatorModel:
         self._check_grid(vec)
         if self.is_free or len(self.lam) == 0:
             return np.asarray(vec, dtype=complex)
+        return self.remove_bound(np.asarray(vec, dtype=complex).copy(), self.bound_weights(vec))
+
+    def bound_weights(self, vec: np.ndarray) -> np.ndarray:
+        """The quadrature pairings h <phi_j, vec> of one vector, j = 0..n."""
         h = self.grid.h
-        out = np.asarray(vec, dtype=complex).copy()
+        return np.array([h * np.dot(self.phi[j], vec) for j in range(len(self.lam))],
+                        dtype=complex)
+
+    def remove_bound(self, out: np.ndarray, weights: np.ndarray, where=True) -> np.ndarray:
+        """out - sum_j weights[..., j] phi_j, in place, one bound state at a
+        time, on the entries `where` selects; each row of a stack takes its
+        own row of weights, and comes out bit for bit as it would alone."""
         for j in range(len(self.lam)):
-            out -= (h * np.dot(self.phi[j], vec)) * self.phi[j]
+            np.subtract(out, weights[..., j, None] * self.phi[j], out=out, where=where)
         return out
 
     def pd_weight(self, vec: np.ndarray) -> float:
         """Norm of the bound-state component of vec."""
-        if len(self.lam) == 0:
-            return 0.0
-        h = self.grid.h
-        comps = np.array([h * np.dot(self.phi[j], vec) for j in range(len(self.lam))])
-        return float(np.linalg.norm(comps))
+        return float(np.linalg.norm(self.bound_weights(vec)))
 
     def n_continuum_start(self) -> int:
         """Index separating bound modes from continuum modes in mode_energies."""

@@ -175,7 +175,9 @@ def _pair_slots(g, vec, scale, m_new, mu_n, nu_n, h, pc, fbar: bool) -> list[tup
         out.append(output(scale * 0.5, slots, *((2, 1) if fbar else (1, 2)), pc(vec)))
     elif power > 0:
         a, b = (g.a, g.b - 1) if fbar else (g.a - 1, g.b)
-        out.append(output(scale * power, slots, a, b, g.tail * vec))
+        tail = g.tail * vec
+        # a tail folded into a linear factor is stored projected
+        out.append(output(scale * power, slots, a, b, pc(tail) if a + b == 1 else tail))
     return out
 
 

@@ -144,15 +144,16 @@ CONFIG_ERRORS = [
     ("estimator", "analysis", "estimator", "nope"),
     ("duplicate-key", "model", "m_pts", None),   # the key appears twice
     ("gamma0", "forcing", "gamma0", "abc"),
+    ("output_stride", "simulation", "output_stride", "0"),
 ]
 
 
-# every subcommand that runs a prefix of the pipeline checks the whole config
+# every subcommand that runs cli.run_pipeline checks the whole config
 # first; the pipeline cases keep their bare ids
 @pytest.mark.parametrize("command, section, key, value", [
     pytest.param(command, section, key, value,
                  id=name if command == "pipeline" else f"{command}-{name}")
-    for command in ("pipeline", "normalform", "fgr")
+    for command in ("pipeline", "normalform", "fgr", "simulate")
     for name, section, key, value in CONFIG_ERRORS
 ])
 def test_config_error_exit(tmp_path, capsys, command, section, key, value):
@@ -236,10 +237,43 @@ directory = {out}
     assert z1 == pytest.approx(z0, rel=1e-6)
 
 
-def test_simulate_command(small_config, capsys):
+def test_simulate_runs_the_model_and_simulate_stages(small_config, capsys):
     rc = cli.main(["simulate", "--config", small_config])
     assert rc == cli.EXIT_OK
     assert "mass drift" in capsys.readouterr().out
+    outdir = os.path.join(os.path.dirname(small_config), "out")
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["incomplete"] is False and "failed_stage" not in manifest
+    assert list(manifest["stages"]) == ["model", "simulate"]
+    for entry in manifest["stages"].values():
+        assert entry["seconds"] > 0 and entry["peak_rss_mb"] > 0
+    sim = manifest["stages"]["simulate"]
+    assert sim["steps"] > 0 and sim["steps_per_s"] > 0
+    assert sim["mass_drift"] < 1e-8 and sim["beyond_wrap"] is False
+    assert os.path.exists(os.path.join(outdir, "eigenpairs.csv"))
+    # the same trajectory as a direct run without the reduced-form monitors
+    cp = cli.load_config(small_config)
+    record = dynamics.simulate(cli.build_model_from_config(cp), cli.sim_config_from(cp))
+    direct = os.path.join(os.path.dirname(small_config), "direct.csv")
+    cli.write_trajectory_csv(record, direct)
+    assert open(os.path.join(outdir, "trajectory.csv"), "rb").read() == open(direct, "rb").read()
+
+
+def test_simulate_records_a_failing_simulate_stage(tmp_path, capsys):
+    # without the reduced-form monitors SMALL_CONFIG's t_wrap is 7.5; past it,
+    # wrap_policy = error refuses to step
+    cfg = tmp_path / "wrap.cfg"
+    cfg.write_text(SMALL_CONFIG.format(out=tmp_path / "out")
+                   .replace("t_end = 2.0", "t_end = 8.0")
+                   .replace("wrap_policy = ignore", "wrap_policy = error"))
+    rc = cli.main(["simulate", "--config", str(cfg)])
+    assert rc == cli.EXIT_CONFIG
+    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    assert manifest["incomplete"] is True
+    assert manifest["failed_stage"] == "simulate"
+    assert "wrap horizon" in manifest["error"]
+    assert list(manifest["stages"]) == ["model"]
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_simulate_zero_data_has_no_mass_drift(tmp_path, capsys):

@@ -171,6 +171,23 @@ def test_lie_derivative_quartic_marker(small_model):
     assert out.evaluate(0.0, z, f, h) == pytest.approx(hand, rel=1e-12)
 
 
+def test_lie_derivative_projects_a_folded_tail(small_model):
+    # <f conj(f), tail> against <Psi, conj f>: pairing Psi with the f of the
+    # tail leaves <conj(f), tail * Psi>, a linear factor, stored projected
+    psi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 3).astype(complex))
+    chi = HamExpansion([hamalg.linear_fbar_term(0, (2, 0), (1, 0), psi)])
+    tail = np.exp(-small_model.grid.x ** 2 / 4) * (1 - 0.2j)
+    g = HamTerm(1.0, 0, (1, 0), (1, 0), a=1, b=1, tail=tail)
+    folded = [t.vector for t in lie_derivative(chi, g, small_model).terms
+              if t.kind == "linear_fbar"]
+    assert folded
+    h = small_model.grid.h
+    for vec in folded:
+        assert small_model.pd_weight(vec) < 1e-12 * spectral.l2_norm(vec, h)
+    # the unprojected product has bound-state weight, so the check has teeth
+    assert small_model.pd_weight(tail * psi) > 1e-2 * spectral.l2_norm(tail * psi, h)
+
+
 def test_lie_series_trivial(small_model):
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
     chi = HamExpansion([hamalg.linear_f_term(0, (1, 0), (0, 2), phi),
