@@ -155,6 +155,130 @@ def test_stacked_density_gram_matches_per_packet_grams(pt_model):
                         atol=1e-13 * np.max(np.abs(full)))
 
 
+def test_stacked_basis_product_rounds_as_two_real_products(pt_model):
+    # a stack of two or more complex rows takes one product over [re; im];
+    # each row must come out bit for bit as the separate real products give it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    basis = pt_model._evecs
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(rows=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+               transposed=st.booleans())
+    def check(rows, seed, transposed):
+        b = basis.T if transposed else basis
+        vec = _probe_vectors(pt_model, rows, seed)
+        got = spectral._real_basis_product(vec, b)
+        assert got.shape == vec.shape
+        assert got.real.tobytes() == (vec.real @ b).tobytes()
+        assert got.imag.tobytes() == (vec.imag @ b).tobytes()
+
+    check()
+
+
+def test_single_row_basis_product_keeps_two_vector_products(pt_model):
+    # one row as a two-row product would round differently, so a 1-D vector
+    # and a one-row stack keep the two matrix-vector products
+    vec = _probe_vectors(pt_model, 1, seed=27)
+    for v in (vec[0], vec):
+        for b in (pt_model._evecs, pt_model._evecs.T):
+            got = spectral._real_basis_product(v, b)
+            assert got.shape == v.shape
+            assert got.real.tobytes() == (v.real @ b).tobytes()
+            assert got.imag.tobytes() == (v.imag @ b).tobytes()
+
+
+def test_project_modes_on_the_free_model_has_no_amplitudes():
+    # no bound states: the amplitudes have an empty last axis, f is the state
+    model = spectral.free_operator(spectral.GridSpec(l_box=40.0, m_pts=256), c=0.3)
+    stack = _probe_vectors(model, 3, seed=28)
+    for u in (stack[0], stack):
+        state = spectral.project_modes(u, model)
+        assert state.z.shape == u.shape[:-1] + (0,)
+        assert np.array_equal(state.f, u)
+
+
+def _fix_signs_loop(vecs):
+    """The column loop that `spectral._fix_signs` replaced, kept as its oracle."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        if out[i, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def test_fix_signs_matches_the_column_loop(pt_model):
+    rng = np.random.default_rng(26)
+    grid = spectral.GridSpec(l_box=40.0, m_pts=512)
+    h0 = spectral.kinetic_matrix(grid)
+    h0[np.diag_indices_from(h0)] += spectral.poschl_teller(grid.x)
+    signs = rng.choice([-1.0, 1.0], size=pt_model.grid.m_pts)
+    # equal magnitudes of both signs: the first largest entry decides; a zero
+    # column stays +0.0
+    ties = np.array([[-1.0, 1.0, 0.5, 0.0], [1.0, -1.0, -0.5, 0.0], [0.25, 0.0, 0.5, 0.0]])
+    for vecs in (np.linalg.eigh(h0)[1], pt_model._evecs * signs, ties,
+                 rng.standard_normal((64, 40))):
+        want = _fix_signs_loop(vecs)
+        assert spectral._fix_signs(vecs.copy()).tobytes() == want.tobytes()
+
+
+def _hist_shape(u):
+    """The fourth-order Gaussian kernel of the histogram, up to its 1/sigma."""
+    return np.exp(-u ** 2 / 2.0) / np.sqrt(2.0 * np.pi) * (1.5 - u ** 2 / 2.0)
+
+
+def _full_support_gram(model, w, phis):
+    """The histogram Gram summed over every continuum mode: the formula that
+    `density_gram` evaluates on its window, kept as its oracle."""
+    start = model.n_continuum_start()
+    e = model.mode_energies[start:]
+    cm = model.mode_coeffs(np.stack(phis))[:, start:]
+    a = w - model.c
+    spacing = 2.0 * np.sqrt(a) * np.pi / model.grid.l_box
+    sigma = min(spectral.HIST_SIGMA_FACTOR * spacing, spectral.HIST_SIGMA_EDGE_CAP * a)
+    g = np.conj(cm) * (_hist_shape((e - w) / sigma) / sigma) @ cm.T
+    return 0.5 * (g + np.conj(g.T))
+
+
+def test_histogram_support_is_where_the_kernel_leaves_double_precision():
+    u = spectral.HIST_SUPPORT
+    peak = _hist_shape(0.0)
+    tail = np.abs(_hist_shape(u + np.linspace(0.0, 4.0, 41)))
+    assert tail.max() < 2.0 ** -53 * peak
+    assert abs(_hist_shape(u - 0.1)) > 2.0 ** -53 * peak   # no wider than needed
+
+
+@pytest.mark.parametrize("case", ["desk", "free", "far"])
+def test_histogram_window_matches_full_support(case, pt_model):
+    # the window drops only modes where the kernel is below 2^-53 of its peak
+    if case == "free":
+        # FFT-ordered energies: the window is two runs of indices, +k and -k
+        model = spectral.free_operator(spectral.GridSpec(l_box=40.0, m_pts=512), c=0.3)
+        assert np.any(np.diff(model.mode_energies) < 0)
+    else:
+        model = pt_model
+    x = model.grid.x
+    if case == "far":
+        # a plain Gaussian whose weight sits near k0^2 = 9 above c, dozens of
+        # kernel widths from w; its density at w is below 1e-6 of its squared norm
+        phis, gaps = [np.exp(-(x - 20.0) ** 2 / 8.0 + 3j * x)], (0.5, 1.1)
+    else:
+        phis = [np.exp(-(x - x0) ** 2 / (2.0 * s ** 2)) * (1.0 + 0.4 * np.tanh(x / 2.0))
+                * np.exp(1j * k0 * x) for x0, s, k0 in ((0.0, 1.5, 0.0), (2.0, 1.0, 0.6),
+                                                        (-3.0, 2.5, -0.4))]
+        gaps = (0.3, 1.1, 2.5)
+    for gap in gaps:
+        w = model.c + gap
+        want = _full_support_gram(model, w, phis)
+        got = spectral.density_gram(model, w, phis)
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        if case == "far":
+            assert 0.0 < want[0, 0].real < 1e-6 * spectral.l2_norm(phis[0], model.grid.h) ** 2
+            assert spectral.histogram_density(model, w, phis[0]) == pytest.approx(
+                want[0, 0].real, rel=1e-13)
+
+
 def test_continuum_transforms_never_copy_the_eigenbasis(pt_model):
     # a complex cast of the M x M eigenbasis takes M^2 * 16 bytes; every
     # transform must stay below a sixteenth of the real basis, M^2 * 8 / 16
