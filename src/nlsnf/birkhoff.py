@@ -119,11 +119,12 @@ def solve_homological(
         else:
             raise NlsnfError("homological data must be scalar or linear")
     chi = HamExpansion(chi_terms).merged()
-    _verify_homological(chi, k_exp, model, skip_continuum=r_plus)
+    _verify_homological(chi, k_exp, model, skip_continuum=r_plus, tol_res=tol_res)
     return chi
 
 
-def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8):
+def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8,
+                        tol_res: float = TOL_RES):
     """Check {chi, H_F} = K for a merged chi through the bracket table, term
     by term."""
     residual = [bracket_hf(t, model.lam, model).scaled(-1.0) for t in chi.terms]
@@ -137,7 +138,7 @@ def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8):
         if skip_continuum and t.kind in ("linear_f", "linear_fbar"):
             omega = float(np.asarray(model.lam) @ (np.asarray(t.mu) - np.asarray(t.nu))) - t.m
             arg = -omega if t.kind == "linear_f" else omega
-            if arg > model.c - TOL_RES:
+            if arg > model.c - tol_res:
                 continue  # boundary values only solve in the eps -> 0 limit
         size = abs(t.coeff)
         if t.kind in ("linear_f", "linear_fbar"):
@@ -231,10 +232,11 @@ def normal_form_round(
             k_terms.append(t)
         else:
             raise NlsnfError(f"extraction produced a remainder-class term {t}")
-    z_round = HamExpansion(z_new_terms).merged()
-    k_exp = HamExpansion(k_terms).merged()
+    # selections of the merged remainder, so already merged
+    z_round = HamExpansion(z_new_terms)
+    k_exp = HamExpansion(k_terms)
 
-    chi = solve_homological(k_exp, model) if len(k_exp) else HamExpansion([])
+    chi = solve_homological(k_exp, model, tol_res=tol_res) if len(k_exp) else HamExpansion([])
     # the Lie tails of Z^{(r)} and K, the Taylor block of H_F from the same
     # powers of K, and the full transform of everything not extracted
     dropped = DropLedger()
@@ -272,11 +274,13 @@ def normal_form(
     n0: int | None = None,
     degree_cap: int | None = None,
     big_n: int | None = None,
+    tol_res: float = TOL_RES,
 ) -> NormalFormResult:
     """Iterate rounds r = 1 .. r_max - 1 starting from H^{(1)} = H_F + E_P.
 
     Defaults follow the budget: r_max = N + 1, n0 = N + 2 and
-    degree_cap = 2N + 4 in ledger-size units.
+    degree_cap = 2N + 4 in ledger-size units.  tol_res is the resonance
+    tolerance of the classification and the homological solve.
     """
     if big_n is None:
         big_n = r_max - 1
@@ -289,7 +293,7 @@ def normal_form(
     generators, ledgers = [], []
     for r in range(1, r_max):
         z_part, remainder, chi, ledger = normal_form_round(
-            z_part, remainder, model, r, n0, degree_cap)
+            z_part, remainder, model, r, n0, degree_cap, tol_res)
         generators.append(chi)
         ledgers.append(ledger)
     return NormalFormResult(
@@ -313,8 +317,8 @@ class ReducedForm:
 def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> ReducedForm:
     """Keep only couplings indexed by M and M'; move the rest into R.
 
-    Raises when a resonant coupling's index lies outside bigM and bigM', and
-    re-verifies the reality pairing between the retained coupling families.
+    Raises when a resonant coupling's index lies outside bigM and bigM', or
+    when a Z1 coupling lacks its conjugate mirror (check_reality).
     Z and the remainder of `result` come merged from normal_form.
     """
     big_m = set((t.m, t.mu, t.nu) for t in catalog.big_m)
@@ -342,14 +346,11 @@ def reduce_to_minimal(result: NormalFormResult, catalog: ResonanceCatalog) -> Re
             else:
                 displaced.append(t)
 
-    # reality across the bijection M -> M'
-    for trip, phi in z1_m.items():
-        mirror = trip.mirror()
-        psi = z1_mp.get(mirror)
-        if psi is None:
-            raise NlsnfError(f"mirror coupling missing for {trip}")
-        if float(np.max(np.abs(np.conj(phi) - psi))) > 1e-10 * max(1.0, float(np.max(np.abs(phi)))):
-            raise NlsnfError(f"reality pairing broken between {trip} and {mirror}")
+    # every Z1 coupling has its conjugate mirror; as minimal_prime is the
+    # mirror of minimal, this pairs z1_m with z1_mprime
+    ok, why = check_reality(result.z1(), result.model.grid)
+    if not ok:
+        raise NlsnfError(f"Z1 breaks the reality pairing: {why}")
 
     remainder = (result.remainder + displaced).merged() if displaced else result.remainder
     return ReducedForm(z0=result.z0(), z1_m=z1_m, z1_mprime=z1_mp,

@@ -326,7 +326,8 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
             e_p = hamalg.expand_potential_energy(model, sim_config.gamma0, sim_config.gamma1)
             r_max = budget.big_n + 1 if analysis.r_max is None else analysis.r_max
             nf = birkhoff.normal_form(model, e_p, r_max=r_max, n0=analysis.n0,
-                                      degree_cap=analysis.degree_cap, big_n=budget.big_n)
+                                      degree_cap=analysis.degree_cap, big_n=budget.big_n,
+                                      tol_res=analysis.tol_res)
             manifest["stages"]["normal_form"] = {
                 "r_final": nf.r_final, "n0": nf.n0, "degree_cap": nf.degree_cap,
                 "rounds": [
@@ -385,7 +386,7 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
             stage = "simulate"
             aux = None if "fgr" not in run else dynamics.ReducedAux(
                 catalog=catalog, reduced=reduced, packets=packets,
-                zeta_couplings=dynamics.build_zeta_couplings(model, reduced),
+                zeta_couplings=dynamics.build_zeta_couplings(model, reduced, analysis.tol_res),
                 g_couplings=dynamics.build_g_couplings(model, reduced),
             )
             sim_start = time.perf_counter()

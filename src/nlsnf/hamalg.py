@@ -957,10 +957,6 @@ def lie_series(
 # reality symmetry
 
 
-_MIRROR_KIND = {"scalar": "scalar", "linear_f": "linear_fbar",
-                "linear_fbar": "linear_f", QUARTIC: QUARTIC}
-
-
 def _f_entries(cols: dict, factors: _Factors, probes, h: float):
     """The radiation entries of each row of cols at each probe state f:
     <Phi, f> per alpha slot and <Psi, conj(f)> per beta slot, as (rows,
@@ -1002,65 +998,52 @@ def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
 
 
 def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
-    """True iff every term's conjugate mirror is present with conjugate data.
+    """True iff every bucket of terms has the conjugate sum of its mirror bucket.
 
-    Scalar, linear and quartic-marker terms are compared structurally after
-    merging.  The other composite terms are compared bucketwise through
-    deterministic probe states (a bucket is the set of terms sharing
-    (m, mu, nu, a, b, #alphas, #betas)): a term's mirror has the conjugate
-    f-factor (see _f_factors), so a bucket's sum S at a probe must equal
-    conj(S) of its mirror bucket.
+    A bucket is the set of terms that share (m, mu, nu, a, b, #alphas,
+    #betas).  A term's mirror has the conjugate f-factor (see _f_factors), so
+    at each of three probe states f, standard complex normal over the whole
+    box, a bucket's sum S of coeff * f-factor must equal conj(S') of its
+    mirror bucket (-m, nu, mu, b, a, #betas, #alphas); a missing bucket sums
+    to 0.  Scalars, linear couplings, quartic markers and composites are
+    compared alike, on the terms as given: duplicates sum as a merge would.
     Returns (ok, first_violation_description).
     """
-    ham = ham.merged()
     if not len(ham):
         return True, None
     factors = _Factors(None)
     cols = _term_columns(ham.terms, factors)
     vmax = np.array([np.max(np.abs(v)) for v in factors.vectors] + [0.0])   # id -1 reads 0
-    scale = float(np.max(np.hypot(cols["re"], cols["im"]) * (
+    coeff = cols["re"] + 1j * cols["im"]
+    scale = float(np.max(np.abs(coeff) * (
         1.0 + (vmax[cols["alpha"]].sum(axis=1) + vmax[cols["beta"]].sum(axis=1)))))
     tol_abs = tol * max(scale, 1.0)
 
-    # scalar, linear and quartic-marker terms: a merged term per (kind, m, mu, nu)
-    structural = {}
-    for t in ham.terms:
-        kind = QUARTIC if t.tail is QUARTIC else t.kind
-        if kind in _MIRROR_KIND:
-            value = t.coeff if kind in ("scalar", QUARTIC) else t.vector
-            structural[(kind, t.m, t.mu, t.nu)] = value
-    for (kind, m, mu, nu), value in structural.items():
-        other = structural.get((_MIRROR_KIND[kind], -m, nu, mu))
-        if other is None or np.max(np.abs(np.conj(value) - other)) > tol_abs:
-            return False, f"{kind} term (m={m}, mu={mu}, nu={nu}) has no conjugate mirror"
-
-    kind, n_alpha, n_beta = _kinds(cols)
-    comps = np.flatnonzero(kind == 4)
-    if not len(comps):
-        return True, None
     rng = np.random.default_rng(20240817)
-    probes = [(rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
-              * np.exp(-grid.x ** 2 / (2.0 * (0.2 * grid.l_box) ** 2)) for _ in range(3)]
-    c = {name: col[comps] for name, col in cols.items()}
-    z0 = rng.standard_normal(c["mu"].shape[1]) + 1j * rng.standard_normal(c["mu"].shape[1])
+    probes = [rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts)
+              for _ in range(3)]
+    z0 = rng.standard_normal(cols["mu"].shape[1]) + 1j * rng.standard_normal(cols["mu"].shape[1])
+    kind, n_alpha, n_beta = _kinds(cols)
+    mu, nu, a, b = cols["mu"], cols["nu"], cols["a"], cols["b"]
     # one numbering for the buckets and, after them, mirror keys without one
-    key = (c["m"], *c["mu"].T, *c["nu"].T, c["a"], c["b"], n_alpha[comps], n_beta[comps])
-    mirror = (-c["m"], *c["nu"].T, *c["mu"].T, c["b"], c["a"], n_beta[comps], n_alpha[comps])
+    key = (cols["m"], *mu.T, *nu.T, a, b, n_alpha, n_beta)
+    mirror = (-cols["m"], *nu.T, *mu.T, b, a, n_beta, n_alpha)
     group, first = _groups(_pack([np.concatenate(pair) for pair in zip(key, mirror)]))
-    own, of_mirror = group[:len(comps)], group[len(comps):]
+    own, of_mirror = group[:len(kind)], group[len(kind):]
     sums = np.zeros((len(first), len(probes)), dtype=complex)
-    coeff = c["re"] + 1j * c["im"]
-    np.add.at(sums, own, coeff[:, None] * _f_factors(c, factors, probes, grid.h))
+    np.add.at(sums, own, coeff[:, None] * _f_factors(cols, factors, probes, grid.h))
     lead = first[:own.max() + 1]          # the first row of each bucket
     # a bucket and the mirrors of its mirror bucket share z0^mu conj(z0)^nu
-    zmon = monomials(z0, c["mu"][lead], c["nu"][lead])[:, None]
+    zmon = monomials(z0, mu[lead], nu[lead])[:, None]
     v1 = zmon * sums[:len(lead)]
     v2 = zmon * np.conj(sums[of_mirror[lead]])
-    bad = np.flatnonzero((np.abs(v1 - v2) > tol_abs * (1.0 + np.abs(v1))).any(axis=1))
-    if len(bad):
-        t = ham.terms[comps[lead[bad[0]]]]
-        key = (t.m, t.mu, t.nu, t.a, t.b, len(t.alphas), len(t.betas))
-        return False, f"composite bucket {key} has no conjugate mirror"
+    bad = (np.abs(v1 - v2) > tol_abs * (1.0 + np.abs(v1))).any(axis=1)
+    if bad.any():
+        # the first bad bucket in merged() order: by kind, then first seen
+        t = ham.terms[min(lead[bad].tolist(), key=lambda row: (kind[row], row))]
+        bucket = (t.m, t.mu, t.nu, t.a, t.b, len(t.alphas), len(t.betas))
+        name = QUARTIC if t.tail is QUARTIC else t.kind
+        return False, f"{name} bucket {bucket} has no conjugate mirror"
     return True, None
 
 

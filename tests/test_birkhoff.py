@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -355,6 +356,18 @@ def test_reduce_displaces_nonminimal(pt_normal_form, pt_catalog, pt_model):
         r_final=nf.r_final, n0=nf.n0, degree_cap=nf.degree_cap)
     with pytest.raises(NlsnfError):
         reduce_to_minimal(nf2, cat)
+
+
+def test_reduce_refuses_a_z1_coupling_without_its_mirror(pt_normal_form, pt_catalog):
+    # drop the <Psi, conj f> mirror of one retained <Phi, f> coupling
+    nf = pt_normal_form
+    keep = nf.z1().select(lambda t: t.kind == "linear_f").terms[0]
+    gone = (-keep.m, keep.nu, keep.mu)
+    z_part = nf.z_part.select(lambda t: not (t.kind == "linear_fbar"
+                                             and (t.m, t.mu, t.nu) == gone))
+    assert len(z_part) == len(nf.z_part) - 1
+    with pytest.raises(NlsnfError, match="mirror"):
+        reduce_to_minimal(dataclasses.replace(nf, z_part=z_part), pt_catalog)
 
 
 def test_flow_consistency_scaling(small_model):

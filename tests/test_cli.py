@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsnf import cli, dynamics, spectral
+from nlsnf import birkhoff, cli, dynamics, spectral
 
 
 SMALL_CONFIG = """
@@ -94,6 +94,31 @@ def test_pipeline_end_to_end(small_config, capsys):
     assert stages["simulate"]["steps"] > 0 and stages["simulate"]["steps_per_s"] > 0
     assert os.path.exists(os.path.join(cfgdir, "out", "trajectory.csv"))
     assert os.path.exists(os.path.join(cfgdir, "out", "resonance_report.txt"))
+
+
+def test_pipeline_threads_tol_res_to_every_stage(tmp_path, capsys, monkeypatch):
+    # [analysis] tol_res reaches the classification, the homological check
+    # and the zeta couplings, not only the resonance and catalog stages
+    seen = {}
+
+    def spy(module, name, position):
+        real = getattr(module, name)
+
+        def recorder(*args, **kwargs):
+            # None: the call left tol_res at its default
+            tol = kwargs.get("tol_res", args[position] if len(args) > position else None)
+            seen.setdefault(name, set()).add(tol)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorder)
+
+    spy(birkhoff, "classify_term", 4)
+    spy(birkhoff, "_verify_homological", 5)
+    spy(dynamics, "build_zeta_couplings", 2)
+    path = _config_with(tmp_path, "analysis", "tol_res", "1e-6")
+    rc = cli.main(["pipeline", "--config", str(path)])
+    assert rc == cli.EXIT_OK
+    assert seen == {"classify_term": {1e-6}, "_verify_homological": {1e-6},
+                    "build_zeta_couplings": {1e-6}}
 
 
 def test_pipeline_determinism(tmp_path):
@@ -356,6 +381,40 @@ def test_spectrum_writes_manifest(small_config, capsys):
     assert manifest["incomplete"] is False
     assert list(manifest["stages"]) == ["model"]
     assert f"c = {manifest['stages']['model']['c']:.10g}" in out
+
+
+def _run_spectrum_on_csv(tmp_path, csv_path):
+    """`nlsnf spectrum` on SMALL_CONFIG's grid with [model] potential_csv set."""
+    path = _config_with(tmp_path, "model", "potential_csv", str(csv_path))
+    rc = cli.main(["spectrum", "--config", str(path)])
+    return rc, json.load(open(tmp_path / "out" / "manifest.json"))
+
+
+def test_potential_csv_of_the_preset_samples_gives_the_preset_spectrum(tmp_path, capsys):
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    xs = np.append(grid.x, grid.l_box)            # the periodic endpoint x = L too
+    np.savetxt(tmp_path / "v.csv", np.column_stack(
+        [xs, spectral.poschl_teller(xs, a=1.5, kappa2=0.35)]), delimiter=",")
+    rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path / "v.csv")
+    assert rc == cli.EXIT_OK
+    assert manifest["stages"]["model"]["eigenvalues"] == [0.0, 0.7000000174600884]
+
+
+def test_potential_csv_that_misses_the_box_exits_config(tmp_path, capsys):
+    xs = np.linspace(-10.0, 10.0, 101)
+    np.savetxt(tmp_path / "v.csv", np.column_stack(
+        [xs, spectral.poschl_teller(xs, a=1.5, kappa2=0.35)]), delimiter=",")
+    rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path / "v.csv")
+    assert rc == cli.EXIT_CONFIG
+    assert manifest["failed_stage"] == "model"
+    assert "do not cover the box" in capsys.readouterr().err
+
+
+def test_missing_potential_csv_exits_config(tmp_path, capsys):
+    rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path / "absent.csv")
+    assert rc == cli.EXIT_CONFIG
+    assert manifest["failed_stage"] == "model"
+    assert "config error" in capsys.readouterr().err
 
 
 def test_fgr_stops_before_the_simulation(small_config, capsys, monkeypatch):

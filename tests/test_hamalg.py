@@ -503,6 +503,72 @@ def test_check_reality_passes_a_composite_mirror_pair(small_model):
     assert ok, why
 
 
+REALITY_KINDS = ("scalar", "linear_f", "linear_fbar", QUARTIC, "composite")
+
+
+def _term_of_kind(model, kind) -> HamTerm:
+    """A term of `kind` at m = 1 that is not its own mirror."""
+    phi = model.project_pc((np.exp(-model.grid.x ** 2 / 2) * (1 + 0.2j)).astype(complex))
+    if kind == "scalar":
+        return scalar_term(0.3 - 0.1j, 1, (2, 0), (1, 1))
+    if kind == "linear_f":
+        return hamalg.linear_f_term(1, (1, 0), (0, 2), phi)
+    if kind == "linear_fbar":
+        return hamalg.linear_fbar_term(1, (0, 2), (1, 0), phi)
+    if kind == QUARTIC:
+        return HamTerm(0.5 + 0.2j, 1, (1, 0), (1, 0), a=2, b=2, tail=QUARTIC)
+    return _composite(model)[0]
+
+
+@pytest.mark.parametrize("kind", REALITY_KINDS)
+def test_check_reality_flags_a_lone_term(small_model, kind):
+    ok, why = check_reality(HamExpansion([_term_of_kind(small_model, kind)]), small_model.grid)
+    assert not ok and "mirror" in why
+
+
+@pytest.mark.parametrize("kind", REALITY_KINDS)
+def test_check_reality_flags_a_mirror_off_by_a_relative_1e6(small_model, kind):
+    term = _term_of_kind(small_model, kind)
+    ham = HamExpansion([term, term.mirror().scaled(1.0 + 1e-6)])
+    ok, why = check_reality(ham, small_model.grid)
+    assert not ok and "mirror" in why
+
+
+@pytest.mark.parametrize("kind", REALITY_KINDS)
+def test_check_reality_passes_an_exact_pair_once_or_twice(small_model, kind):
+    # a pair listed twice, unmerged, sums as a merged one would
+    term = _term_of_kind(small_model, kind)
+    pair = [term, term.mirror()]
+    for ham in (HamExpansion(pair), HamExpansion(pair + pair)):
+        ok, why = check_reality(ham, small_model.grid)
+        assert ok, why
+
+
+def _edge_bump(model, vec) -> np.ndarray:
+    """vec plus a 1e-6 max|vec| bump at x = 0.9 L, where a probe enveloped by
+    exp(-x^2 / (2 (0.2 L)^2)) reads about 4e-5 of its centre."""
+    x, l_box = model.grid.x, model.grid.l_box
+    return vec + 1e-6 * np.max(np.abs(vec)) * np.exp(-(x - 0.9 * l_box) ** 2)
+
+
+def test_check_reality_flags_a_bump_at_the_box_edge_of_a_composite_mirror(small_model):
+    comp, pair = _composite(small_model)
+    mirror = comp.mirror()
+    bumped = HamTerm(mirror.coeff, mirror.m, mirror.mu, mirror.nu, mirror.alphas,
+                     mirror.betas, mirror.a, mirror.b, _edge_bump(small_model, mirror.tail))
+    ok, why = check_reality(HamExpansion(pair + [comp, bumped]), small_model.grid)
+    assert not ok
+    assert why == "composite bucket (1, (1, 0), (0, 1), 1, 2, 1, 0) has no conjugate mirror"
+
+
+def test_check_reality_flags_a_bump_at_the_box_edge_of_a_linear_mirror(small_model):
+    term = _term_of_kind(small_model, "linear_f")
+    mirror = term.mirror()
+    bumped = mirror.with_vector(_edge_bump(small_model, mirror.vector))
+    ok, why = check_reality(HamExpansion([term, bumped]), small_model.grid)
+    assert not ok and "mirror" in why
+
+
 def test_expand_potential_reality(small_model):
     ep = expand_potential_energy(small_model, gamma0=0.7, gamma1=1.3)
     ok, why = check_reality(ep, small_model.grid)
