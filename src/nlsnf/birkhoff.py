@@ -87,13 +87,15 @@ def solve_homological(
 ) -> HamExpansion:
     """chi with {chi, H_F} = K for nonresonant scalar/linear K.
 
-    chi coefficients are i k / (lambda.(mu - nu) - m); couplings pick up
-    +i R(lambda.(nu - mu) + m) Phi and -i R(lambda.(mu - nu) - m) Psi.  The
-    solve verifies {chi, H_F} = K term by term through the bracket table.
+    K comes merged (`normal_form_round` passes a selection of the merged
+    remainder), so each monomial is solved once.  chi coefficients are
+    i k / (lambda.(mu - nu) - m); couplings pick up +i R(lambda.(nu - mu) + m)
+    Phi and -i R(lambda.(mu - nu) - m) Psi.  The solve verifies
+    {chi, H_F} = K term by term through the bracket table.
     """
     lam = model.lam
     chi_terms = []
-    for term in k_exp.merged().terms:
+    for term in k_exp.terms:
         mu = np.asarray(term.mu)
         nu = np.asarray(term.nu)
         omega = float(lam @ (mu - nu)) - term.m

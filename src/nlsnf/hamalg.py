@@ -34,14 +34,13 @@ P_c grad_{conj f} H) that the generator flow and the reduced mode ODE read.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import GeneratorClassError, LedgerViolation, NlsnfError
-from .spectral import GridSpec, OperatorModel, pairing
+from .spectral import GridSpec, OperatorModel, _content_digest, pairing
 
 MERGE_TOL = 1e-14   # absolute coefficient merge tolerance
 REALITY_TOL = 1e-12
@@ -204,10 +203,6 @@ def linear_f_term(m, mu, nu, phi) -> HamTerm:
 
 def linear_fbar_term(m, mu, nu, psi) -> HamTerm:
     return HamTerm(1.0, m, mu, nu, betas=(psi,))
-
-
-def _content_digest(v: np.ndarray) -> bytes:
-    return hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
 
 
 class HamExpansion:

@@ -15,6 +15,7 @@ discretized continuum.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,11 @@ LAP_ERROR_SAFETY = 2.0
 HIST_SIGMA_FACTOR = 1.3
 HIST_SIGMA_EDGE_CAP = 0.35
 HIST_SUPPORT = 9.0
+
+# each model remembers its forward transforms, one per real part up to sign,
+# and its eps schedules, each memo up to this many bytes, the oldest dropped
+# first
+_MEMO_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,31 @@ def potential_from_csv(grid: GridSpec, path) -> np.ndarray:
 # operator model
 
 
+def _content_digest(v: np.ndarray) -> bytes:
+    return hashlib.blake2b(np.ascontiguousarray(v).tobytes(), digest_size=12).digest()
+
+
+class _Memo:
+    """Values by key, in insertion order; once they hold more than
+    _MEMO_BYTES, the oldest are dropped."""
+
+    def __init__(self):
+        self._items: dict = {}
+        self.held = 0   # bytes of the values kept
+
+    def get(self, key):
+        hit = self._items.get(key)
+        return None if hit is None else hit[0]
+
+    def put(self, key, value, size: int):
+        if key in self._items or size > _MEMO_BYTES:
+            return
+        self._items[key] = (value, size)
+        self.held += size
+        while self.held > _MEMO_BYTES:
+            self.held -= self._items.pop(next(iter(self._items)))[1]
+
+
 @dataclass
 class ModeState:
     """Discrete amplitudes z, radiation part f (P_c f = f) and the time t."""
@@ -161,6 +192,10 @@ class OperatorModel:
     mode_energies: np.ndarray     # all box eigenvalues of H (generic) or k^2 + c (free)
     _evecs: np.ndarray | None = field(default=None, repr=False)   # columns, l2-normalized
     is_free: bool = False
+    # x @ _evecs of real parts x, by the digest of x up to sign
+    _coeffs: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
+    # _lap_nodes by w
+    _schedules: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -170,12 +205,49 @@ class OperatorModel:
     # A vector or a stack of vectors along the last axis.
 
     def mode_coeffs(self, vec: np.ndarray) -> np.ndarray:
-        """Coefficients <e_j, vec> in the full box eigenbasis."""
+        """Coefficients <e_j, vec> in the full box eigenbasis.
+
+        Off the free model, the real and imaginary parts of each row are
+        transformed one at a time through `_part_coeffs`, so a row comes out
+        bit for bit as it would alone, whatever it is stacked with.
+        """
         self._check_grid(vec)
         h = self.grid.h
         if self.is_free:
             return np.fft.fft(vec) * h / math.sqrt(2.0 * self.grid.l_box)
-        return math.sqrt(h) * _real_basis_product(vec, self._evecs)
+        vec = np.asarray(vec)
+        rows = vec.reshape(-1, vec.shape[-1])
+        if np.iscomplexobj(vec):
+            out = np.empty(rows.shape, dtype=complex)
+            for row, o in zip(rows, out):
+                o.real = self._part_coeffs(row.real)
+                o.imag = self._part_coeffs(row.imag)
+        else:
+            out = np.empty(rows.shape)
+            for row, o in zip(rows, out):
+                o[...] = self._part_coeffs(row)
+        return math.sqrt(h) * out.reshape(vec.shape)
+
+    def _part_coeffs(self, x: np.ndarray) -> np.ndarray:
+        """x @ _evecs for one real vector, by one matrix-vector product.
+
+        The product is remembered under the digest of x or of -x, whichever
+        has its first nonzero entry positive: T(-x) = -T(x) exactly under
+        round-to-nearest, so a conjugate or a negated part costs no product.
+        Only the sign of an exact zero differs: a negated entry has its zeros
+        set to +0.0, as a fresh product whose sum cancels gives them.
+        """
+        x = np.asarray(x, dtype=float)
+        flip = bool(x[np.argmax(x != 0)] < 0)
+        key = _content_digest(np.negative(x) if flip else x)
+        known = self._coeffs.get(key)
+        if known is not None:
+            return np.negative(known) + 0.0 if flip else known
+        got = x @ self._evecs
+        known = np.negative(got) + 0.0 if flip else got
+        known.setflags(write=False)
+        self._coeffs.put(key, known, known.nbytes)
+        return got
 
     def from_mode_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         h = self.grid.h
@@ -459,9 +531,28 @@ def _box_noise(model: OperatorModel, w: float, eps: np.ndarray) -> np.ndarray:
                         / math.sqrt(w - model.c))
 
 
-def _extrapolate(eps: np.ndarray, vals: np.ndarray, noise: np.ndarray):
+def _lap_nodes(model: OperatorModel, w: float):
+    """(eps, noise, weights) at w, computed once per model and w.
+
+    eps is `lap_eps_schedule(model, w)` and noise its `_box_noise`; weights[d]
+    is the row of the degree-d least-squares fit in eps/max(eps) that gives
+    the fit's value at eps = 0.
+    """
+    nodes = model._schedules.get(w)
+    if nodes is None:
+        eps = lap_eps_schedule(model, w)
+        t = eps / eps.max()
+        weights = [np.linalg.pinv(np.vander(t, deg + 1, increasing=True))[0]
+                   for deg in range(len(eps))]
+        nodes = (eps, _box_noise(model, w, eps), weights)
+        model._schedules.put(w, nodes, 2 * eps.nbytes + sum(wt.nbytes for wt in weights))
+    return nodes
+
+
+def _extrapolate(nodes, vals: np.ndarray):
     """Polynomial extrapolation of stacked node data to eps = 0, with its error.
 
+    nodes is (eps, noise, weights) of `_lap_nodes`.
     vals[i] is sampled at eps[i] and carries the relative box error noise[i].
     Least-squares polynomials of every degree d in eps give limits v_d.  The
     box error reaches v_d amplified by its fit weights, A_d = sum_i |w_di|
@@ -473,16 +564,12 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray, noise: np.ndarray):
     that sum, as a max-abs bound over the components (infinite for a single
     node).  Returns (value, error).
     """
-    eps = np.asarray(eps, dtype=float)
+    eps, noise, weights = nodes
     n = len(eps)
     flat = np.asarray(vals).reshape(n, -1)
     scale = float(np.max(np.abs(flat[np.argmin(eps)]), initial=0.0))
-    t = eps / eps.max()
-    limits, amps = [], []
-    for deg in range(n):
-        weights = np.linalg.pinv(np.vander(t, deg + 1, increasing=True))[0]
-        limits.append(weights @ flat)
-        amps.append(float(np.abs(weights) @ noise) * scale)
+    limits = [wt @ flat for wt in weights]
+    amps = [float(np.abs(wt) @ noise) * scale for wt in weights]
     best, best_err = 0, math.inf
     for deg in range(n - 1):
         trunc = max(float(np.max(np.abs(limits[k] - limits[deg]), initial=0.0))
@@ -508,14 +595,14 @@ def resolvent_limit(
         raise ValueError("side must be '+' or '-'")
     if w <= model.c:
         return resolvent_apply(model, w, np.asarray(b, dtype=complex), reduced=True)
-    eps = lap_eps_schedule(model, w)
+    nodes = _lap_nodes(model, w)
     sign = 1.0 if side == "+" else -1.0
     e = model.mode_energies
     coeffs = model.mode_coeffs(np.asarray(b, dtype=complex))
     # back-transform every node, then extrapolate in space: `_extrapolate`
     # picks its degree from the max-abs disagreement over the components
-    sols = model.from_mode_coeffs(coeffs / (e - (w + sign * 1j * eps[:, None])))
-    return _extrapolate(eps, sols, _box_noise(model, w, eps))[0]
+    sols = model.from_mode_coeffs(coeffs / (e - (w + sign * 1j * nodes[0][:, None])))
+    return _extrapolate(nodes, sols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +641,9 @@ def _lap_gram(model: OperatorModel, w: float, e: np.ndarray, cm: np.ndarray, ker
     `kernel(d, eps)` is the eps-smoothed kernel at d = e - w: the Lorentzian
     (delta form) or its principal-value partner.
     """
-    eps = lap_eps_schedule(model, w)
-    mats = np.stack([np.conj(cm) * kernel(e - w, ee) @ cm.T for ee in eps])
-    return _extrapolate(eps, mats, _box_noise(model, w, eps))
+    nodes = _lap_nodes(model, w)
+    mats = np.stack([np.conj(cm) * kernel(e - w, ee) @ cm.T for ee in nodes[0]])
+    return _extrapolate(nodes, mats)
 
 
 def _lorentzian(d, eps):

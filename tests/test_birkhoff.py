@@ -177,7 +177,7 @@ def test_solve_homological_inverts_bracket_hf(small_model):
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(terms=st.lists(nonresonant_term(), min_size=1, max_size=5))
     def check(terms):
-        k = HamExpansion(terms)
+        k = HamExpansion(terms).merged()   # solve_homological takes K merged
         chi = solve_homological(k, small_model)
         # {chi, H_F} = -{H_F, chi} = K, monomial by monomial
         back = _by_monomial(HamExpansion(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -186,6 +188,107 @@ def test_single_row_basis_product_keeps_two_vector_products(pt_model):
             assert got.shape == v.shape
             assert got.real.tobytes() == (v.real @ b).tobytes()
             assert got.imag.tobytes() == (v.imag @ b).tobytes()
+
+
+def _fresh(model):
+    """The same operator with empty memos."""
+    return dataclasses.replace(model)
+
+
+def test_stacked_mode_coeffs_equal_the_single_rows(pt_model):
+    # a row's coefficients do not depend on what it is stacked with
+    stack = _probe_vectors(pt_model, 4, seed=29)
+    for rows in (stack, stack.real):
+        singles = _fresh(pt_model)
+        want = [singles.mode_coeffs(row).tobytes() for row in rows]
+        got = _fresh(pt_model).mode_coeffs(rows)
+        assert got.shape == rows.shape and got.dtype == singles.mode_coeffs(rows[0]).dtype
+        assert [row.tobytes() for row in got] == want
+
+
+def test_mode_coeffs_share_a_part_with_its_negation(pt_model):
+    model = _fresh(pt_model)
+    vec = _probe_vectors(pt_model, 1, seed=30)[0]
+    coeffs = model.mode_coeffs(vec)
+    assert np.array_equal(model.mode_coeffs(np.conj(vec)), np.conj(coeffs))
+    assert np.array_equal(model.mode_coeffs(-vec.real), -model.mode_coeffs(vec.real))
+    # four parts, two memo entries: the products were shared, and they give
+    # what a model that never saw the vector gives
+    assert len(model._coeffs._items) == 2
+    assert np.array_equal(model.mode_coeffs(np.conj(vec)),
+                          _fresh(pt_model).mode_coeffs(np.conj(vec)))
+
+
+def test_negated_memo_entry_keeps_the_sign_of_a_cancelled_zero():
+    # on a Hadamard basis the ones vector has every coefficient but the first
+    # exactly zero, a sum that cancels, which a fresh product gives as +0.0
+    grid = spectral.GridSpec(l_box=10.0, m_pts=64)
+    basis = np.array([[1.0]])
+    for _ in range(6):
+        basis = np.block([[basis, basis], [basis, -basis]])
+
+    def model():
+        return spectral.OperatorModel(
+            grid=grid, v=np.zeros(64), c=0.0, lam=np.zeros(1), phi=np.zeros((1, 64)),
+            mode_energies=np.arange(64.0), _evecs=basis / 8.0)
+
+    ones = np.ones(64)
+    for first, second in ((ones, -ones), (-ones, ones)):
+        warm = model()
+        warm.mode_coeffs(first)
+        got = warm.mode_coeffs(second)
+        assert got.tobytes() == model().mode_coeffs(second).tobytes()
+        assert not np.signbit(got[1:]).any()
+
+
+def test_mode_coeffs_memo_hit_returns_the_fresh_bytes(pt_model):
+    vec = _probe_vectors(pt_model, 1, seed=31)[0]
+    warm = _fresh(pt_model)
+    first = warm.mode_coeffs(vec).tobytes()
+    fresh = spectral.OperatorModel(
+        grid=pt_model.grid, v=pt_model.v, c=pt_model.c, lam=pt_model.lam, phi=pt_model.phi,
+        mode_energies=pt_model.mode_energies, _evecs=pt_model._evecs)
+    assert warm.mode_coeffs(vec).tobytes() == first == fresh.mode_coeffs(vec).tobytes()
+
+
+def test_writing_into_mode_coeffs_leaves_later_results(pt_model):
+    model = _fresh(pt_model)
+    vec = _probe_vectors(pt_model, 2, seed=32)
+    for v in (vec, vec[0], vec[0].real):
+        want = model.mode_coeffs(v).tobytes()
+        model.mode_coeffs(v)[...] = 7.0
+        assert model.mode_coeffs(v).tobytes() == want
+
+
+def test_mode_coeffs_memo_stays_within_its_bound(pt_model, monkeypatch):
+    m = pt_model.grid.m_pts
+    bound = 5 * 8 * m + 100     # five real parts
+    monkeypatch.setattr(spectral, "_MEMO_BYTES", bound)
+    model = _fresh(pt_model)
+    rows = _probe_vectors(pt_model, 6, seed=33)     # twelve distinct parts
+    got = model.mode_coeffs(rows)
+    assert model._coeffs.held <= bound and len(model._coeffs._items) == 5
+    assert model._coeffs.held == sum(v.nbytes for v, _ in model._coeffs._items.values())
+    # the oldest went first: the last rows are held, the first is computed again
+    assert model.mode_coeffs(rows[0]).tobytes() == got[0].tobytes()
+
+
+def test_continuum_forms_read_the_same_bytes_on_a_warm_model(pt_model):
+    phis = list(_probe_vectors(pt_model, 3, seed=34))
+    w = pt_model.c + 1.3
+    calls = {
+        "resolvent_limit": lambda m: spectral.resolvent_limit(m, w, phis[0]),
+        "resolvent_limit -": lambda m: spectral.resolvent_limit(m, w, np.conj(phis[0]), "-"),
+        "spectral_density_form": lambda m: np.array(
+            spectral.spectral_density_form(m, w, phis[1])),
+        "density_gram lap": lambda m: spectral.density_gram(m, w, phis, estimator="lap"),
+        "pv_gram": lambda m: spectral.pv_gram(m, w, phis),
+    }
+    warm = _fresh(pt_model)
+    for call in calls.values():
+        call(warm)
+    for name, call in calls.items():
+        assert call(warm).tobytes() == call(_fresh(pt_model)).tobytes(), name
 
 
 def test_project_modes_on_the_free_model_has_no_amplitudes():
