@@ -182,34 +182,45 @@ def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
     steps, so a sponge step stays unfused: K/2 N K/2 S, two FFT pairs.  For
     t = k dt, sponge step i evaluates gamma at (k + i) dt + dt / 2, with the
     rounding of n one-step calls at t = k dt, (k + 1) dt, ...
+
+    The buffers are allocated once per call: every transform writes into
+    them, and |u|^2 is formed in place, one operation at a time as
+    u.real ** 2 + u.imag ** 2 forms it.  `u` itself is not written.
     """
     full_kinetic = half_kinetic * half_kinetic
     static_phase = -dt * (model.v + model.c)
     rotation = np.empty(len(static_phase), dtype=complex)
-    uh = np.fft.fft(u) * half_kinetic
+    phase, square = np.empty(len(static_phase)), np.empty(len(static_phase))
+    uh = np.fft.fft(u)
+    uh *= half_kinetic
+    u = np.empty_like(uh)
     for i in range(n):
-        u = np.fft.ifft(uh)
+        np.fft.ifft(uh, out=u)
         if sponge is None:
             mid = t + (i + 0.5) * dt
         else:
             mid = (t if i == 0 else (round(t / dt) + i) * dt) + 0.5 * dt
         g = config.gamma0 + config.gamma1 * math.cos(mid)
-        phase = u.real ** 2 + u.imag ** 2
+        np.multiply(u.real, u.real, out=phase)
+        np.multiply(u.imag, u.imag, out=square)
+        phase += square
         phase *= -dt * g
         phase += static_phase
         np.cos(phase, out=rotation.real)
         np.sin(phase, out=rotation.imag)
         u *= rotation
-        uh = np.fft.fft(u)
+        np.fft.fft(u, out=uh)
         last = i == n - 1
         if sponge is None:
             uh *= half_kinetic if last else full_kinetic
         else:
-            u = np.fft.ifft(uh * half_kinetic)
+            uh *= half_kinetic
+            np.fft.ifft(uh, out=u)
             u *= sponge
             if not last:
-                uh = np.fft.fft(u) * half_kinetic
-    return np.fft.ifft(uh) if sponge is None else u
+                np.fft.fft(u, out=uh)
+                uh *= half_kinetic
+    return np.fft.ifft(uh, out=u) if sponge is None else u
 
 
 def simulate(model: OperatorModel, config: SimConfig,

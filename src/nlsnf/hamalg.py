@@ -19,14 +19,16 @@ generator of order M_0 raise L by exactly M_0 while harmonics obey
 
 Terms are merged on arrays, not one Python object at a time: a term list
 becomes id columns (_term_columns), with each factor vector an integer id
-(_Factors), and one merge (_tally) groups sorted, packed integer keys, in
-which a factor vector stands for its content digest.  HamExpansion.merged()
-and lie_derivative both run on it; a Lie derivative enumerates the raw
-outputs of all (input term, generator term) pairs as such columns, family
-by family.  Coefficients follow CPython's complex arithmetic one rounding
-at a time, and every merged sum runs in input order, so the merge has the
-bits of a term-by-term one.  Merged sums over the degree cap are only
-counted (DropLedger); no term or product vector is built for them.
+(_Factors), and a merge (_merge_blocks, which runs _tally on each block of
+rows) groups sorted, packed integer keys, in which a factor vector stands
+for its content digest.  HamExpansion.merged() and lie_derivative both run
+on it; a Lie derivative enumerates the raw outputs of the (input term,
+generator term) pairs as such columns, family by family, one block of
+charge classes (m, mu - nu) at a time.  Coefficients follow CPython's
+complex arithmetic one rounding at a time, and every merged sum runs in
+input order, so the merge has the bits of a term-by-term one.  Merged sums
+over the degree cap are only counted (DropLedger); no term or product
+vector is built for them.
 check_reality, evaluate and field pair the same ids with their states in one
 table (_f_entries); field is the Hamiltonian field (dH/dconj(z_j),
 P_c grad_{conj f} H) that the generator flow and the reduced mode ODE read.
@@ -234,8 +236,9 @@ class HamExpansion:
         if not self.terms:
             return HamExpansion([])
         factors = _Factors(None)
-        return HamExpansion(_tally(_term_columns(self.terms, factors), factors, None,
-                                   DropLedger()))
+        cols = _term_columns(self.terms, factors)
+        cols["order"] = np.arange(len(self.terms))
+        return HamExpansion(_merge_blocks([cols], factors, None, DropLedger()))
 
     def evaluate(self, t: float, z, f, h: float) -> complex:
         if not self.terms:
@@ -378,6 +381,7 @@ _ID = np.int32                      # factor ids, exponents and the other small 
 _NO_TAIL, _QUARTIC_TAIL = -1, -2   # tail ids besides the factor ids >= 0
 _ID_SPAN = 1 << 32                  # packs a pair of factor ids into one int64
 _SUM_BYTES = 1 << 20                # vectors gathered per step of the linear sums
+_BLOCK_PAIRS = 4096                 # (input, chi term) pairs a Lie derivative merges at a time
 
 
 def _cmul(ar, ai, br, bi):
@@ -439,14 +443,15 @@ class _Factors:
     def canonical(self, *ids: np.ndarray) -> np.ndarray:
         """A table from id to canonical id, filled for the ids given; an id
         not filled yet reads -1, and the ids -2 and -1 read themselves."""
-        need = np.zeros(len(self.canon) + 2, dtype=bool)
+        canon = np.array(self.canon + [-2, -1], dtype=_ID)
+        need = np.zeros(len(canon), dtype=bool)
         for part in ids:
             need[part] = True
-        for fid in np.flatnonzero(need[:-2]).tolist():
-            if self.canon[fid] < 0:
-                digest = _content_digest(self.vector(fid))
-                self.canon[fid] = self.digests.setdefault(digest, fid)
-        return np.array(self.canon + [-2, -1], dtype=_ID)
+        need[-2:] = False
+        for fid in np.flatnonzero(need & (canon < 0)).tolist():
+            digest = _content_digest(self.vector(fid))
+            canon[fid] = self.canon[fid] = self.digests.setdefault(digest, fid)
+        return canon
 
     def vector(self, fid: int) -> np.ndarray:
         v = self.vectors[fid]
@@ -487,25 +492,33 @@ class _Factors:
         values = [value(*divmod(p, _ID_SPAN)) for p in pairs.tolist()]
         return values, inverse
 
+    def _product(self, op: str, left: int, right: int) -> int:
+        recipe = (op, left, right)
+        fid = self.made.get(recipe)
+        if fid is None:
+            fid = self.made[recipe] = self._add(None, recipe)
+        return fid
+
     def derived(self, op: str, left, right) -> np.ndarray:
         """Ids of left * right (op "mul") or of P_c right (op "pc", left = right),
         row by row."""
-        def make(l, r):
-            recipe = (op, l, r)
-            fid = self.made.get(recipe)
-            if fid is None:
-                fid = self.made[recipe] = self._add(None, recipe)
-            return fid
-
-        ids, inverse = self._distinct(left, right, make)
+        ids, inverse = self._distinct(left, right, lambda l, r: self._product(op, l, r))
         return np.array(ids, dtype=_ID)[inverse]
 
-    def pairings(self, left, right, h: float):
-        """The real and imaginary parts of <left, right>, row by row."""
-        values, inverse = self._distinct(
-            left, right, lambda l, r: pairing(self.vector(l), self.vector(r), h))
-        values = np.array(values, dtype=complex)[inverse]
-        return values.real, values.imag
+    def crossed(self, op: str, left, right, h: float = 0.0):
+        """For every id l >= 0 of `left` and r >= 0 of `right`: the id of
+        l * r (op "mul") or the pairing <l, r> (op "pair"), as a table; and
+        the table row of each entry of `left` and column of each of `right`."""
+        (rows, row), (cols, col) = (np.unique(ids, return_inverse=True)
+                                    for ids in (left, right))
+        pair = op == "pair"
+        table = np.zeros((len(rows), len(cols)), dtype=complex if pair else _ID)
+        r0, c0 = np.searchsorted(rows, 0), np.searchsorted(cols, 0)
+        for a, l in enumerate(rows[r0:].tolist(), r0):
+            for b, r in enumerate(cols[c0:].tolist(), c0):
+                table[a, b] = (pairing(self.vector(l), self.vector(r), h) if pair
+                               else self._product(op, l, r))
+        return table, row.reshape(-1), col.reshape(-1)
 
 
 def _term_columns(terms, factors: _Factors) -> dict:
@@ -559,21 +572,55 @@ def _removed(rows, idx: int) -> np.ndarray:
 _COLUMNS = ("order", "i", "re", "im", "m", "mu", "nu", "a", "b", "tail", "alpha", "beta")
 
 
-def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: float) -> dict:
-    """Every raw output of {g, chi_term}, checked, as arrays in generation order.
+def _charge_blocks(g: dict, c: dict) -> list[np.ndarray]:
+    """The (input term, chi term) pairs, as flat indices i * len(chi) + k,
+    cut into blocks, each in generation order.
+
+    A pair's charge is its input's (m, mu - nu) plus its chi term's.  The
+    Poisson bracket adds these charges, so every output of a pair carries
+    the pair's charge, and outputs of two charges never merge.  Whole charge
+    classes, in charge order, fill blocks of at most _BLOCK_PAIRS pairs; a
+    class larger than that is a block of its own.
+    """
+    (g_charges, g_class), (c_charges, c_class) = (
+        np.unique(np.column_stack([t["m"], t["mu"] - t["nu"]]), axis=0, return_inverse=True)
+        for t in (g, c))
+    sums = (g_charges[:, None] + c_charges).reshape(-1, g_charges.shape[1])
+    klass = np.unique(sums, axis=0, return_inverse=True)[1].reshape(len(g_charges), -1)
+    pair_class = klass[g_class.reshape(-1, 1), c_class.reshape(-1)].ravel()
+    block = np.empty(klass.max() + 1, dtype=np.int64)
+    n_blocks, filled = 0, 0
+    for k, pairs in enumerate(np.bincount(pair_class).tolist()):
+        if filled and filled + pairs > _BLOCK_PAIRS:
+            n_blocks, filled = n_blocks + 1, 0
+        block[k] = n_blocks
+        filled += pairs
+    pair_block = block[pair_class]
+    return np.split(np.argsort(pair_block, kind="stable"),
+                    np.cumsum(np.bincount(pair_block))[:-1])
+
+
+def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: float):
+    """Every raw output of {g, chi_term}, checked, as arrays: one block of
+    charge classes (see _charge_blocks) at a time, each in generation order.
 
     Generation order runs over the inputs, then the chi terms, then per pair:
     the z-part of each mode j, then chi's Phi against each conj(f) slot and
     the conj(f)-powers of the tail, then chi's Psi against each f slot and
-    the f-powers of the tail.  An a + b = 1 tail is folded into the linear
+    the f-powers of the tail.  The "order" column is each output's place in
+    it: (i * len(chi) + k) * span + its position within the pair, span =
+    modes + 2 (slots + 1).  An a + b = 1 tail is folded into the linear
     factors, projected onto the continuum like every coupling on f.  Factor
     vectors are ids, -1 padded, in output order.  Scalar outputs within
-    MERGE_TOL of zero are left out.
+    MERGE_TOL of zero are left out.  Every block is checked (see
+    _check_outputs); once one fails, no further block is yielded, and after
+    the last one the error of the failing output earliest in generation
+    order is raised.
     """
     n = len(chi_terms[0].mu)
     if any(len(t.mu) != n for t in terms):
         raise ValueError("input and generator terms have different mode counts")
-    n_in, n_chi = len(terms), len(chi_terms)
+    n_chi = len(chi_terms)
     g, c = _term_columns(terms, factors), _term_columns(chi_terms, factors)
     g_alpha, g_beta, g_tail, g_a, g_b, g_m, g_mu, g_nu = (
         g[name] for name in ("alpha", "beta", "tail", "a", "b", "m", "mu", "nu"))
@@ -583,9 +630,18 @@ def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: fl
     # generator terms carry at most one linear factor and no tail
     c_alpha, c_beta = c["alpha"][:, 0], c["beta"][:, 0]
     base_re, base_im = _cmul(g["re"][:, None], g["im"][:, None], c["re"], c["im"])
+    # what the checks read of each input
+    inputs = (np.array([t.is_balanced for t in terms]), np.array([t.size for t in terms]),
+              info.m0 + np.abs(g_m))
+
+    # per side, <slot idx of each input, chi's vector> and the id of each
+    # input's tail times chi's vector, as tables over the distinct ids
+    crossed = [([factors.crossed("pair", own[:, idx], c_vec, h) for idx in range(slots)],
+                factors.crossed("mul", np.where((g_tail >= 0) & (power > 0), g_tail, -1), c_vec))
+               for own, power, c_vec in ((g_beta, g_b, c_alpha), (g_alpha, g_a, c_beta))]
 
     span = n + 2 * (slots + 1)   # output positions within one (input, chi term) pair
-    parts: dict = {name: [] for name in _COLUMNS}
+    parts: dict = {}             # the columns of the block being generated
 
     def emit(i, k, pos, dec, re, im, a, b, tail, alpha, beta):
         mu = g_mu[i] + c_mu[k]
@@ -597,67 +653,87 @@ def _lie_outputs(chi_terms, terms, info: GeneratorInfo, factors: _Factors, h: fl
                                         g_m[i] + c_m[k], mu, nu, a, b, tail, alpha, beta)):
             parts[name].append(col)
 
-    # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j)
-    for j in range(n):
-        w = g_nu[:, j, None] * c_mu[:, j] - g_mu[:, j, None] * c_nu[:, j]
-        i, k = np.nonzero(w)
-        iw = _cmul(0.0, 1.0, w[i, k].astype(float), 0.0)
-        emit(i, k, j, j, *_cmul(*iw, base_re[i, k], base_im[i, k]), g_a[i], g_b[i],
-             g_tail[i], _appended(g_alpha[i], n_alpha[i], c_alpha[k]),
-             _appended(g_beta[i], n_beta[i], c_beta[k]))
+    failure = None
+    for pairs in _charge_blocks(g, c):
+        pair_i, pair_k = np.divmod(pairs, n_chi)
+        parts = {name: [] for name in _COLUMNS}
 
-    # + i <grad_fbar g, grad_f chi> pairs chi's Phi with each conj(f) of g;
-    # - i <grad_fbar chi, grad_f g> pairs chi's Psi with each f of g
-    for side, (c_vec, unit) in enumerate(((c_alpha, (0.0, 1.0)), (c_beta, (-0.0, -1.0)))):
-        fbar = side == 0
-        i, k = np.nonzero(np.broadcast_to(c_vec >= 0, (n_in, n_chi)))
-        s_re, s_im = _cmul(*unit, base_re[i, k], base_im[i, k])
-        own, n_own, power = (g_beta, n_beta, g_b) if fbar else (g_alpha, n_alpha, g_a)
-        first = n + side * (slots + 1)
-        for idx in range(slots):
-            sel = np.flatnonzero(n_own[i] > idx)
+        # i sum_j (dg/dzbar_j dchi/dz_j - dg/dz_j dchi/dzbar_j)
+        weights = g_nu[pair_i] * c_mu[pair_k] - g_mu[pair_i] * c_nu[pair_k]
+        for j in range(n):
+            sel = np.flatnonzero(weights[:, j])
+            i, k = pair_i[sel], pair_k[sel]
+            iw = _cmul(0.0, 1.0, weights[sel, j].astype(float), 0.0)
+            emit(i, k, j, j, *_cmul(*iw, base_re[i, k], base_im[i, k]), g_a[i], g_b[i],
+                 g_tail[i], _appended(g_alpha[i], n_alpha[i], c_alpha[k]),
+                 _appended(g_beta[i], n_beta[i], c_beta[k]))
+
+        # + i <grad_fbar g, grad_f chi> pairs chi's Phi with each conj(f) of g;
+        # - i <grad_fbar chi, grad_f g> pairs chi's Psi with each f of g
+        for side, (c_vec, unit) in enumerate(((c_alpha, (0.0, 1.0)), (c_beta, (-0.0, -1.0)))):
+            fbar = side == 0
+            sel = np.flatnonzero(c_vec[pair_k] >= 0)
+            i, k = pair_i[sel], pair_k[sel]
+            s_re, s_im = _cmul(*unit, base_re[i, k], base_im[i, k])
+            own, n_own, power = (g_beta, n_beta, g_b) if fbar else (g_alpha, n_alpha, g_a)
+            paired, (products, tail_row, tail_col) = crossed[side]
+            first = n + side * (slots + 1)
+            for idx, (table, row, col) in enumerate(paired):
+                sel = np.flatnonzero(n_own[i] > idx)
+                ii, kk = i[sel], k[sel]
+                p = table[row[ii], col[kk]]
+                kept = _removed(own[ii], idx)
+                emit(ii, kk, first + idx, -1, *_cmul(s_re[sel], s_im[sel], p.real, p.imag),
+                     g_a[ii], g_b[ii], g_tail[ii],
+                     *((g_alpha[ii], kept) if fbar else (kept, g_beta[ii])))
+            # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
+            sel = np.flatnonzero(g_tail[i] == _QUARTIC_TAIL)
             ii, kk = i[sel], k[sel]
-            p = factors.pairings(own[ii, idx], c_vec[kk], h)
-            kept = _removed(own[ii], idx)
-            emit(ii, kk, first + idx, -1, *_cmul(s_re[sel], s_im[sel], *p), g_a[ii], g_b[ii],
-                 g_tail[ii], *((g_alpha[ii], kept) if fbar else (kept, g_beta[ii])))
-        # grad_fbar (1/4)|f|^4 = (1/2) f^2 conj(f), and its mirror for grad_f
-        sel = np.flatnonzero(g_tail[i] == _QUARTIC_TAIL)
-        ii, kk = i[sel], k[sel]
-        emit(ii, kk, first + slots, -1, *_cmul(s_re[sel], s_im[sel], 0.5, 0.0),
-             np.full(len(sel), 1 + fbar, dtype=_ID), np.full(len(sel), 2 - fbar, dtype=_ID),
-             factors.derived("pc", c_vec[kk], c_vec[kk]), g_alpha[ii], g_beta[ii])
-        # power * f^a conj(f)^b / (conj(f) or f) against the tail
-        sel = np.flatnonzero((g_tail[i] >= 0) & (power[i] > 0))
-        ii, kk = i[sel], k[sel]
-        a, b = g_a[ii] - (not fbar), g_b[ii] - fbar
-        tail = factors.derived("mul", g_tail[ii], c_vec[kk])
-        fold = a + b == 1
-        linear = tail.copy()
-        linear[fold] = factors.derived("pc", tail[fold], tail[fold])
-        emit(ii, kk, first + slots, -1,
-             *_cmul(s_re[sel], s_im[sel], power[ii].astype(float), 0.0),
-             np.where(fold, 0, a), np.where(fold, 0, b), np.where(fold, _NO_TAIL, tail),
-             _appended(g_alpha[ii], n_alpha[ii], np.where(fold & (a == 1), linear, -1)),
-             _appended(g_beta[ii], n_beta[ii], np.where(fold & (b == 1), linear, -1)))
+            emit(ii, kk, first + slots, -1, *_cmul(s_re[sel], s_im[sel], 0.5, 0.0),
+                 np.full(len(sel), 1 + fbar, dtype=_ID), np.full(len(sel), 2 - fbar, dtype=_ID),
+                 factors.derived("pc", c_vec[kk], c_vec[kk]), g_alpha[ii], g_beta[ii])
+            # power * f^a conj(f)^b / (conj(f) or f) against the tail
+            sel = np.flatnonzero((g_tail[i] >= 0) & (power[i] > 0))
+            ii, kk = i[sel], k[sel]
+            a, b = g_a[ii] - (not fbar), g_b[ii] - fbar
+            tail = products[tail_row[ii], tail_col[kk]]
+            fold = a + b == 1
+            linear = tail.copy()
+            linear[fold] = factors.derived("pc", tail[fold], tail[fold])
+            emit(ii, kk, first + slots, -1,
+                 *_cmul(s_re[sel], s_im[sel], power[ii].astype(float), 0.0),
+                 np.where(fold, 0, a), np.where(fold, 0, b), np.where(fold, _NO_TAIL, tail),
+                 _appended(g_alpha[ii], n_alpha[ii], np.where(fold & (a == 1), linear, -1)),
+                 _appended(g_beta[ii], n_beta[ii], np.where(fold & (b == 1), linear, -1)))
 
-    order = np.argsort(np.concatenate(parts.pop("order")))
-    out = {}
-    for name in _COLUMNS[1:]:
-        out[name] = np.concatenate(parts.pop(name))[order]
-    del order
-    _check_outputs(out, terms, info)
-    keep = ~out.pop("skip")
-    return {name: col[keep] for name, col in out.items()}
+        order = np.concatenate(parts.pop("order"))
+        rank = np.argsort(order)
+        out = {"order": order[rank]}
+        for name in _COLUMNS[1:]:
+            out[name] = np.concatenate(parts.pop(name))[rank]
+        del order, rank
+        keep, error = _check_outputs(out, inputs, info)
+        if error is not None:
+            if failure is None or error[0] < failure[0]:
+                failure = error
+        elif failure is None and keep.any():
+            out = {name: col[keep] for name, col in out.items()}
+            yield out
+        del out, keep
+    if failure is not None:
+        raise failure[1]
 
 
-def _check_outputs(out: dict, terms, info: GeneratorInfo):
-    """The checks of every raw output; raises on the first output that fails.
+def _check_outputs(out: dict, inputs, info: GeneratorInfo) -> tuple[np.ndarray, tuple | None]:
+    """The checks of every raw output of a block.
 
     HamTerm's structural rules; then, unless the output is a scalar within
-    MERGE_TOL of zero (marked in out["skip"]): on outputs of a balanced input
+    MERGE_TOL of zero (left out of the merge): on outputs of a balanced input
     the closure ledger (sizes grow by exactly M0); |m'| <= m0 + |m|; and
-    fewer than four f-powers on a tail.
+    fewer than four f-powers on a tail.  `inputs` holds each input's
+    is_balanced, size and m0 + |m|.  Returns which outputs enter the merge,
+    and the generation position and error of the first output that fails, or
+    None.
     """
     mu, nu, a, b, tail, m = out["mu"], out["nu"], out["a"], out["b"], out["tail"], out["m"]
     n_alpha = (out["alpha"] >= 0).sum(axis=1)
@@ -669,35 +745,38 @@ def _check_outputs(out: dict, terms, info: GeneratorInfo):
                  | (quartic & ((a != 2) | (b != 2) | (n_alpha + n_beta > 0)))
                  | (~quartic & (((ab >= 2) & (tail == _NO_TAIL)) | (ab == 1)
                                 | ((ab == 0) & (tail >= 0)))))
-    out["skip"] = skip = (n_alpha + n_beta + ab == 0) & ~_above_tol(out["re"], out["im"])
+    skip = (n_alpha + n_beta + ab == 0) & ~_above_tol(out["re"], out["im"])
     lhs = mu.sum(axis=1) + n_alpha + a
     rhs = nu.sum(axis=1) + n_beta + b
     i = out["i"]
-    balanced = ~skip & np.array([t.is_balanced for t in terms])[i]
-    size_in = np.array([t.size for t in terms])[i]
+    is_balanced, size, m_bound = inputs
+    balanced = ~skip & is_balanced[i]
+    size_in = size[i]
     unbalanced = balanced & (lhs != rhs)
     law_broken = balanced & (lhs - 1 != size_in - 1 + info.big_m0)
-    harmonic = ~skip & (np.abs(m) > info.m0 + np.abs(np.array([t.m for t in terms]))[i])
+    harmonic = ~skip & (np.abs(m) > m_bound[i])
     f_power = ~skip & (ab >= 4) & ~quartic
     bad = malformed | unbalanced | law_broken | harmonic | f_power
     if not bad.any():
-        return
+        return ~skip, None
     f = int(np.argmax(bad))
     t = int(tail[f])
-    error = _structure_error(mu[f].tolist(), nu[f].tolist(), range(n_alpha[f]),
-                             range(n_beta[f]), int(a[f]), int(b[f]),
-                             None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else t)
-    if error:
-        raise ValueError(error)
     where = f"m={int(m[f])}, mu={tuple(mu[f].tolist())}, nu={tuple(nu[f].tolist())}"
-    if unbalanced[f]:
-        raise LedgerViolation(f"lie output unbalanced: {where}")
-    if law_broken[f]:
-        raise LedgerViolation(f"ledger law broken: L' = {lhs[f] - 1}, expected "
-                              f"{size_in[f] - 1} + {info.big_m0}")
-    if harmonic[f]:
-        raise LedgerViolation(f"harmonic bound broken: {where}")
-    raise LedgerViolation("f-power count must stay below 4")
+    message = _structure_error(mu[f].tolist(), nu[f].tolist(), range(n_alpha[f]),
+                               range(n_beta[f]), int(a[f]), int(b[f]),
+                               None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else t)
+    if message:
+        error = ValueError(message)
+    elif unbalanced[f]:
+        error = LedgerViolation(f"lie output unbalanced: {where}")
+    elif law_broken[f]:
+        error = LedgerViolation(f"ledger law broken: L' = {lhs[f] - 1}, expected "
+                                f"{size_in[f] - 1} + {info.big_m0}")
+    elif harmonic[f]:
+        error = LedgerViolation(f"harmonic bound broken: {where}")
+    else:
+        error = LedgerViolation("f-power count must stay below 4")
+    return ~skip, (int(out["order"][f]), error)
 
 
 def _pack(columns) -> list[np.ndarray]:
@@ -736,14 +815,17 @@ def _groups(words) -> tuple[np.ndarray, np.ndarray]:
     return group, first[rank]
 
 
-def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int) -> list:
-    """[sum over the rows r with slot[r] = s of coeff[r] * vector(fids[r]), for
-    each s < n_sums], each added in row order.
+def _linear_sums(slot, fids, coeff, factors: _Factors, wanted) -> tuple[np.ndarray, dict]:
+    """The sums over the rows r with slot[r] = s of coeff[r] * vector(fids[r]),
+    for each s < len(wanted), each added in row order: the largest modulus of
+    every sum, and the sums s with wanted[s], by s.
 
     Pass k adds the k-th row of every sum, so each sum rounds as a
-    sequential one does.  The sums are stored longest first, so the sums a
-    pass adds to are a prefix of the store.
+    sequential one does.  The sums are taken longest first, a batch at a
+    time, so the sums a pass adds to are a prefix of the store; the store
+    and the buffer of a pass's vectors together hold _SUM_BYTES.
     """
+    n_sums = len(wanted)
     counts = np.bincount(slot, minlength=n_sums)
     by_length = np.argsort(-counts, kind="stable")
     place = np.empty(n_sums, dtype=np.int64)
@@ -753,32 +835,45 @@ def _linear_sums(slot, fids, coeff, factors: _Factors, n_sums: int) -> list:
     by_pos = np.argsort(pos, kind="stable")
     rank = np.empty(len(slot), dtype=np.int64)
     rank[by_pos] = np.arange(len(slot)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    order = np.lexsort((pos, rank))
     n_pts = len(factors.vector(int(fids[0])))
-    store = np.zeros((n_sums, n_pts), dtype=complex)
-    step = max(1, _SUM_BYTES // (16 * n_pts))
-    buffer = np.empty((min(step, len(slot)), n_pts), dtype=complex)
+    step = max(1, _SUM_BYTES // (32 * n_pts))
+    order = np.lexsort((pos, rank, pos // step))
+    store = np.empty((min(step, n_sums), n_pts), dtype=complex)
+    buffer = np.empty_like(store)
+    largest = np.empty(n_sums)
+    sums = {}
     done = 0
-    for k in range(lengths[0]):
-        rows = order[done:done + np.count_nonzero(lengths > k)]
-        done += len(rows)
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            vecs = factors.stack(fids[chunk], buffer[:len(chunk)])
-            np.multiply(coeff[chunk, None], vecs, out=vecs)
-            store[lo:lo + len(chunk)] += vecs
-    return [store[p] for p in place]
+    for lo in range(0, n_sums, step):
+        batch = lengths[lo:lo + step]
+        part = store[:len(batch)]
+        part.fill(0.0)
+        for k in range(batch[0]):
+            rows = order[done:done + np.count_nonzero(batch > k)]
+            done += len(rows)
+            vecs = factors.stack(fids[rows], buffer[:len(rows)])
+            np.multiply(coeff[rows, None], vecs, out=vecs)
+            part[:len(rows)] += vecs
+        slots = by_length[lo:lo + len(batch)]
+        largest[slots] = np.abs(part).max(axis=1)
+        for s, v in zip(slots.tolist(), part):
+            if wanted[s]:
+                sums[s] = v.copy()
+    return largest, sums
 
 
-def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger") -> list[HamTerm]:
-    """Merge the rows of `out` (see _term_columns); build the survivors
-    within the cap and count those over it into `dropped`.
+def _tally(out: dict, factors: _Factors, degree_cap) -> dict:
+    """Merge the rows of one block (see _term_columns; out["order"] holds
+    each row's place in the merge).
 
     Scalar, linear and quartic-marker rows merge on (m, mu, nu), composites
     also on a, b and the contents of the tail, the alphas and the betas (as
     multisets).  Every sum runs in row order with the bits of a sequential
-    one; sums within MERGE_TOL of zero vanish.  Survivors come out by kind
-    (see _kinds), each kind in first-seen order.
+    one; sums within MERGE_TOL of zero vanish.  Returns the groups that
+    survive, and the linear ones, whose vector sums wait for _merge_blocks:
+    each group's kind (see _kinds), the place of its first row, its size,
+    coefficient (1 for a linear group), survival and whether it is within
+    the cap; the linear rows as group, factor id and coefficient; and the
+    first row of each group within the cap, with canonical factor ids.
     """
     alpha, beta, tail, a, b = out["alpha"], out["beta"], out["tail"], out["a"], out["b"]
     kind, n_alpha, n_beta = _kinds(out)
@@ -802,49 +897,93 @@ def _tally(out: dict, factors: _Factors, degree_cap, dropped: "DropLedger") -> l
     coeff = np.empty(n_groups, dtype=complex)
     coeff.real, coeff.imag = sums
     alive = _above_tol(*sums)
+    linear = (g_kind == 1) | (g_kind == 2)
+    coeff[linear] = 1.0
 
-    linear = np.flatnonzero((g_kind == 1) | (g_kind == 2))
+    held = alive | linear
+    kept = np.flatnonzero(held)
+    size = np.maximum(out["mu"].sum(axis=1) + n_alpha + a,
+                      out["nu"].sum(axis=1) + n_beta + b)[first[kept]]
+    within = np.ones(len(kept), dtype=bool) if degree_cap is None else 2 * size <= degree_cap
+    rows = np.flatnonzero((kind == 1) | (kind == 2))
+    lin_coeff = np.empty(len(rows), dtype=complex)
+    lin_coeff.real, lin_coeff.imag = out["re"][rows], out["im"][rows]
+    merged = {"kind": g_kind[kept], "pos": out["order"][first[kept]], "size": size,
+              "coeff": coeff[kept], "alive": alive[kept], "within": within,
+              "lin_group": (np.cumsum(held) - 1)[group[rows]],
+              # the one factor id of a linear row; the other column holds -1
+              "lin_fid": np.maximum(alpha[rows, 0], beta[rows, 0]), "lin_coeff": lin_coeff}
+    rows = first[kept[within]]
+    for name in ("m", "mu", "nu", "a", "b"):
+        merged[name] = out[name][rows]
+    for name in ("tail", "alpha", "beta"):
+        merged[name] = canon[out[name][rows]]
+    return merged
+
+
+def _merge_blocks(blocks, factors: _Factors, degree_cap, dropped: "DropLedger") -> list[HamTerm]:
+    """Merge the row tables of `blocks`, no group of which spans two tables
+    (see _tally); build the survivors within the cap, and count those over it
+    and the rows merged into `dropped`.
+
+    The linear groups of every table take one _linear_sums call.  Survivors
+    come out by kind (see _kinds), each kind in the order of its groups'
+    first rows, so the terms and the ledger are those of one merge of all
+    the rows.  `dropped` is written only after the last table.
+    """
+    tables, n_groups, generated = [], 0, 0
+    for out in blocks:
+        generated += len(out["order"])
+        merged = _tally(out, factors, degree_cap)
+        merged["lin_group"] += n_groups
+        n_groups += len(merged["kind"])
+        tables.append(merged)
+        del out, merged
+    dropped.generated += generated
+    if not tables:
+        return []
+    cols = {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+    del tables
+    kind, pos, coeff, alive, within = (cols[name] for name in
+                                       ("kind", "pos", "coeff", "alive", "within"))
+
+    # the linear groups, numbered in the order of their first rows
+    linear = np.flatnonzero((kind == 1) | (kind == 2))
     vectors = {}
     if len(linear):
-        rows = np.flatnonzero((kind == 1) | (kind == 2))
-        lin_coeff = np.empty(len(rows), dtype=complex)
-        lin_coeff.real, lin_coeff.imag = out["re"][rows], out["im"][rows]
-        # the one factor id of a linear output; the other column holds -1
-        fids = np.maximum(alpha[rows, 0], beta[rows, 0])
-        lin_sums = _linear_sums(np.searchsorted(linear, group[rows]), fids, lin_coeff,
-                                factors, len(linear))
-        coeff[linear] = 1.0
-        for g, v in zip(linear.tolist(), lin_sums):
-            alive[g] = np.max(np.abs(v)) > MERGE_TOL
-            vectors[g] = v
+        linear = linear[np.argsort(pos[linear])]
+        slot = np.empty(len(kind), dtype=np.int64)
+        slot[linear] = np.arange(len(linear))
+        largest, sums = _linear_sums(slot[cols["lin_group"]], cols["lin_fid"],
+                                     cols["lin_coeff"], factors, within[linear])
+        alive[linear] = largest > MERGE_TOL
+        vectors = {int(linear[s]): v for s, v in sums.items()}
 
-    size = np.maximum(out["mu"].sum(axis=1) + n_alpha + a, out["nu"].sum(axis=1) + n_beta + b)
-    survivors = np.argsort(g_kind, kind="stable")
+    survivors = np.lexsort((pos, kind))
     survivors = survivors[alive[survivors]]
-    over = (2 * size[first[survivors]] > degree_cap if degree_cap is not None
-            else np.zeros(len(survivors), dtype=bool))
-    dropped.tally(size[first[survivors[over]]], coeff[survivors[over]])
+    over = ~within[survivors]
+    dropped.tally(cols["size"][survivors[over]], coeff[survivors[over]])
 
     built = survivors[~over]
-    rows = first[built]
+    rows = (np.cumsum(within) - 1)[built]      # a built group's first row
     # one array per content among the built composites, so a product is built once
-    ids = canon[np.concatenate([tail[rows], alpha[rows].ravel(), beta[rows].ravel()])]
+    ids = np.concatenate([cols["tail"][rows], cols["alpha"][rows].ravel(),
+                          cols["beta"][rows].ravel()])
     shared = {fid: factors.vector(fid) for fid in np.unique(ids[ids >= 0]).tolist()}
-    canon = canon.tolist()
     terms: list[HamTerm] = []
-    for g, c, g_k, m, mu, nu, a_r, b_r, t, al, be in zip(
-            built.tolist(), coeff[built].tolist(), g_kind[built].tolist(),
-            *(out[name][rows].tolist() for name in ("m", "mu", "nu", "a", "b", "tail",
-                                                    "alpha", "beta"))):
+    for g, c, g_k, m, mu, nu, a, b, t, al, be in zip(
+            built.tolist(), coeff[built].tolist(), kind[built].tolist(),
+            *(cols[name][rows].tolist() for name in ("m", "mu", "nu", "a", "b", "tail",
+                                                     "alpha", "beta"))):
         if g in vectors:
-            vec = vectors[g].copy()
+            vec = vectors[g]
             terms.append(HamTerm._checked(1.0, m, tuple(mu), tuple(nu), *(
                 ((vec,), ()) if g_k == 1 else ((), (vec,))), 0, 0, None))
             continue
         terms.append(HamTerm._checked(
-            c, m, tuple(mu), tuple(nu), tuple(shared[canon[f]] for f in al if f >= 0),
-            tuple(shared[canon[f]] for f in be if f >= 0), a_r, b_r,
-            None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else shared[canon[t]]))
+            c, m, tuple(mu), tuple(nu), tuple(shared[f] for f in al if f >= 0),
+            tuple(shared[f] for f in be if f >= 0), a, b,
+            None if t == _NO_TAIL else QUARTIC if t == _QUARTIC_TAIL else shared[t]))
     return terms
 
 
@@ -856,10 +995,17 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
     The raw outputs of every (input term, chi term) pair are enumerated as
     id columns, with factor vectors as interned integer ids (see _Factors),
     and every output is checked before it is merged (see _check_outputs).
-    The merge is merged()'s (_tally), run on the outputs in generation
-    order.  Survivors within degree_cap are built as terms; those over it
-    are counted into `dropped` and never built.  Without a cap every
-    survivor is built.  `dropped.generated` grows by the raw outputs merged.
+    The bracket adds the charges (m, mu - nu) of its two terms, so the
+    outputs of pairs of different charges never merge: the pairs are cut
+    into blocks of whole charge classes (see _charge_blocks), and the outputs
+    are generated, checked and merged one block at a time (see _lie_outputs
+    and _merge_blocks), which bounds the raw outputs held at once.  The
+    terms, their order and the ledger are those of one merge of all outputs
+    in generation order, and a failed check raises the error of the failing
+    output earliest in that order.  Survivors within degree_cap are built as
+    terms; those over it are counted into `dropped` and never built.
+    Without a cap every survivor is built.  `dropped.generated` grows by the
+    raw outputs merged.
     """
     info = generator_info(chi)
     terms = g.terms if isinstance(g, HamExpansion) else [g]
@@ -868,11 +1014,9 @@ def lie_derivative(chi: HamExpansion, g, model: OperatorModel,
     if not terms:
         return HamExpansion([])
     factors = _Factors(model)
-    out = _lie_outputs(chi.terms, terms, info, factors, model.grid.h)
-    dropped.generated += len(out["m"])
-    if not len(out["m"]):
-        return HamExpansion([])
-    return HamExpansion(_tally(out, factors, degree_cap, dropped))
+    return HamExpansion(_merge_blocks(_lie_outputs(chi.terms, terms, info, factors,
+                                                   model.grid.h),
+                                      factors, degree_cap, dropped))
 
 
 @dataclass
@@ -882,8 +1026,13 @@ class DropLedger:
     The outputs over the cap are merged like any others and counted here,
     but never built as terms: `count`, `by_size` and `coeff_mass` are those
     of the merged sums over the cap, added in survivor order (coeff_mass as
-    a sequential sum).  `generated` counts the raw outputs that passed the
-    checks and entered the merge, within the cap or over it.
+    a sequential sum).  A Lie derivative merges one block of charge classes
+    at a time, and no merged sum spans two blocks, since the bracket adds
+    the charges (m, mu - nu) of its terms; its sums over the cap are counted
+    after the last block, in the survivor order of one merge of every
+    output, so the ledger equals the one-shot ledger.  `generated` counts
+    the raw outputs that passed the checks and entered the merge, within the
+    cap or over it.
     normal_form_round merges a chain's ledger once per block it feeds: K's
     twice, for its Lie tail and the Taylor block of H_F.
     """
@@ -899,15 +1048,21 @@ class DropLedger:
         self.by_size[size] = self.by_size.get(size, 0) + 1
 
     def tally(self, sizes: np.ndarray, coeffs: np.ndarray):
-        """add(size, coeff) for each pair in turn."""
+        """add(size, coeff) for each pair in turn.
+
+        Sizes are small nonnegative integers, so they are counted with
+        bincount, and the coefficients become Python complexes a few
+        thousand at a time.
+        """
         self.count += len(sizes)
-        values, first, counts = np.unique(sizes, return_index=True, return_counts=True)
-        for k in np.argsort(first).tolist():
-            size = int(values[k])
-            self.by_size[size] = self.by_size.get(size, 0) + int(counts[k])
+        counts = np.bincount(sizes)
+        values = np.flatnonzero(counts).tolist()
+        for size in sorted(values, key=lambda v: int(np.argmax(sizes == v))):
+            self.by_size[size] = self.by_size.get(size, 0) + int(counts[size])
         mass = self.coeff_mass
-        for c in coeffs.tolist():
-            mass += abs(c)
+        for lo in range(0, len(coeffs), 4096):
+            for c in coeffs[lo:lo + 4096].tolist():
+                mass += abs(c)
         self.coeff_mass = mass
 
     def merge(self, other: "DropLedger"):
@@ -930,10 +1085,12 @@ def lie_series(
     Terms whose polynomial degree 2(L + 1) exceeds degree_cap are dropped and
     counted: they belong to the observed-only remainder class, whose bound
     carries the exponent degree_cap in the field amplitudes.  They are merged
-    and counted but never built (see lie_derivative): each call tallies them
-    on factor ids, and a product vector that only they read is built only to
-    be digested, and never kept.  The chain stops at the first power the cap
-    empties.  The caller weights the powers (1/l! for ham o F - ham).
+    and counted but never built (see lie_derivative): each call merges its
+    outputs one block of charge classes at a time, which no merged sum
+    spans, tallies them on factor ids, and counts them as one merge of all
+    its outputs would; a product vector that only they read is built only
+    to be digested, and never kept.  The chain stops at the first power the
+    cap empties.  The caller weights the powers (1/l! for ham o F - ham).
     """
     dropped = DropLedger()
     powers: list[HamExpansion] = []

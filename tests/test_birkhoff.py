@@ -406,7 +406,8 @@ def test_flow_consistency_scaling(small_model):
 
 
 def test_normal_form_n2_budget2():
-    # a three-mode spectrum with N = 2 runs two rounds and keeps reality
+    # this well has two modes, lambda = (0, 0.791), and c = 1.115, so N = 1:
+    # the normal form runs one round, and that round keeps reality
     grid = spectral.GridSpec(l_box=30.0, m_pts=256)
     v = spectral.gaussian_well(grid.x, depth=1.6, width=1.6)
     model = spectral.build_operator(grid, v)

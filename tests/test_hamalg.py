@@ -308,7 +308,7 @@ def _lie_outcome(lie, chi, ham, model, cap):
     except Exception as exc:
         return type(exc).__name__, str(exc)
     return _exact(out), (dropped.count, list(dropped.by_size.items()),
-                         dropped.coeff_mass, dropped.generated)
+                         dropped.coeff_mass.hex(), dropped.generated)
 
 
 def _assert_matches_reference(chi, ham, model, cap):
@@ -372,10 +372,16 @@ def _lie_strategies(st, model):
                                                                    max_size=5)
 
 
-def test_lie_derivative_matches_the_term_by_term_reference(small_model):
+@pytest.mark.parametrize("block_pairs", [None, 1, 2, 3], ids=["default", "1", "2", "3"])
+def test_lie_derivative_matches_the_term_by_term_reference(small_model, monkeypatch,
+                                                           block_pairs):
+    # blocks of 1-3 (input, chi term) pairs make most examples span several
+    # blocks of charge classes; the default holds each example in one
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     chis, inputs = _lie_strategies(st, small_model)
+    if block_pairs is not None:
+        monkeypatch.setattr(hamalg, "_BLOCK_PAIRS", block_pairs)
 
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(chi=chis, ham=inputs, cap=st.one_of(st.none(), st.integers(2, 10)))
@@ -409,6 +415,87 @@ def test_lie_derivative_refuses_what_the_reference_refuses(small_model, tail, er
         tail = np.exp(-small_model.grid.x ** 2 / 4).astype(complex)
     ham = HamExpansion([HamTerm(1.0, 0, (1, 0), (1, 0), a=2, b=2, tail=tail)])
     assert _assert_matches_reference(chi, ham, small_model, None) == error
+
+
+def test_lie_derivative_refuses_the_earliest_output_of_a_later_block(small_model, monkeypatch):
+    # the quartic marker with z-exponents comes first in generation order, but
+    # its charge m = 2 puts its pair in the block after the (2, 2) vector
+    # tail's (m = 1): the error is still the marker's, as in one merge
+    chi = HamExpansion([_oracle_chi(small_model).terms[3]])
+    tail = np.exp(-small_model.grid.x ** 2 / 4).astype(complex)
+    marker = HamTerm(1.0, 1, (1, 0), (1, 0), a=2, b=2, tail=QUARTIC)
+    vector = HamTerm(1.0, 0, (1, 0), (1, 0), a=2, b=2, tail=tail)
+    monkeypatch.setattr(hamalg, "_BLOCK_PAIRS", 1)
+    blocks = []
+    charge_blocks = hamalg._charge_blocks
+
+    def recorded(g, c):
+        got = charge_blocks(g, c)
+        blocks.append([b.tolist() for b in got])
+        return got
+
+    monkeypatch.setattr(hamalg, "_charge_blocks", recorded)
+    ham = HamExpansion([marker, vector])
+    error = _assert_matches_reference(chi, ham, small_model, None)
+    assert blocks == [[[1], [0]]]
+    assert error == ("ValueError", "quartic marker requires a = b = 2 and no linear factors")
+    assert _assert_matches_reference(chi, HamExpansion([vector]), small_model, None) == (
+        "LedgerViolation", "f-power count must stay below 4")
+
+
+def _charge(m, mu, nu):
+    return (int(m), *(np.asarray(mu) - np.asarray(nu)).tolist())
+
+
+def _lie_output_charges(chi, ham, model, families: set) -> bool:
+    """Whether every raw output of _lie_outputs carries its input's charge
+    (m, mu - nu) plus its chi term's; adds the families the outputs came
+    from to `families`.  Checks that fail leave the blocks yielded before."""
+    factors = hamalg._Factors(model)
+    n, n_chi = len(chi.terms[0].mu), len(chi)
+    outputs = hamalg._lie_outputs(chi.terms, ham.terms, generator_info(chi), factors,
+                                  model.grid.h)
+    ok = True
+    try:
+        for out in outputs:
+            # "order" is (i * n_chi + k) * span + the family position
+            slots = out["alpha"].shape[1] - 1
+            pair, pos = np.divmod(out["order"], n + 2 * (slots + 1))
+            for row, (i, k, p) in enumerate(zip(*np.divmod(pair, n_chi), pos)):
+                g, c = ham.terms[i], chi.terms[k]
+                want = np.add(_charge(g.m, g.mu, g.nu), _charge(c.m, c.mu, c.nu)).tolist()
+                ok &= _charge(out["m"][row], out["mu"][row], out["nu"][row]) == tuple(want)
+                side, at = divmod(int(p) - n, slots + 1)
+                families.add("z-part" if p < n else (side, "slot") if at < slots else
+                             (side, "quartic") if g.tail is QUARTIC else
+                             (side, "fold") if out["a"][row] + out["b"][row] == 0 else
+                             (side, "tail"))
+    except (ValueError, LedgerViolation):
+        pass
+    return ok
+
+
+def test_lie_outputs_carry_the_sum_of_their_pair_charges(small_model):
+    # the selection rule the blocks rest on: the bracket adds (m, mu - nu)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    chis, inputs = _lie_strategies(st, small_model)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(chi=chis, ham=inputs)
+    def check(chi, ham):
+        assert _lie_output_charges(HamExpansion(chi), HamExpansion(ham), small_model, set())
+
+    check()
+    # the oracle inputs give every family: the z-part, both slot pairings, the
+    # quartic marker and the tails, folded or not, on both sides
+    chi = _oracle_chi(small_model)
+    families: set = set()
+    for name in ("quartic", "folded", "mixed"):
+        assert _lie_output_charges(chi, _oracle_input(name, small_model, chi), small_model,
+                                   families)
+    assert families == {"z-part", *((side, family) for side in (0, 1) for family in
+                                    ("slot", "quartic", "fold", "tail"))}
 
 
 @pytest.mark.parametrize("field, message", [("big_m0", "ledger law broken"),
