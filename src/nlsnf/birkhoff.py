@@ -115,7 +115,7 @@ def solve_homological(
                         f"(m={term.m}, mu={term.mu}, nu={term.nu}); set the R^+ flag")
                 rvec = resolvent_limit(model, arg, vec, side="+")
             else:
-                rvec = resolvent_apply(model, arg, vec, reduced=True)
+                rvec = resolvent_apply(model, arg, vec)
             sign = 1j if term.kind == "linear_f" else -1j
             chi_terms.append(term.with_vector(sign * rvec))
         else:

@@ -72,10 +72,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file {path} not found")
         try:
-            cp.read(path)
+            with open(path) as fh:
+                cp.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return cp
@@ -83,7 +84,10 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 def _output_dir(cp) -> str:
     out = os.environ.get(OUTDIR_ENV) or cp.get("output", "directory")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -117,7 +121,7 @@ def build_model_from_config(cp) -> spectral.OperatorModel:
                 if sec.get("depth"):
                     params = {"depth": _finite(sec, "depth")}
             v = spectral.potential_from_preset(grid, preset, **params)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"[model]: {exc}") from exc
     return spectral.build_operator(grid, v)
 
@@ -543,7 +547,7 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, NlsnfError) as exc:

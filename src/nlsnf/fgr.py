@@ -98,22 +98,6 @@ def packet_form(packet: FgrPacket, zeta):
     return ((np.conj(c) @ packet.gram) * c).sum(axis=-1).real
 
 
-@dataclass
-class FgrFormResult:
-    value: float
-    per_w: dict
-    alarm: bool
-
-
-def fgr_form(packets, zeta) -> FgrFormResult:
-    """Sum over w of the delta-form; negative beyond the alarm level flags."""
-    per_w = {p.w: packet_form(p, zeta) for p in packets}
-    value = float(sum(per_w.values()))
-    scale = max((float(np.max(np.abs(p.gram))) for p in packets), default=0.0)
-    alarm = value < -POSITIVITY_ALARM * max(1.0, scale)
-    return FgrFormResult(value=value, per_w=per_w, alarm=alarm)
-
-
 def monomial_l2(triples, zeta):
     """sum over M of |zeta^{mu + nu}|^2, the comparison side of the FGR form.
 

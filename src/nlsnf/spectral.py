@@ -120,17 +120,16 @@ def sech2_well(x, depth: float = 2.0) -> np.ndarray:
 
 
 _PRESETS = {
-    "poschl_teller": (poschl_teller, ("a", "kappa2")),
-    "gaussian_well": (gaussian_well, ("depth", "width")),
-    "sech2_well": (sech2_well, ("depth",)),
+    "poschl_teller": poschl_teller,
+    "gaussian_well": gaussian_well,
+    "sech2_well": sech2_well,
 }
 
 
 def potential_from_preset(grid: GridSpec, name: str, **params) -> np.ndarray:
     if name not in _PRESETS:
         raise ValueError(f"unknown potential preset {name!r}")
-    fn, _ = _PRESETS[name]
-    return fn(grid.x, **params)
+    return _PRESETS[name](grid.x, **params)
 
 
 def potential_from_csv(grid: GridSpec, path) -> np.ndarray:
@@ -189,9 +188,8 @@ class OperatorModel:
     c: float
     lam: np.ndarray               # bound eigenvalues, lam[0] = 0
     phi: np.ndarray               # (n+1, M) bound eigenvectors, quadrature-normalized
-    mode_energies: np.ndarray     # all box eigenvalues of H (generic) or k^2 + c (free)
-    _evecs: np.ndarray | None = field(default=None, repr=False)   # columns, l2-normalized
-    is_free: bool = False
+    mode_energies: np.ndarray     # box eigenvalues of H, one per column of _evecs
+    _evecs: np.ndarray = field(repr=False)   # columns, l2-normalized
     # x @ _evecs of real parts x, by the digest of x up to sign
     _coeffs: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
     # _lap_nodes by w
@@ -207,14 +205,11 @@ class OperatorModel:
     def mode_coeffs(self, vec: np.ndarray) -> np.ndarray:
         """Coefficients <e_j, vec> in the full box eigenbasis.
 
-        Off the free model, the real and imaginary parts of each row are
-        transformed one at a time through `_part_coeffs`, so a row comes out
-        bit for bit as it would alone, whatever it is stacked with.
+        The real and imaginary parts of each row are transformed one at a time
+        through `_part_coeffs`, so a row comes out bit for bit as it would
+        alone, whatever it is stacked with.
         """
         self._check_grid(vec)
-        h = self.grid.h
-        if self.is_free:
-            return np.fft.fft(vec) * h / math.sqrt(2.0 * self.grid.l_box)
         vec = np.asarray(vec)
         rows = vec.reshape(-1, vec.shape[-1])
         if np.iscomplexobj(vec):
@@ -226,7 +221,7 @@ class OperatorModel:
             out = np.empty(rows.shape)
             for row, o in zip(rows, out):
                 o[...] = self._part_coeffs(row)
-        return math.sqrt(h) * out.reshape(vec.shape)
+        return math.sqrt(self.grid.h) * out.reshape(vec.shape)
 
     def _part_coeffs(self, x: np.ndarray) -> np.ndarray:
         """x @ _evecs for one real vector, by one matrix-vector product.
@@ -250,10 +245,7 @@ class OperatorModel:
         return got
 
     def from_mode_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        h = self.grid.h
-        if self.is_free:
-            return np.fft.ifft(coeffs) * math.sqrt(2.0 * self.grid.l_box) / h
-        return _real_basis_product(coeffs, self._evecs.T) / math.sqrt(h)
+        return _real_basis_product(coeffs, self._evecs.T) / math.sqrt(self.grid.h)
 
     def apply_h(self, vec: np.ndarray) -> np.ndarray:
         """(-d2/dx2 + V + c) vec through the FFT symbol k^2."""
@@ -263,8 +255,6 @@ class OperatorModel:
     def project_pc(self, vec: np.ndarray) -> np.ndarray:
         """Remove the bound-state components (projection onto the continuum)."""
         self._check_grid(vec)
-        if self.is_free or len(self.lam) == 0:
-            return np.asarray(vec, dtype=complex)
         return self.remove_bound(np.asarray(vec, dtype=complex).copy(), self.bound_weights(vec))
 
     def bound_weights(self, vec: np.ndarray) -> np.ndarray:
@@ -284,10 +274,6 @@ class OperatorModel:
     def pd_weight(self, vec: np.ndarray) -> float:
         """Norm of the bound-state component of vec."""
         return float(np.linalg.norm(self.bound_weights(vec)))
-
-    def n_continuum_start(self) -> int:
-        """Index separating bound modes from continuum modes in mode_energies."""
-        return 0 if self.is_free else len(self.lam)
 
     def _check_grid(self, vec):
         if np.shape(vec)[-1] != self.grid.m_pts:
@@ -398,16 +384,25 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
 
 
 def free_operator(grid: GridSpec, c: float = 0.0) -> OperatorModel:
-    """V = 0 model diagonalized by the FFT; used by oracle tests.
+    """V = 0 model with threshold c and no bound states (which build_operator
+    refuses); used by oracle tests.
 
-    Continuum threshold is c and there are no bound states, so this model is
-    intentionally not constructible through build_operator.
+    Its basis is the l2-normalized real Fourier modes, one column per k in
+    FFT order: cos(k x) for k >= 0 and for the Nyquist mode, sin(|k| x) for
+    the other k < 0, with energies k^2 + c.  They diagonalize
+    `kinetic_matrix`, so every transform takes the dense eigenbasis path.
     """
-    energies = grid.k ** 2 + c  # FFT ordering, matching mode_coeffs
+    m = grid.m_pts
+    sine = grid.k < 0
+    sine[m // 2] = False   # the Nyquist mode: its sine vanishes on the grid
+    evecs = np.outer(grid.x, np.abs(grid.k))
+    np.cos(evecs, out=evecs, where=~sine)
+    np.sin(evecs, out=evecs, where=sine)
+    evecs /= np.sqrt(np.einsum("ij,ij->j", evecs, evecs))
     return OperatorModel(
-        grid=grid, v=np.zeros(grid.m_pts), c=c,
-        lam=np.empty(0), phi=np.empty((0, grid.m_pts)),
-        mode_energies=energies, is_free=True,
+        grid=grid, v=np.zeros(m), c=c,
+        lam=np.empty(0), phi=np.empty((0, m)),
+        mode_energies=grid.k ** 2 + c, _evecs=evecs,
     )
 
 
@@ -449,18 +444,13 @@ def reconstruct(state: ModeState, model: OperatorModel) -> np.ndarray:
 # resolvents
 
 
-def resolvent_apply(
-    model: OperatorModel,
-    zeta: complex,
-    b: np.ndarray,
-    reduced: bool = False,
-) -> np.ndarray:
+def resolvent_apply(model: OperatorModel, zeta: complex, b: np.ndarray) -> np.ndarray:
     """Solve (H - zeta) x = b through the eigenbasis.
 
-    Real zeta must lie below the continuum threshold and clear the discrete
-    eigenvalues by 1e-8, unless `reduced` is set and b carries no weight on the
-    offending eigenvector (then that component is dropped: the resolvent of H
-    restricted to its orthogonal complement).
+    Real zeta must lie below the continuum threshold.  Within 1e-8 of a
+    discrete eigenvalue it is refused unless b's weight on that eigenvector is
+    at most 1e-10 of its norm; then the component is dropped, which is the
+    resolvent of H restricted to the eigenvector's orthogonal complement.
     """
     model._check_grid(b)
     zeta = complex(zeta)
@@ -480,12 +470,11 @@ def resolvent_apply(
         kill = np.zeros(len(e), dtype=bool)
         for j, lj in enumerate(model.lam):
             if abs(lj - s) < 1e-8:
-                if reduced and abs(coeffs[j]) <= 1e-10 * bnorm:
-                    kill[j] = True
-                else:
+                if abs(coeffs[j]) > 1e-10 * bnorm:
                     raise SingularResolventError(
                         f"resolvent argument {s:.6g} hits the eigenvalue lambda_{j} = {lj:.6g}"
                     )
+                kill[j] = True
         denom = e - s
         out_coeffs = np.where(kill, 0.0, coeffs / np.where(kill, 1.0, denom))
     else:
@@ -594,7 +583,7 @@ def resolvent_limit(
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if w <= model.c:
-        return resolvent_apply(model, w, np.asarray(b, dtype=complex), reduced=True)
+        return resolvent_apply(model, w, np.asarray(b, dtype=complex))
     nodes = _lap_nodes(model, w)
     sign = 1.0 if side == "+" else -1.0
     e = model.mode_energies
@@ -624,11 +613,11 @@ def _continuum_weights(model: OperatorModel, phis, window=None) -> tuple[np.ndar
     `window`, a mask over `mode_energies`, narrows them to the continuum modes
     it selects; only those columns of the eigenbasis are read.
     """
-    start = model.n_continuum_start()
+    start = len(model.lam)
     vecs = np.atleast_2d(phis)
-    keep = slice(start, None) if window is None else window & (np.arange(len(window)) >= start)
-    if window is None or model.is_free:
-        return model.mode_energies[keep], model.mode_coeffs(vecs)[:, keep]
+    if window is None:
+        return model.mode_energies[start:], model.mode_coeffs(vecs)[:, start:]
+    keep = window & (np.arange(len(window)) >= start)
     model._check_grid(vecs)
     columns = np.compress(keep, model._evecs, axis=1)
     return model.mode_energies[keep], math.sqrt(model.grid.h) * _real_basis_product(vecs, columns)
@@ -754,21 +743,19 @@ def pv_gram(model: OperatorModel, w: float, phis) -> np.ndarray:
     return 0.5 * (g + np.conj(g.T))
 
 
-def threshold_blowup_report(model: OperatorModel, probe=None) -> dict:
+def threshold_blowup_report(model: OperatorModel) -> dict:
     """(H4) proxy: growth of ||R(c - delta) b|| as delta -> 0.
 
     A threshold resonance shows up as growth ~ 1/delta; the generic rate in
     1-D is ~ 1/sqrt(delta).  Reported, never enforced.
     """
     h = model.grid.h
-    if probe is None:
-        probe = np.exp(-model.grid.x ** 2 / 8.0).astype(complex)
-    probe = model.project_pc(probe)
+    probe = model.project_pc(np.exp(-model.grid.x ** 2 / 8.0).astype(complex))
     gap = model.c - (model.lam[-1] if len(model.lam) else model.c - 1.0)
     deltas = np.array([0.2, 0.1, 0.05, 0.025]) * gap
     norms = []
     for d in deltas:
-        x = resolvent_apply(model, model.c - d, probe, reduced=True)
+        x = resolvent_apply(model, model.c - d, probe)
         norms.append(l2_norm(x, h))
     norms = np.array(norms)
     rates = np.log(norms[1:] / norms[:-1]) / np.log(deltas[1:] / deltas[:-1])

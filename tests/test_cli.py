@@ -158,7 +158,8 @@ directory = {out}
 
 
 CONFIG_ERRORS = [
-    ("missing-file", None, None, None),          # the config file is missing
+    ("missing-file", None, "missing.cfg", None),  # the config file is missing
+    ("directory", None, ".", None),               # the config path is a directory
     ("m_pts", "model", "m_pts", "1000"),
     ("preset", "model", "preset", "nope"),
     ("dt", "simulation", "dt", "abc"),
@@ -182,7 +183,8 @@ CONFIG_ERRORS = [
     for name, section, key, value in CONFIG_ERRORS
 ])
 def test_config_error_exit(tmp_path, capsys, command, section, key, value):
-    path = tmp_path / "missing.cfg"
+    # with no section, key is the config path within tmp_path
+    path = tmp_path / key
     if section is not None:
         path = _config_with(tmp_path, section, key, value)
     rc = cli.main([command, "--config", str(path)])
@@ -415,6 +417,23 @@ def test_missing_potential_csv_exits_config(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     assert manifest["failed_stage"] == "model"
     assert "config error" in capsys.readouterr().err
+
+
+def test_directory_potential_csv_exits_config(tmp_path, capsys):
+    rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path)
+    assert rc == cli.EXIT_CONFIG
+    assert manifest["failed_stage"] == "model"
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_file_exits_config(small_config, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(taken))
+    rc = cli.main(["spectrum", "--config", small_config])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: output directory" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 def test_fgr_stops_before_the_simulation(small_config, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from nlsnf.fgr import (
     assemble_phi_w,
     build_packets,
     cancellation_checks,
-    fgr_form,
     lyapunov_balance,
     monomial_l2,
     packet_form,
@@ -80,19 +79,23 @@ def test_packet_form_matches_direct_density(pt_model, toy_packets):
     assert packet_form(p, zeta) == pytest.approx(direct, rel=1e-10)
 
 
-def test_fgr_form_zero_and_positive(toy_packets):
-    res = fgr_form(toy_packets, np.zeros(2, dtype=complex))
-    assert res.value == 0.0
-    assert not res.alarm
+def _form_sum(packets, zeta):
+    """Sum over w of the delta-form, as `rayleigh_report` and `simulate` take it."""
+    return sum(packet_form(p, zeta) for p in packets)
+
+
+def test_packet_form_sum_zero_and_positive(toy_packets):
+    assert _form_sum(toy_packets, np.zeros(2, dtype=complex)) == 0.0
+    scale = max(float(np.max(np.abs(p.gram))) for p in toy_packets)
     rng = np.random.default_rng(2)
     for _ in range(10):
         zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        res = fgr_form(toy_packets, zeta)
-        assert res.value >= -1e-8 * max(abs(res.value), 1.0)
-        assert not res.alarm
+        value = _form_sum(toy_packets, zeta)
+        assert value >= -1e-8 * max(abs(value), 1.0)
+        assert value >= -fgr.POSITIVITY_ALARM * max(1.0, scale)
 
 
-def test_fgr_form_free_toy_packet_oracle(free_big):
+def test_packet_form_free_toy_packet_oracle(free_big):
     # singleton packet on the free model: the quadratic form at unit monomial
     # equals the analytic free density
     grid = free_big.grid
@@ -112,9 +115,9 @@ def test_phase_invariance(toy_packets):
     # all members share |mu| - |nu| = -1, so a global phase leaves the form
     rng = np.random.default_rng(3)
     zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    base = fgr_form(toy_packets, zeta).value
+    base = _form_sum(toy_packets, zeta)
     for theta in (0.3, 1.2, 2.9):
-        rot = fgr_form(toy_packets, np.exp(1j * theta) * zeta).value
+        rot = _form_sum(toy_packets, np.exp(1j * theta) * zeta)
         assert rot == pytest.approx(base, rel=1e-10)
 
 

@@ -135,15 +135,18 @@ def test_mode_transforms_round_trip(pt_model):
         assert_allclose(back, vec, rtol=0, atol=1e-12 * np.max(np.abs(vec)))
 
 
-def test_free_mode_transforms_are_the_fft():
-    grid = spectral.GridSpec(l_box=40.0, m_pts=256)
+@pytest.mark.parametrize("m_pts", [256, 512])
+def test_free_basis_is_an_eigenbasis(m_pts):
+    # orthonormal columns that diagonalize the kinetic matrix, with energies
+    # k^2 + c in FFT order; a Nyquist column that is a sine (zero on the
+    # grid) fails the orthonormality
+    grid = spectral.GridSpec(l_box=40.0, m_pts=m_pts)
     model = spectral.free_operator(grid, c=0.3)
-    scale = grid.h / np.sqrt(2.0 * grid.l_box)
-    stack = _probe_vectors(model, 3, seed=23)
-    for vec in (stack[0], stack):
-        assert_allclose(model.mode_coeffs(vec), np.fft.fft(vec) * scale, rtol=1e-14)
-        assert_allclose(model.from_mode_coeffs(vec), np.fft.ifft(vec) / scale, rtol=1e-14)
-    assert_allclose(model.mode_coeffs(stack)[2], model.mode_coeffs(stack[2]), rtol=1e-14)
+    basis, e = model._evecs, model.mode_energies
+    assert np.array_equal(e, grid.k ** 2 + 0.3)
+    assert np.max(np.abs(basis.T @ basis - np.eye(m_pts))) <= 1e-12
+    residual = spectral.kinetic_matrix(grid) @ basis - basis * (e - 0.3)
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(e)
 
 
 def test_stacked_density_gram_matches_per_packet_grams(pt_model):
@@ -334,7 +337,7 @@ def _hist_shape(u):
 def _full_support_gram(model, w, phis):
     """The histogram Gram summed over every continuum mode: the formula that
     `density_gram` evaluates on its window, kept as its oracle."""
-    start = model.n_continuum_start()
+    start = len(model.lam)
     e = model.mode_energies[start:]
     cm = model.mode_coeffs(np.stack(phis))[:, start:]
     a = w - model.c
@@ -414,7 +417,8 @@ def test_resolvent_eigenvector_case(pt_model):
 
 
 def test_resolvent_at_eigenvalue_errors(pt_model):
-    b = np.exp(-pt_model.grid.x ** 2 / 4).astype(complex)
+    # off centre, so b has weight on the odd phi_1
+    b = np.exp(-(pt_model.grid.x - 1.0) ** 2 / 4).astype(complex)
     with pytest.raises(SingularResolventError):
         spectral.resolvent_apply(pt_model, float(pt_model.lam[1]), b)
 
@@ -422,7 +426,7 @@ def test_resolvent_at_eigenvalue_errors(pt_model):
 def test_resolvent_reduced_mode(pt_model):
     # projected data may pass through an eigenvalue via the reduced resolvent
     b = pt_model.project_pc(np.exp(-pt_model.grid.x ** 2 / 4).astype(complex))
-    x = spectral.resolvent_apply(pt_model, float(pt_model.lam[1]), b, reduced=True)
+    x = spectral.resolvent_apply(pt_model, float(pt_model.lam[1]), b)
     res = pt_model.apply_h(x) - pt_model.lam[1] * x - b
     res = pt_model.project_pc(res)
     assert spectral.l2_norm(res, pt_model.grid.h) < 1e-9 * spectral.l2_norm(b, pt_model.grid.h)
