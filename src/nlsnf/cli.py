@@ -73,10 +73,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     cp.read_dict(DEFAULTS)
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8 text "
+                              f"(byte {exc.start}: {exc.reason})") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return cp

@@ -160,6 +160,8 @@ directory = {out}
 CONFIG_ERRORS = [
     ("missing-file", None, "missing.cfg", None),  # the config file is missing
     ("directory", None, ".", None),               # the config path is a directory
+    # UTF-16 text, starting with the bytes FF FE: not UTF-8
+    ("not-utf-8", None, "utf16.cfg", b"\xff\xfe" + "[model]\n".encode("utf-16-le")),
     ("m_pts", "model", "m_pts", "1000"),
     ("preset", "model", "preset", "nope"),
     ("dt", "simulation", "dt", "abc"),
@@ -183,10 +185,13 @@ CONFIG_ERRORS = [
     for name, section, key, value in CONFIG_ERRORS
 ])
 def test_config_error_exit(tmp_path, capsys, command, section, key, value):
-    # with no section, key is the config path within tmp_path
+    # with no section, key is the config path within tmp_path, and value the
+    # bytes written there, if any
     path = tmp_path / key
     if section is not None:
         path = _config_with(tmp_path, section, key, value)
+    elif value is not None:
+        path.write_bytes(value)
     rc = cli.main([command, "--config", str(path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

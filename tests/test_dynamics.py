@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -322,6 +324,62 @@ def test_sponge_steps_match_one_step_calls(pt_model):
         for i in range(n):
             u = step(u, cfg.dt, (k0 + i) * cfg.dt, pt_model, cfg, half, sponge)
         assert np.array_equal(step(u0, cfg.dt, k0 * cfg.dt, pt_model, cfg, half, sponge, n), u)
+
+
+def _strang_reference(u, dt, t, model, cfg, sponge=None, n=1):
+    """n Strang steps K/2 N K/2, then S with a sponge, written with np.fft.
+
+    The oracle of `step`: it does the same floating-point operations in the
+    same order.  Plain steps merge the half-steps between them into one
+    full kinetic factor; sponge step i starts at (k + i) dt for t = k dt.
+    """
+    half = np.exp(-0.5j * model.grid.k ** 2 * dt)
+    static = -dt * (model.v + model.c)
+    uh = np.fft.fft(u) * half
+    for i in range(n):
+        u = np.fft.ifft(uh)
+        start = t + i * dt if sponge is None or i == 0 else (round(t / dt) + i) * dt
+        g = cfg.gamma0 + cfg.gamma1 * math.cos(start + 0.5 * dt)
+        phase = (u.real ** 2 + u.imag ** 2) * (-dt * g) + static
+        rotation = np.empty(len(u), dtype=complex)
+        rotation.real, rotation.imag = np.cos(phase), np.sin(phase)
+        uh = np.fft.fft(u * rotation)
+        if sponge is None:
+            uh = uh * (half if i == n - 1 else half * half)
+        else:
+            u = np.fft.ifft(uh * half) * sponge
+            uh = np.fft.fft(u) * half
+    return np.fft.ifft(uh) if sponge is None else u
+
+
+def test_step_matches_the_textbook_strang_loop(pt_model):
+    rng = np.random.default_rng(13)
+    u0 = (0.1 * pt_model.phi[0] + 0.05j * pt_model.phi[1]).astype(complex)
+    u0 += random_radiation(pt_model, rng, 0.05)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0)
+    half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
+    sponge = dynamics._sponge_mask(pt_model.grid, cfg.dt)
+    for mask in (None, sponge):
+        for t0, n in ((0.0, 1), (0.0, 7), (37 * cfg.dt, 7)):
+            # the oracle multiplies by the real mask, as numpy casts it
+            real = None if mask is None else mask.real
+            want = _strang_reference(u0, cfg.dt, t0, pt_model, cfg, real, n)
+            got = step(u0, cfg.dt, t0, pt_model, cfg, half, mask, n)
+            assert got.tobytes() == want.tobytes(), (mask is None, t0, n)
+
+
+@pytest.mark.parametrize("m_pts", [64, 512, 1000, 4096])
+def test_bound_fft_gufuncs_are_np_fft(m_pts):
+    # the stepper calls numpy.fft._pocketfft_umath with the factors np.fft
+    # passes (1 forward, 1/M backward); the bits must be np.fft's
+    import numpy.fft._pocketfft_umath as pocketfft
+
+    assert (dynamics._fft, dynamics._ifft) == (pocketfft.fft, pocketfft.ifft)
+    rng = np.random.default_rng(m_pts)
+    a = rng.standard_normal(m_pts) + 1j * rng.standard_normal(m_pts)
+    out = np.empty_like(a)
+    assert dynamics._fft(a, 1, out=out).tobytes() == np.fft.fft(a).tobytes()
+    assert dynamics._ifft(a, 1 / m_pts, out=out).tobytes() == np.fft.ifft(a).tobytes()
 
 
 def test_batched_monitors_match_single_sample_helpers(pt_model, pt_aux, monkeypatch):

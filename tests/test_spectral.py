@@ -329,6 +329,25 @@ def test_fix_signs_matches_the_column_loop(pt_model):
         assert spectral._fix_signs(vecs.copy()).tobytes() == want.tobytes()
 
 
+def test_fix_signs_ties_fall_back_to_the_first_largest_entry():
+    # the largest and smallest entries decide a column unless they tie in
+    # magnitude; then the first of them decides, +a first keeps the column
+    # and -a first flips it, as the argmax(|v|) rule does
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((256, 256))
+    basis = np.linalg.eigh(a + a.T)[1]     # a random eigenbasis
+    plus_first, minus_first = np.zeros(256), np.zeros(256)
+    plus_first[[3, 200]] = minus_first[[200, 3]] = 0.5, -0.5
+    ties = basis.copy()
+    ties[:, 5], ties[:, 6] = plus_first, minus_first
+    for vecs in (basis, ties):
+        want = _fix_signs_loop(vecs)
+        assert spectral._fix_signs(vecs.copy()).tobytes() == want.tobytes()
+    fixed = spectral._fix_signs(ties.copy())
+    assert np.array_equal(fixed[:, 5], plus_first)
+    assert np.array_equal(fixed[:, 6], -minus_first)
+
+
 def _hist_shape(u):
     """The fourth-order Gaussian kernel of the histogram, up to its 1/sigma."""
     return np.exp(-u ** 2 / 2.0) / np.sqrt(2.0 * np.pi) * (1.5 - u ** 2 / 2.0)
