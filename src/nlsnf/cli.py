@@ -459,9 +459,16 @@ def cmd_resonance_check(args) -> int:
         lam = np.array([float(s) for s in args.lam.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--lambda: {exc}") from exc
+    # tol follows the rule of [analysis] tol_res: a tol of 0 or NaN would pass
+    # every check
+    if not np.isfinite(lam).all():
+        raise ConfigError(f"--lambda: eigenvalues must be finite, got {args.lam}")
+    if not math.isfinite(args.c):
+        raise ConfigError(f"--c must be finite, got {args.c}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     budget = resonance.resonance_budget(lam, args.c, args.tol)
     report = resonance.check_hypotheses(lam, args.c, budget, args.tol)
-    catalog = None
     if report.all_ok:
         catalog = resonance.build_index_sets(lam, args.c, budget, report, args.tol)
         print(resonance.catalog_report(catalog, budget, report))

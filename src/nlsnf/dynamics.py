@@ -29,8 +29,8 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .birkhoff import ReducedForm
 from .errors import ConfigError, NumericalError
-from .fgr import FgrPacket, packet_form
-from .hamalg import exponent_table, linear_f_term, linear_fbar_term, monomials
+from .fgr import packet_form
+from .hamalg import exponent_table, monomials
 from .resonance import ResonanceCatalog, TOL_RES
 from .spectral import (
     GridSpec,
@@ -358,12 +358,6 @@ def free_flow_undo(u, t: float, grid: GridSpec, c: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(u) * np.exp(1j * (grid.k ** 2 + c) * t))
 
 
-def linear_reference(model: OperatorModel, u0, t: float) -> np.ndarray:
-    """Exact e^{-i H t} u0 through the dense eigenbasis (oracle for gamma = 0)."""
-    coeffs = model.mode_coeffs(np.asarray(u0, dtype=complex))
-    return model.from_mode_coeffs(np.exp(-1j * model.mode_energies * t) * coeffs)
-
-
 # ---------------------------------------------------------------------------
 # changes of variables
 
@@ -490,42 +484,3 @@ def g_transform(state: ModeState, t, g_couplings: CouplingTable) -> np.ndarray:
     tails = g_couplings.weight.reshape(-1, state.f.shape[-1])   # (K, M), also for K = 0
     return state.f + g_couplings.phased_monomials(state.z, t) @ tails
 
-
-# ---------------------------------------------------------------------------
-# reduced mode system
-
-
-def reduced_ode_rhs(z, f, reduced: ReducedForm, model: OperatorModel,
-                    t: float = 0.0) -> np.ndarray:
-    """dz_j/dt of the normal-form mode system (remainder gradient excluded).
-
-    i zdot_j = lambda_j z_j + dZ/dconj(z_j), where Z is Z0 plus the retained
-    couplings e^{imt} z^mu conj(z)^nu <f, Phi> (M) and <conj f, Psi> (M'),
-    read from Z's Hamiltonian field (HamExpansion.field).  f = None stands
-    for no radiation.
-    """
-    z = np.asarray(z, dtype=complex)
-    f = np.zeros(model.grid.m_pts, dtype=complex) if f is None else f
-    z1 = ([linear_f_term(tr.m, tr.mu, tr.nu, phi) for tr, phi in reduced.z1_m.items()]
-          + [linear_fbar_term(tr.m, tr.mu, tr.nu, psi) for tr, psi in reduced.z1_mprime.items()])
-    dz, _ = (reduced.z0 + z1).field(t, z, f, model)
-    return -1j * (model.lam * z + dz)
-
-
-def integrate_reduced(z0, t_grid, reduced: ReducedForm, model: OperatorModel,
-                      f: np.ndarray | None = None) -> np.ndarray:
-    """RK4 integration of the reduced system on the given time grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty((len(t_grid), len(z0)), dtype=complex)
-    z = np.asarray(z0, dtype=complex).copy()
-    out[0] = z
-    for i in range(1, len(t_grid)):
-        t0, t1 = t_grid[i - 1], t_grid[i]
-        dt = t1 - t0
-        k1 = reduced_ode_rhs(z, f, reduced, model, t0)
-        k2 = reduced_ode_rhs(z + 0.5 * dt * k1, f, reduced, model, t0 + 0.5 * dt)
-        k3 = reduced_ode_rhs(z + 0.5 * dt * k2, f, reduced, model, t0 + 0.5 * dt)
-        k4 = reduced_ode_rhs(z + dt * k3, f, reduced, model, t1)
-        z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = z
-    return out

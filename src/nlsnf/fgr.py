@@ -17,7 +17,6 @@ import numpy as np
 from .birkhoff import ReducedForm
 from .errors import NlsnfError
 from .hamalg import HamExpansion, exponent_table, monomials
-from .resonance import IndexTriple
 from .spectral import OperatorModel, density_gram, pv_gram
 
 POSITIVITY_ALARM = 1e-8
@@ -80,13 +79,6 @@ def _psd_clip(gram: np.ndarray) -> tuple[np.ndarray, float]:
     clipped = float(np.sum(-vals[vals < 0]))  # +0.0, not -0.0, when nothing is clipped
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ np.conj(vecs.T), clipped
-
-
-def assemble_phi_w(packet: FgrPacket, zeta: np.ndarray) -> np.ndarray:
-    """Phi_w(zeta) = sum over the packet of zeta^mu conj(zeta)^nu Phi."""
-    mono = monomials(zeta, packet.mu, packet.nu)
-    cols = np.stack([p for _, p in packet.members])
-    return mono @ cols
 
 
 def packet_form(packet: FgrPacket, zeta):

@@ -29,9 +29,10 @@ complex arithmetic one rounding at a time, and every merged sum runs in
 input order, so the merge has the bits of a term-by-term one.  Merged sums
 over the degree cap are only counted (DropLedger); no term or product
 vector is built for them.
-check_reality, evaluate and field pair the same ids with their states in one
-table (_f_entries); field is the Hamiltonian field (dH/dconj(z_j),
-P_c grad_{conj f} H) that the generator flow and the reduced mode ODE read.
+check_reality pairs the same ids with its probe states in one table
+(_f_factors).  The value and the Hamiltonian field of an expansion, the
+generator flow and the reduced mode ODE are test oracles, taken term by
+term (tests/oracles.py); no stage runs them.
 """
 
 from __future__ import annotations
@@ -195,18 +196,6 @@ class HamTerm:
                 f"kind={self.kind})")
 
 
-def scalar_term(coeff, m, mu, nu) -> HamTerm:
-    return HamTerm(coeff, m, mu, nu)
-
-
-def linear_f_term(m, mu, nu, phi) -> HamTerm:
-    return HamTerm(1.0, m, mu, nu, alphas=(phi,))
-
-
-def linear_fbar_term(m, mu, nu, psi) -> HamTerm:
-    return HamTerm(1.0, m, mu, nu, betas=(psi,))
-
-
 class HamExpansion:
     """Multiset of terms; scalar, linear and quartic-marker terms merge on
     (m, mu, nu).
@@ -239,67 +228,6 @@ class HamExpansion:
         cols = _term_columns(self.terms, factors)
         cols["order"] = np.arange(len(self.terms))
         return HamExpansion(_merge_blocks([cols], factors, None, DropLedger()))
-
-    def evaluate(self, t: float, z, f, h: float) -> complex:
-        if not self.terms:
-            return 0j
-        factors = _Factors(None)
-        cols = _term_columns(self.terms, factors)
-        coeffs = np.array([term.coeff for term in self.terms], dtype=complex)
-        radiation = _f_factors(cols, factors, [np.asarray(f, dtype=complex)], h)[:, 0]
-        zmons = monomials(np.asarray(z, dtype=complex), cols["mu"], cols["nu"])
-        return complex(np.sum(coeffs * np.exp(1j * cols["m"] * t) * zmons * radiation))
-
-    def field(self, t: float, z, f, model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
-        """The Hamiltonian field at (t, z, f): (dz, df) with dz[j] = dH/dconj(z_j)
-        and df = P_c grad_{conj f} H.
-
-        It reads evaluate's pairing table (_f_entries).  A beta slot releases
-        its Psi times the product of the row's other entries (a product, not
-        a quotient: a pairing can be exactly 0), a vector tail releases
-        b f^a conj(f)^(b-1) tail and the quartic marker (1/2) f^2 conj(f).
-        The releases are summed per factor id and shape, and P_c is applied
-        once.
-        """
-        z = np.asarray(z, dtype=complex)
-        f = np.asarray(f, dtype=complex)
-        if not self.terms:
-            return np.zeros(len(z), dtype=complex), np.zeros(len(f), dtype=complex)
-        factors = _Factors(None)
-        cols = _term_columns(self.terms, factors)
-        alphas, betas, tail = (e[..., 0] for e in _f_entries(cols, factors, [f], model.grid.h))
-        mu, nu, beta, tail_id = cols["mu"], cols["nu"], cols["beta"], cols["tail"]
-        phased = (np.array([term.coeff for term in self.terms], dtype=complex)
-                  * np.exp(1j * cols["m"] * t))
-        with_alphas = phased * alphas.prod(axis=1)
-        # d/dconj(z_j) of conj(z)^nu is nu_j conj(z)^(nu - e_j); rows with
-        # nu_j = 0 are zeroed by their factor nu_j
-        lowered = np.maximum(nu[None] - np.eye(len(z), dtype=nu.dtype)[:, None], 0)
-        radiation = with_alphas * betas.prod(axis=1) * tail
-        dz = (nu.T * monomials(z, mu, lowered) * radiation).sum(axis=1)
-
-        # a beta slot releases its Psi as a (0, 1) tail would; a vector tail
-        # releases b f^a conj(f)^(b - 1) tail
-        weight = with_alphas * monomials(z, mu, nu)
-        rows = np.flatnonzero((tail_id >= 0) & (cols["b"] > 0))
-        ids = [tail_id[rows]]
-        ab = [np.stack([cols["a"][rows], cols["b"][rows]], axis=1)]
-        parts = [(cols["b"] * weight * betas.prod(axis=1))[rows]]
-        for slot in range(beta.shape[1]):
-            rows = np.flatnonzero(beta[:, slot] >= 0)
-            ids.append(beta[rows, slot])
-            ab.append(np.tile([0, 1], (len(rows), 1)))
-            parts.append((weight * np.delete(betas, slot, axis=1).prod(axis=1) * tail)[rows])
-        powers, shape = np.unique(np.concatenate(ab), axis=0, return_inverse=True)
-        fids, inverse = np.unique(np.concatenate(ids), return_inverse=True)
-        released = np.zeros((len(powers), len(fids)), dtype=complex)
-        np.add.at(released, (shape.reshape(-1), inverse), np.concatenate(parts))
-        df = 0.5 * f ** 2 * np.conj(f) * np.sum(weight[tail_id == _QUARTIC_TAIL])
-        if len(fids):
-            sums = released @ np.stack([factors.vector(fid) for fid in fids.tolist()])
-            for (pa, pb), v in zip(powers.tolist(), sums):
-                df = df + f ** pa * np.conj(f) ** (pb - 1) * v
-        return dz, model.project_pc(df)
 
     def select(self, pred) -> "HamExpansion":
         return HamExpansion([t for t in self.terms if pred(t)])
@@ -1109,10 +1037,10 @@ def lie_series(
 # reality symmetry
 
 
-def _f_entries(cols: dict, factors: _Factors, probes, h: float):
-    """The radiation entries of each row of cols at each probe state f:
-    <Phi, f> per alpha slot and <Psi, conj(f)> per beta slot, as (rows,
-    slots, probes) arrays, and the tail value as a (rows, probes) array.
+def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
+    """The radiation part of each row of cols at each probe state f, as a
+    (rows, probes) array: the product of <Phi, f> over the alpha slots, of
+    <Psi, conj(f)> over the beta slots and of the tail value, in that order.
     An empty slot and a missing tail read 1.
 
     The pairings of every factor vector with f, conj(f) and the f^a conj(f)^b
@@ -1138,15 +1066,8 @@ def _f_entries(cols: dict, factors: _Factors, probes, h: float):
         table[lo:lo + len(vecs)] = h * (vecs @ probe_cols)
     table = table.reshape(len(used) + 2, len(probes), width)
     table[len(used), :, 2:] = [[0.25 * pairing(f ** 2, np.conj(f) ** 2, h)] for f in probes]
-    return (table[row[alpha], :, 0], table[row[beta], :, 1],
-            table[row[tail], :, 2 + ab.reshape(-1)])
-
-
-def _f_factors(cols: dict, factors: _Factors, probes, h: float) -> np.ndarray:
-    """The radiation part of each row of cols at each probe state f, as a
-    (rows, probes) array: the product of the row's _f_entries."""
-    alphas, betas, tail = _f_entries(cols, factors, probes, h)
-    return alphas.prod(axis=1) * betas.prod(axis=1) * tail
+    return (table[row[alpha], :, 0].prod(axis=1) * table[row[beta], :, 1].prod(axis=1)
+            * table[row[tail], :, 2 + ab.reshape(-1)])
 
 
 def check_reality(ham: HamExpansion, grid: GridSpec, tol: float = REALITY_TOL):
@@ -1270,53 +1191,6 @@ def expand_potential_energy(model: OperatorModel, gamma0: float, gamma1: float) 
     return HamExpansion(terms).merged()
 
 
-def hf_value(model: OperatorModel, z, f) -> float:
-    """Quadratic part sum lambda_j |z_j|^2 + <H f, conj f> (tau dropped)."""
-    h = model.grid.h
-    z = np.asarray(z, dtype=complex)
-    quad = float(np.real(pairing(model.apply_h(np.asarray(f, dtype=complex)), np.conj(f), h)))
-    return float(np.sum(model.lam * np.abs(z) ** 2)) + quad
-
-
-# ---------------------------------------------------------------------------
-# generator flow (used by the truncation-consistency checks)
-
-
-def generator_flow(chi: HamExpansion, t: float, z, f, model: OperatorModel,
-                   steps: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
-    """Time-1 flow of the Hamiltonian field of chi from (z, f), fixed t slice.
-
-    RK4 on zdot_j = -i dchi/dzbar_j, fdot = -i grad_{conj f} chi (one
-    HamExpansion.field call per stage), and the action shift psidot =
-    dchi/dt.  The harmonic factor is frozen at the given t (the flow
-    parameter does not advance t), but the shift psi feeds the -tau part of
-    the quadratic Hamiltonian, so composition identities need it.
-    Returns (z', f', psi).  Requires a real-symmetric chi: the flow is tracked
-    on the reality plane conj(z), conj(f).
-    """
-    z = np.asarray(z, dtype=complex).copy()
-    f = np.asarray(f, dtype=complex).copy()
-    dchidt = HamExpansion([term.scaled(1j * term.m) for term in chi.terms if term.m])
-    h = model.grid.h
-    psi = 0.0
-
-    def rhs(zc, fc):
-        dz, df = chi.field(t, zc, fc, model)
-        dpsi = dchidt.evaluate(t, zc, fc, h).real if len(dchidt) else 0.0
-        return -1j * dz, -1j * df, dpsi
-
-    ds = 1.0 / steps
-    for _ in range(steps):
-        k1z, k1f, k1p = rhs(z, f)
-        k2z, k2f, k2p = rhs(z + 0.5 * ds * k1z, f + 0.5 * ds * k1f)
-        k3z, k3f, k3p = rhs(z + 0.5 * ds * k2z, f + 0.5 * ds * k2f)
-        k4z, k4f, k4p = rhs(z + ds * k3z, f + ds * k3f)
-        z = z + (ds / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        f = f + (ds / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
-        psi = psi + (ds / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return z, f, psi
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -1347,22 +1221,3 @@ def expansion_to_records(ham: HamExpansion) -> tuple[list[dict], dict[str, np.nd
         records.append(rec)
     return records, vectors
 
-
-def expansion_from_records(records, vectors) -> HamExpansion:
-    terms = []
-    for rec in records:
-        tail = rec.get("tail")
-        if tail == "quartic":
-            tail_v = QUARTIC
-        elif tail is not None:
-            tail_v = vectors[tail]
-        else:
-            tail_v = None
-        terms.append(HamTerm(
-            complex(rec["coeff"][0], rec["coeff"][1]), rec["m"],
-            tuple(rec["mu"]), tuple(rec["nu"]),
-            alphas=tuple(vectors[k] for k in rec.get("alphas", ())),
-            betas=tuple(vectors[k] for k in rec.get("betas", ())),
-            a=rec.get("a", 0), b=rec.get("b", 0), tail=tail_v,
-        ))
-    return HamExpansion(terms)

@@ -89,11 +89,6 @@ def pairing(u, v, h: float) -> complex:
     return complex(h * np.dot(u, v))
 
 
-def inner(u, v, h: float) -> complex:
-    """Hermitian inner product integral conj(u) v dx."""
-    return complex(h * np.vdot(u, v))
-
-
 def l2_norm(u, h: float):
     """sqrt(h) ||u||; a stack of vectors along the last axis gives one norm each."""
     if np.ndim(u) == 1:
@@ -271,10 +266,6 @@ class OperatorModel:
             np.subtract(out, weights[..., j, None] * self.phi[j], out=out, where=where)
         return out
 
-    def pd_weight(self, vec: np.ndarray) -> float:
-        """Norm of the bound-state component of vec."""
-        return float(np.linalg.norm(self.bound_weights(vec)))
-
     def _check_grid(self, vec):
         if np.shape(vec)[-1] != self.grid.m_pts:
             raise GridMismatchError(
@@ -393,29 +384,6 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
     return model
 
 
-def free_operator(grid: GridSpec, c: float = 0.0) -> OperatorModel:
-    """V = 0 model with threshold c and no bound states (which build_operator
-    refuses); used by oracle tests.
-
-    Its basis is the l2-normalized real Fourier modes, one column per k in
-    FFT order: cos(k x) for k >= 0 and for the Nyquist mode, sin(|k| x) for
-    the other k < 0, with energies k^2 + c.  They diagonalize
-    `kinetic_matrix`, so every transform takes the dense eigenbasis path.
-    """
-    m = grid.m_pts
-    sine = grid.k < 0
-    sine[m // 2] = False   # the Nyquist mode: its sine vanishes on the grid
-    evecs = np.outer(grid.x, np.abs(grid.k))
-    np.cos(evecs, out=evecs, where=~sine)
-    np.sin(evecs, out=evecs, where=sine)
-    evecs /= np.sqrt(np.einsum("ij,ij->j", evecs, evecs))
-    return OperatorModel(
-        grid=grid, v=np.zeros(m), c=c,
-        lam=np.empty(0), phi=np.empty((0, m)),
-        mode_energies=grid.k ** 2 + c, _evecs=evecs,
-    )
-
-
 def _validate_eigenpairs(model: OperatorModel):
     h = model.grid.h
     nb = len(model.lam)
@@ -442,12 +410,6 @@ def project_modes(u: np.ndarray, model: OperatorModel) -> ModeState:
     z = model.grid.h * _real_basis_product(u, model.phi.T)
     f = u - _real_basis_product(z, model.phi)
     return ModeState(z=z, f=f, t=0.0)
-
-
-def reconstruct(state: ModeState, model: OperatorModel) -> np.ndarray:
-    if len(state.z) == 0:
-        return state.f.copy()
-    return (state.z[:, None] * model.phi).sum(axis=0) + state.f
 
 
 # ---------------------------------------------------------------------------

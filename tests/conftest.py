@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nlsnf import birkhoff, dynamics, fgr, hamalg, resonance, spectral
 
 
@@ -28,7 +29,7 @@ def pt_model_wide():
 def free_big():
     """Large free box, FFT-diagonalized; oracle for continuum formulas."""
     grid = spectral.GridSpec(l_box=400.0, m_pts=4096)
-    return spectral.free_operator(grid, c=0.0)
+    return oracles.free_operator(grid, c=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from nlsnf import birkhoff, hamalg, spectral
 from nlsnf.birkhoff import (
     NONRESONANT,
@@ -23,9 +24,8 @@ from nlsnf.hamalg import (
     bracket_hf,
     check_reality,
     expand_potential_energy,
-    generator_flow,
-    scalar_term,
 )
+from oracles import generator_flow, scalar_term
 
 LAM = np.array([0.0, 0.7])
 C = 0.7875
@@ -54,17 +54,17 @@ def test_classify_z0():
 
 def test_classify_z1_linear_f(small_model):
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
-    t = hamalg.linear_f_term(1, (0, 1), (0, 2), phi)
+    t = oracles.linear_f_term(1, (0, 1), (0, 2), phi)
     # lambda.(mu - nu) - m = -0.7 - 1 = -1.7 < -0.7875
     assert classify_term(t, LAM, C, r=1) == Z1
 
 
 def test_classify_nonresonant_linear(small_model):
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
-    t = hamalg.linear_f_term(0, (1, 0), (0, 2), phi)
+    t = oracles.linear_f_term(0, (1, 0), (0, 2), phi)
     # -1.4 + 0.7... lambda.(mu-nu) = -1.4, wait mu=(1,0): 0 - 1.4 = -1.4 < -c: Z1
     # use the spec's nonresonant case instead: m=0, mu=(0,0) -> handled below
-    t2 = hamalg.linear_f_term(0, (0, 1), (0, 2), phi)
+    t2 = oracles.linear_f_term(0, (0, 1), (0, 2), phi)
     # lambda.(mu - nu) = 0.7 - 1.4 = -0.7 > -0.7875
     assert classify_term(t2, LAM, C, r=1) == NONRESONANT
 
@@ -72,7 +72,7 @@ def test_classify_nonresonant_linear(small_model):
 def test_classify_threshold_ambiguity_errors(small_model):
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
     lam = np.array([0.0, 0.7875])   # lambda_1 = c exactly: -lambda_1 - 0 = -c
-    t = hamalg.linear_f_term(0, (1, 0), (1, 1), phi)
+    t = oracles.linear_f_term(0, (1, 0), (1, 1), phi)
     with pytest.raises(ClassificationError):
         classify_term(t, lam, C, r=1)
 
@@ -90,7 +90,7 @@ def test_classify_refuses_only_within_the_round(small_model):
     # of size 4, which no round before r = 3 solves
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
     lam, c = np.array([0.0, 1.2]), 0.6
-    t = hamalg.linear_f_term(-3, (3, 0), (1, 3), phi)
+    t = oracles.linear_f_term(-3, (3, 0), (1, 3), phi)
     assert t.size == 4
     assert classify_term(t, lam, c, r=1) == "R1"
     with pytest.raises(ClassificationError, match=r"\(H7\)-type threshold hit"):
@@ -130,11 +130,11 @@ def test_solve_homological_eigenvalue_hit(small_model):
     # resolvent argument lambda.(nu - mu) + m = 0.7 = lambda_1 with a generic
     # (unprojected, asymmetric) coupling: singularity
     phi = np.exp(-(small_model.grid.x - 1.0) ** 2 / 2).astype(complex)
-    k = HamExpansion([hamalg.linear_f_term(0, (0, 0), (0, 1), phi)])
+    k = HamExpansion([oracles.linear_f_term(0, (0, 0), (0, 1), phi)])
     with pytest.raises(SingularResolventError):
         solve_homological(k, small_model)
     # projected coupling passes through the reduced resolvent
-    k_proj = HamExpansion([hamalg.linear_f_term(
+    k_proj = HamExpansion([oracles.linear_f_term(
         0, (0, 0), (0, 1), small_model.project_pc(phi))])
     chi = solve_homological(k_proj, small_model)
     assert len(chi) == 1
@@ -194,7 +194,7 @@ def test_solve_homological_inverts_bracket_hf(small_model):
 def test_solve_homological_continuum_needs_flag(small_model):
     # argument 0.7 + 1 = 1.7 > c needs the R^+ boundary value
     phi = small_model.project_pc(np.exp(-small_model.grid.x ** 2 / 2).astype(complex))
-    k = HamExpansion([hamalg.linear_f_term(1, (0, 0), (0, 1), phi)])
+    k = HamExpansion([oracles.linear_f_term(1, (0, 0), (0, 1), phi)])
     with pytest.raises(SingularResolventError, match="R\\+|flag"):
         solve_homological(k, small_model)
     chi = solve_homological(k, small_model, r_plus=True)
@@ -218,8 +218,8 @@ def test_homological_identity_random_states(small_model):
     k = HamExpansion([
         scalar_term(0.3 - 1.1j, 1, (1, 1), (2, 0)),
         scalar_term(0.3 + 1.1j, -1, (2, 0), (1, 1)),
-        hamalg.linear_f_term(0, (0, 1), (0, 2), phi),
-        hamalg.linear_fbar_term(0, (0, 2), (0, 1), np.conj(phi)),
+        oracles.linear_f_term(0, (0, 1), (0, 2), phi),
+        oracles.linear_fbar_term(0, (0, 2), (0, 1), np.conj(phi)),
     ])
     chi = solve_homological(k, small_model)
     bracket = HamExpansion(
@@ -230,8 +230,8 @@ def test_homological_identity_random_states(small_model):
         f = small_model.project_pc(
             (rng.standard_normal(grid.m_pts) + 1j * rng.standard_normal(grid.m_pts))
             * np.exp(-grid.x ** 2 / 9))
-        kv = k.evaluate(0.7, z, f, grid.h)
-        dv = diff.evaluate(0.7, z, f, grid.h)
+        kv = oracles.evaluate(k, 0.7, z, f, grid.h)
+        dv = oracles.evaluate(diff, 0.7, z, f, grid.h)
         assert abs(dv) <= 1e-8 * max(abs(kv), 1e-12)
 
 
@@ -344,8 +344,8 @@ def test_reduce_displaces_nonminimal(pt_normal_form, pt_catalog, pt_model):
     nf = copy.copy(pt_normal_form)
     grid = pt_model.grid
     phi = pt_model.project_pc(np.exp(-grid.x ** 2 / 2).astype(complex))
-    extra_f = hamalg.linear_f_term(1, (1, 1), (2, 2), phi)     # dominated by (1,(1,0),(2,0))... at same m
-    extra_fb = hamalg.linear_fbar_term(-1, (2, 2), (1, 1), np.conj(phi))
+    extra_f = oracles.linear_f_term(1, (1, 1), (2, 2), phi)     # dominated by (1,(1,0),(2,0))... at same m
+    extra_fb = oracles.linear_fbar_term(-1, (2, 2), (1, 1), np.conj(phi))
     cat = pt_catalog
     # the triple is inside bigM of an N = 2 catalog, not the N = 1 one, so build
     # a dominated triple inside bigM at m = 1: (1, (1,0), (1,1)) vs (1, (1,0), (2,0))?
@@ -391,12 +391,12 @@ def test_flow_consistency_scaling(small_model):
         z_eps = eps * z0
         f_eps = eps * f0
         # H^{(2)} = H_F + Z + R evaluated at (z, f)
-        h2 = (hamalg.hf_value(model, z_eps, f_eps)
-              + (z_part + rem.terms).evaluate(t0, z_eps, f_eps, grid.h))
+        h2 = (oracles.hf_value(model, z_eps, f_eps)
+              + oracles.evaluate(z_part + rem.terms, t0, z_eps, f_eps, grid.h))
         # H^{(1)} at the time-1 flow of chi; the action shift psi feeds the
         # -tau part of the quadratic Hamiltonian
         zf, ff, psi = generator_flow(chi, t0, z_eps, f_eps, model, steps=48)
-        h1 = hamalg.hf_value(model, zf, ff) - psi + ep.evaluate(t0, zf, ff, grid.h)
+        h1 = oracles.hf_value(model, zf, ff) - psi + oracles.evaluate(ep, t0, zf, ff, grid.h)
         return abs(h2 - h1)
 
     e1, e2 = error_at(1e-2), error_at(5e-3)

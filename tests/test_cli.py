@@ -65,6 +65,24 @@ def test_resonance_check_bad_lambda_exits_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--lambda", "0,nan", "--c", "0.7875"],
+    ["--lambda", "0,inf", "--c", "0.7875"],
+    ["--lambda", "0,0.7", "--c", "nan"],
+    ["--lambda", "0,0.7", "--c", "inf"],
+    # a tolerance of 0 or NaN would pass every check of a clean spectrum
+    ["--lambda", "0,0.7", "--c", "0.7875", "--tol", "nan"],
+    ["--lambda", "0,0.7", "--c", "0.7875", "--tol", "0"],
+    ["--lambda", "0,0.7", "--c", "0.7875", "--tol", "-1"],
+    ["--lambda", "0,0.7", "--c", "0.7875", "--tol", "inf"],
+], ids=["lambda-nan", "lambda-inf", "c-nan", "c-inf", "tol-nan", "tol-0", "tol-negative",
+        "tol-inf"])
+def test_resonance_check_non_finite_or_non_positive_input_exits_config(capsys, args):
+    rc = cli.main(["resonance-check", *args])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_spectrum_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     rc = cli.main(["spectrum", "--preset", "poschl_teller"])

@@ -12,9 +12,6 @@ from nlsnf.dynamics import (
     build_zeta_couplings,
     g_transform,
     initial_state,
-    integrate_reduced,
-    linear_reference,
-    reduced_ode_rhs,
     simulate,
     step,
     zeta_transform,
@@ -22,6 +19,7 @@ from nlsnf.dynamics import (
 from nlsnf.errors import ConfigError, NumericalError
 
 from conftest import random_radiation
+from oracles import integrate_reduced, linear_reference, reduced_ode_rhs
 
 
 def _short_config(**kw):
@@ -206,7 +204,8 @@ def test_reduced_ode_quartic_example(pt_model, pt_reduced):
     import copy
 
     from nlsnf import birkhoff as bk
-    from nlsnf.hamalg import HamExpansion, scalar_term
+    from nlsnf.hamalg import HamExpansion
+    from oracles import scalar_term
 
     red = copy.copy(pt_reduced)
     red.z0 = HamExpansion([scalar_term(0.7, 0, (2, 0), (2, 0))])

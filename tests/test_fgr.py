@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from nlsnf import fgr, hamalg, spectral
 from nlsnf.fgr import (
     FgrPacket,
-    assemble_phi_w,
     build_packets,
     cancellation_checks,
     lyapunov_balance,
@@ -13,8 +12,9 @@ from nlsnf.fgr import (
     packet_form,
     rayleigh_report,
 )
-from nlsnf.hamalg import HamExpansion, scalar_term
+from nlsnf.hamalg import HamExpansion
 from nlsnf.resonance import IndexTriple
+from oracles import assemble_phi_w, scalar_term
 
 
 def _packet_from(model, w, members):

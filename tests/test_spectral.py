@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from nlsnf import spectral
 from nlsnf.errors import (
     BoundaryDecayError,
@@ -98,8 +99,9 @@ def test_project_modes_parseval_and_reconstruction(pt_model):
         total = np.sum(np.abs(state.z) ** 2) + spectral.l2_norm(state.f, h) ** 2
         assert total == pytest.approx(spectral.l2_norm(u, h) ** 2, rel=1e-10)
         # P_d f below 1e-10 relative
-        assert pt_model.pd_weight(state.f) <= 1e-10 * spectral.l2_norm(state.f, h)
-        back = spectral.reconstruct(state, pt_model)
+        assert (np.linalg.norm(pt_model.bound_weights(state.f))
+                <= 1e-10 * spectral.l2_norm(state.f, h))
+        back = state.z @ pt_model.phi + state.f
         assert spectral.l2_norm(back - u, h) <= 1e-12 * spectral.l2_norm(u, h)
 
 
@@ -141,7 +143,7 @@ def test_free_basis_is_an_eigenbasis(m_pts):
     # k^2 + c in FFT order; a Nyquist column that is a sine (zero on the
     # grid) fails the orthonormality
     grid = spectral.GridSpec(l_box=40.0, m_pts=m_pts)
-    model = spectral.free_operator(grid, c=0.3)
+    model = oracles.free_operator(grid, c=0.3)
     basis, e = model._evecs, model.mode_energies
     assert np.array_equal(e, grid.k ** 2 + 0.3)
     assert np.max(np.abs(basis.T @ basis - np.eye(m_pts))) <= 1e-12
@@ -296,7 +298,7 @@ def test_continuum_forms_read_the_same_bytes_on_a_warm_model(pt_model):
 
 def test_project_modes_on_the_free_model_has_no_amplitudes():
     # no bound states: the amplitudes have an empty last axis, f is the state
-    model = spectral.free_operator(spectral.GridSpec(l_box=40.0, m_pts=256), c=0.3)
+    model = oracles.free_operator(spectral.GridSpec(l_box=40.0, m_pts=256), c=0.3)
     stack = _probe_vectors(model, 3, seed=28)
     for u in (stack[0], stack):
         state = spectral.project_modes(u, model)
@@ -379,7 +381,7 @@ def test_histogram_window_matches_full_support(case, pt_model):
     # the window drops only modes where the kernel is below 2^-53 of its peak
     if case == "free":
         # FFT-ordered energies: the window is two runs of indices, +k and -k
-        model = spectral.free_operator(spectral.GridSpec(l_box=40.0, m_pts=512), c=0.3)
+        model = oracles.free_operator(spectral.GridSpec(l_box=40.0, m_pts=512), c=0.3)
         assert np.any(np.diff(model.mode_energies) < 0)
     else:
         model = pt_model
@@ -456,7 +458,7 @@ def test_resolvent_free_kernel_oracle():
     # the kernel has a cusp at x = y, so the quadrature oracle is Richardson-
     # extrapolated over two fine grids to clear its own O(h^2) error
     grid = spectral.GridSpec(l_box=40.0, m_pts=2048)
-    model = spectral.free_operator(grid, c=0.0)
+    model = oracles.free_operator(grid, c=0.0)
     b_of = lambda xs: np.exp(-xs ** 2)
     b = b_of(grid.x).astype(complex)
     probe = grid.x[512:1536:64]
@@ -488,8 +490,8 @@ def test_resolvent_conjugate_symmetry(pt_model):
     b = rng.standard_normal(pt_model.grid.m_pts) * np.exp(-pt_model.grid.x ** 2 / 30)
     b = b.astype(complex)
     zeta = 0.3 + 0.2j
-    v1 = spectral.inner(b, spectral.resolvent_apply(pt_model, zeta, b), h)
-    v2 = spectral.inner(b, spectral.resolvent_apply(pt_model, np.conj(zeta), b), h)
+    v1 = h * np.vdot(b, spectral.resolvent_apply(pt_model, zeta, b))
+    v2 = h * np.vdot(b, spectral.resolvent_apply(pt_model, np.conj(zeta), b))
     assert v1 == pytest.approx(np.conj(v2), abs=1e-10 * abs(v1))
 
 
