@@ -16,7 +16,7 @@ are refused unless the R^+ boundary-value flag is set explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,20 +2,26 @@
 
 All checks are exhaustive enumerations over the finite ranges fixed by the
 spectral budget N.  Strict inequalities must clear tol_res; anything inside
-the margin is reported as a violation rather than silently rounded.
+the margin is reported as a violation rather than silently rounded.  The
+size of each enumeration is known in closed form from N, and one larger
+than MAX_ENUMERATION is refused with ConfigError before it starts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import ConfigError, HypothesisViolation
 
 TOL_RES = 1e-9
+
+# the most (multi-index, m) pairs one enumeration may visit: (H7) and (H8)
+# together, or the (mu, nu, m) loop of the catalog.  lambda = (0, 0.7) at
+# c = 100.5 (N = 143) gives (H7) and (H8) 4.8e7 pairs, 12-20 s on 2 vCPUs
+MAX_ENUMERATION = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,37 @@ def resonance_budget(lam, c: float, tol_res: float = TOL_RES) -> ResonanceBudget
     return ResonanceBudget(n_j=n_j, floor_c=floor_c, big_n=max(n_j + [floor_c]))
 
 
+def _signed_count(k: int, max_abs_sum: int) -> int:
+    """|{mu in Z^k : |mu_1| + ... + |mu_k| <= max_abs_sum}|: i nonzero entries
+    take C(k, i) places, 2^i signs and C(max_abs_sum, i) magnitudes."""
+    return sum(2 ** i * math.comb(k, i) * math.comb(max_abs_sum, i)
+               for i in range(min(k, max_abs_sum) + 1))
+
+
+def _catalog_count(k: int, big_n: int) -> int:
+    """Iterations of the (mu, nu, m) loop of `build_index_sets` over k
+    eigenvalues: the sum over s = 0..N of C(s+k-1, k-1) C(s+k, k-1) (2s+1),
+    a polynomial of degree 2k - 1 in s, summed by its forward differences
+    at s = 0."""
+    diffs = [math.comb(s + k - 1, k - 1) * math.comb(s + k, k - 1) * (2 * s + 1)
+             for s in range(2 * k)]
+    total = 0
+    for j in range(2 * k):
+        total += diffs[0] * math.comb(big_n + 1, j + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
+def _refuse_over_limit(size: int, what: str, big_n: int):
+    def sci(n: int) -> str:   # ints past the float range too
+        digits = str(n)
+        return digits if len(digits) <= 12 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+
+    if size > MAX_ENUMERATION:
+        raise ConfigError(f"budget N = {sci(big_n)}: {what} would enumerate {sci(size)} "
+                          f"(index, m) pairs, more than the limit of {MAX_ENUMERATION}")
+
+
 def _signed_multiindices(k: int, max_abs_sum: int):
     """All mu in Z^k with |mu_1| + ... + |mu_k| <= max_abs_sum."""
     if k == 0:
@@ -100,9 +137,14 @@ def check_hypotheses(lam, c: float, budget: ResonanceBudget,
     (H7): mu.lambda + m != c over signed mu with |mu| <= 2N+1, |m| <= N.
     (H8): over the distinct positive eigenvalues, mu.lambda + m = 0 with
     |mu| <= 4N+2, |m| <= 2N forces mu = 0, m = 0.
+    Raises ConfigError when the two enumerations exceed MAX_ENUMERATION.
     """
     lam = np.asarray(lam, dtype=float)
     big_n = budget.big_n
+    pos = sorted(set(round(float(v), 12) for v in lam if v > tol_res))
+    _refuse_over_limit(_signed_count(len(lam), 2 * big_n + 1) * (2 * big_n + 1)
+                       + _signed_count(len(pos), 4 * big_n + 2) * (4 * big_n + 1),
+                       "(H7) and (H8)", big_n)
     witnesses: dict = {"h5": [], "h7": [], "h8": []}
 
     # (H5): c not a positive integer
@@ -121,7 +163,6 @@ def check_hypotheses(lam, c: float, budget: ResonanceBudget,
                 witnesses["h7"].append({"mu": mu, "m": m, "value": val + m})
 
     # (H8) over distinct positive eigenvalues
-    pos = sorted(set(round(float(v), 12) for v in lam if v > tol_res))
     h8_ok = True
     for mu in _signed_multiindices(len(pos), 4 * big_n + 2):
         val = float(np.dot(mu, pos))
@@ -153,13 +194,15 @@ def build_index_sets(lam, c: float, budget: ResonanceBudget,
     bigM = {(m, mu, nu): lambda.(mu - nu) - m < -c, |mu| = |nu| - 1,
     |m| <= |mu| <= N}; M keeps the componentwise-minimal triples at fixed m.
     Refuses to run on a dirty (H8) report, since the constancy of m and
-    lambda.(mu - nu) within each M_w depends on it.
+    lambda.(mu - nu) within each M_w depends on it, and raises ConfigError
+    when the loop would exceed MAX_ENUMERATION.
     """
     if report is not None and not report.h8_ok:
         raise HypothesisViolation("(H8) dirty: the M_w partition is not well defined")
     lam = np.asarray(lam, dtype=float)
     nn = len(lam)
     big_n = budget.big_n
+    _refuse_over_limit(_catalog_count(nn, big_n), "the catalog", big_n)
 
     big_m = []
     for size_mu in range(0, big_n + 1):

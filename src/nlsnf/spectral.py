@@ -11,6 +11,15 @@ Bound states on the finite box are identified by boundary localization, not
 just by lying below the continuum threshold c: a shallow box can produce
 delocalized levels slightly below c which belong, physically, to the
 discretized continuum.
+
+The eigendecomposition calls the gufunc behind `np.linalg.eigh`
+(`numpy.linalg._umath_linalg.eigh_lo`, present in every numpy >= 2.0)
+directly, with the matrix as its eigenvector output: LAPACK's eigenvectors
+overwrite the matrix they came from, which saves the M x M array that
+`np.linalg.eigh` allocates for them, and the bits are those of
+`np.linalg.eigh`.  Where `np.linalg.eigh` raises `LinAlgError` the gufunc
+returns NaN, so a non-finite potential is refused before the solve and
+non-finite eigenvalues raise `NumericalError`.
 """
 
 from __future__ import annotations
@@ -20,9 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import (
     BoundaryDecayError,
+    ConfigError,
     EmptySpectrumError,
     GridMismatchError,
     NumericalError,
@@ -133,6 +144,10 @@ def potential_from_csv(grid: GridSpec, path) -> np.ndarray:
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("potential CSV must have two columns (x, V)")
     xs, vs = data[:, 0], data[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(vs)))
+    if len(bad):
+        raise ValueError(f"potential CSV sample {bad[0] + 1} is not finite: "
+                         f"(x, V) = ({xs[bad[0]]}, {vs[bad[0]]})")
     if xs[0] > grid.x[0] or xs[-1] < grid.x[-1]:
         raise ValueError("potential samples do not cover the box")
     return np.interp(grid.x, xs, vs)
@@ -340,12 +355,19 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
     """Diagonalize -Delta + V, tune c so the ground state sits exactly at 0.
 
     Bound states are the boundary-localized eigenvectors below c.  Raises
-    EmptySpectrumError when -Delta + V >= 0 (no discrete spectrum) and
-    BoundaryDecayError when V fails to decay at the box edge.
+    ConfigError when V is not finite, EmptySpectrumError when -Delta + V >= 0
+    (no discrete spectrum) and BoundaryDecayError when V fails to decay at
+    the box edge.  The eigenvectors overwrite the matrix of -Delta + V, which
+    becomes the model's eigenbasis.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.m_pts,):
         raise GridMismatchError("potential not sampled on the grid")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        j = bad[0]
+        raise ConfigError(f"V = {v[j]} at grid point {j} (x = {grid.x[j]:.6g}); "
+                          "the potential must be finite")
     if max(abs(v[0]), abs(v[-1])) > V_BOUNDARY_DECAY:
         raise BoundaryDecayError(
             f"|V| = {max(abs(v[0]), abs(v[-1])):.3e} at the box boundary "
@@ -354,7 +376,13 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
 
     h0 = kinetic_matrix(grid)
     h0[np.diag_indices_from(h0)] += v
-    evals, evecs = np.linalg.eigh(h0)
+    # np.linalg.eigh's gufunc under its floating-point state, which turns a
+    # failed solve's NaN into LinAlgError; here the check below raises.  The
+    # eigenvectors overwrite h0
+    with np.errstate(all="ignore"):
+        evals, evecs = _eigh_lo(h0, signature="d->dd", out=(np.empty(grid.m_pts), h0))
+    if not np.isfinite(evals).all():
+        raise NumericalError("the eigensolver returned non-finite eigenvalues")
     if evals[0] >= -TOL_GROUND:
         raise EmptySpectrumError("empty discrete spectrum: -Delta + V has no bound state")
 

@@ -1,12 +1,13 @@
 import configparser
 import json
 import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from nlsnf import birkhoff, cli, dynamics, spectral
+from nlsnf import birkhoff, cli, dynamics, resonance, spectral
 
 
 SMALL_CONFIG = """
@@ -81,6 +82,39 @@ def test_resonance_check_non_finite_or_non_positive_input_exits_config(capsys, a
     rc = cli.main(["resonance-check", *args])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_resonance_check_over_the_enumeration_limit_exits_config(capsys):
+    # N = 1,428,571: (H7) alone would visit 4.7e19 (mu, m) pairs
+    start = time.perf_counter()
+    rc = cli.main(["resonance-check", "--lambda", "0,0.7", "--c", "1e6"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == cli.EXIT_CONFIG
+    assert ("config error: budget N = 1428571: (H7) and (H8) would enumerate "
+            "4.66e+19 (index, m) pairs") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c, rc, stream, head", [
+    # 15 * 0.7 = 10.5: (H6) fails before any enumeration
+    ("10.5", cli.EXIT_HYPOTHESIS, "err",
+     "hypothesis violation: (H6) violated: 15 * lambda_1 = c within tolerance"),
+    # 0.7 * 5 + 17 = 20.5: N = 29, 3.8e5 pairs, under the limit
+    ("20.5", cli.EXIT_HYPOTHESIS, "out", "N = 29; (H5) True, (H7) False, (H8) False"),
+], ids=["c-10.5", "c-20.5"])
+def test_resonance_check_under_the_enumeration_limit_keeps_its_answer(capsys, c, rc, stream, head):
+    assert cli.main(["resonance-check", "--lambda", "0,0.7", "--c", c]) == rc
+    assert getattr(capsys.readouterr(), stream).splitlines()[0] == head
+
+
+def test_pipeline_refuses_a_budget_over_the_enumeration_limit(small_config, capsys, monkeypatch):
+    # the desk budget N = 1 takes 75 (H7) and 65 (H8) pairs
+    monkeypatch.setattr(resonance, "MAX_ENUMERATION", 139)
+    rc = cli.main(["pipeline", "--config", small_config])
+    assert rc == cli.EXIT_CONFIG
+    assert "budget N = 1: (H7) and (H8) would enumerate 140 " in capsys.readouterr().err
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    assert manifest["failed_stage"] == "resonance"
 
 
 def test_spectrum_command(tmp_path, capsys, monkeypatch):
@@ -433,6 +467,29 @@ def test_potential_csv_that_misses_the_box_exits_config(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     assert manifest["failed_stage"] == "model"
     assert "do not cover the box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sample", ["nan", "-inf", "inf"])
+def test_potential_csv_with_a_non_finite_sample_exits_config(tmp_path, capsys, sample):
+    # a NaN at x = 0 used to end as "empty discrete spectrum" (exit 3), a
+    # -inf as a ground state that is not boundary-localized (exit 3)
+    (tmp_path / "v.csv").write_text(f"-100,0\n-5,0\n0,{sample}\n5,0\n100,0\n")
+    rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path / "v.csv")
+    assert rc == cli.EXIT_CONFIG
+    assert manifest["failed_stage"] == "model"
+    assert "potential CSV sample 3 is not finite" in capsys.readouterr().err
+
+
+def test_preset_with_a_non_finite_sample_exits_config(tmp_path, capsys, monkeypatch):
+    # finite parameters, but width^2 underflows to 0 and V(0) = -depth exp(0/0)
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(["spectrum", "--preset", "gaussian_well", "--depth", "1e308",
+                       "--width", "1e-300"])
+    assert rc == cli.EXIT_CONFIG
+    assert "V = nan at grid point 1024 (x = 0)" in capsys.readouterr().err
+    assert json.load(open(tmp_path / "manifest.json"))["failed_stage"] == "model"
 
 
 def test_missing_potential_csv_exits_config(tmp_path, capsys):

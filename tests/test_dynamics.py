@@ -8,8 +8,6 @@ from nlsnf import dynamics, spectral
 from nlsnf.dynamics import (
     CouplingTable,
     SimConfig,
-    build_g_couplings,
-    build_zeta_couplings,
     g_transform,
     initial_state,
     simulate,
@@ -203,7 +201,6 @@ def test_reduced_ode_quartic_example(pt_model, pt_reduced):
     # Z1 = 0, Z0 = c |z0|^4: zdot_0 = -i lambda_0 z0 - 2 i c z0^2 zbar0
     import copy
 
-    from nlsnf import birkhoff as bk
     from nlsnf.hamalg import HamExpansion
     from oracles import scalar_term
 

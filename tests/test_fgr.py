@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlsnf import fgr, hamalg, spectral
+from nlsnf import fgr, spectral
 from nlsnf.fgr import (
     FgrPacket,
-    build_packets,
     cancellation_checks,
     lyapunov_balance,
     monomial_l2,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nlsnf import resonance
-from nlsnf.errors import HypothesisViolation
+from nlsnf.errors import ConfigError, HypothesisViolation
 from nlsnf.resonance import (
-    IndexTriple,
     build_index_sets,
     check_hypotheses,
     resonance_budget,
@@ -225,3 +224,33 @@ def test_catalog_report_text(pt_sets):
     text = resonance.catalog_report(cat, b, rep)
     assert "N = 1" in text
     assert "minimal" in text
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_enumeration_sizes_are_the_loop_counts(k):
+    # the closed forms the limit is checked on, against the enumerations
+    for r in range(7):
+        assert resonance._signed_count(k, r) == sum(
+            1 for _ in resonance._signed_multiindices(k, r))
+        if k:
+            assert resonance._catalog_count(k, r) == sum(
+                2 * s + 1 for s in range(r + 1)
+                for _ in resonance._nonneg_multiindices(k, s)
+                for _ in resonance._nonneg_multiindices(k, s + 1))
+
+
+def test_enumeration_limit_is_checked_before_each_loop(monkeypatch):
+    # N = 1: (H7) and (H8) visit 75 + 65 pairs, the catalog loop 20; each
+    # runs at its own count and is refused one below it
+    lam, c = np.array([0.0, 0.7]), 0.7875
+    budget = resonance_budget(lam, c)
+    monkeypatch.setattr(resonance, "MAX_ENUMERATION", 140)
+    report = check_hypotheses(lam, c, budget)
+    monkeypatch.setattr(resonance, "MAX_ENUMERATION", 139)
+    with pytest.raises(ConfigError, match=r"budget N = 1: \(H7\) and \(H8\) would enumerate 140 "):
+        check_hypotheses(lam, c, budget)
+    monkeypatch.setattr(resonance, "MAX_ENUMERATION", 20)
+    assert len(build_index_sets(lam, c, budget, report).minimal) == 6
+    monkeypatch.setattr(resonance, "MAX_ENUMERATION", 19)
+    with pytest.raises(ConfigError, match="budget N = 1: the catalog would enumerate 20 "):
+        build_index_sets(lam, c, budget, report)

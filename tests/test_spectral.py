@@ -8,8 +8,10 @@ import oracles
 from nlsnf import spectral
 from nlsnf.errors import (
     BoundaryDecayError,
+    ConfigError,
     EmptySpectrumError,
     GridMismatchError,
+    NumericalError,
     SingularResolventError,
 )
 
@@ -39,6 +41,67 @@ def test_kinetic_matrix_is_the_fft_symbol_on_the_identity():
 def test_free_potential_has_no_bound_state(pt_grid):
     with pytest.raises(EmptySpectrumError, match="empty discrete spectrum"):
         spectral.build_operator(pt_grid, np.zeros(pt_grid.m_pts))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_potential_is_refused_before_the_solve(bad):
+    # one bad sample at x = 0 (grid point 128), not the empty spectrum or
+    # the delocalized ground state that a solve on it reports
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    v = spectral.poschl_teller(grid.x)
+    v[128] = bad
+    with pytest.raises(ConfigError, match=r"at grid point 128 \(x = 0\)"):
+        spectral.build_operator(grid, v)
+
+
+@pytest.mark.parametrize("m_pts", [64, 512, 1000, 2048])
+def test_eigh_gufunc_in_place_is_np_linalg_eigh(m_pts):
+    # build_operator calls numpy.linalg._umath_linalg.eigh_lo, the gufunc of
+    # np.linalg.eigh, with the matrix as the eigenvector output; the bits
+    # must be np.linalg.eigh's.  The kinetic + Poschl-Teller matrix on
+    # L = 40, built from the FFT symbol k^2 so that M need not be a power of 2
+    from numpy.linalg import _umath_linalg
+
+    assert spectral._eigh_lo is _umath_linalg.eigh_lo
+    h = 80.0 / m_pts
+    col = np.fft.ifft((2.0 * np.pi * np.fft.fftfreq(m_pts, d=h)) ** 2).real
+    gap = np.subtract.outer(np.arange(m_pts), np.arange(m_pts)) % m_pts
+    mat = 0.5 * (col[gap] + col[gap.T])
+    mat[np.diag_indices(m_pts)] += spectral.poschl_teller(-40.0 + h * np.arange(m_pts))
+    want_vals, want_vecs = np.linalg.eigh(mat)
+    vals, vecs = spectral._eigh_lo(mat, signature="d->dd", out=(np.empty(m_pts), mat))
+    assert vecs is mat
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes()
+
+
+def test_build_operator_holds_one_matrix():
+    # the eigenvectors overwrite the matrix of -Delta + V: one M x M array of
+    # doubles is traced (LAPACK's workspace is not), where a new eigenvector
+    # array would make two
+    import tracemalloc
+
+    grid = spectral.GridSpec(l_box=40.0, m_pts=1024)
+    v = spectral.poschl_teller(grid.x)
+    tracemalloc.start()
+    try:
+        spectral.build_operator(grid, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid.m_pts ** 2 * 8, f"build_operator peaked at {peak} bytes"
+
+
+def test_non_finite_eigenvalues_raise_numerical_error(pt_grid, monkeypatch):
+    # where np.linalg.eigh raises LinAlgError, its gufunc returns NaN
+    def failed_solve(a, signature, out):
+        for arr in out:
+            arr[...] = np.nan
+        return out
+
+    monkeypatch.setattr(spectral, "_eigh_lo", failed_solve)
+    with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+        spectral.build_operator(pt_grid, spectral.poschl_teller(pt_grid.x))
 
 
 def test_poschl_teller_levels(pt_model):
