@@ -9,6 +9,7 @@ than MAX_ENUMERATION is refused with ConfigError before it starts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,10 @@ TOL_RES = 1e-9
 # together, or the (mu, nu, m) loop of the catalog.  lambda = (0, 0.7) at
 # c = 100.5 (N = 143) gives (H7) and (H8) 4.8e7 pairs, 12-20 s on 2 vCPUs
 MAX_ENUMERATION = 60_000_000
+
+# the most pairs one block of the catalog's minimality sweep compares at
+# once (bytes of its boolean array)
+_DOMINANCE_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,31 @@ def _nonneg_multiindices(k: int, total: int):
             yield (head,) + rest
 
 
+def _minimal_of(triples: list) -> list:
+    """The triples that no other triple of the same m bounds from below,
+    componentwise in (mu, nu), in their given order.
+
+    triples is sorted by m and holds each triple once.  Each run of equal m
+    takes one array test of every pair, in blocks of at most _DOMINANCE_BLOCK
+    pairs: the sweep never compares triples of different m.
+    """
+    out = []
+    for _, run in itertools.groupby(triples, key=lambda t: t.m):
+        run = list(run)
+        idx = np.array([t.mu + t.nu for t in run]).T      # one row per component
+        dominated = np.zeros(len(run), dtype=bool)
+        rows = max(1, _DOMINANCE_BLOCK // len(run))
+        for lo in range(0, len(run), rows):
+            block = idx[:, lo:lo + rows, None]
+            below = block[0] <= idx[0]                    # [s - lo, t]: s <= t
+            for comp in range(1, len(idx)):
+                below &= block[comp] <= idx[comp]
+            below[np.arange(len(below)), np.arange(lo, lo + len(below))] = False
+            dominated |= below.any(axis=0)
+        out += itertools.compress(run, ~dominated)
+    return out
+
+
 def build_index_sets(lam, c: float, budget: ResonanceBudget,
                      report: HypothesisReport | None = None,
                      tol_res: float = TOL_RES) -> ResonanceCatalog:
@@ -221,23 +251,7 @@ def build_index_sets(lam, c: float, budget: ResonanceBudget,
     big_m.sort(key=lambda t: (t.m, t.mu, t.nu))
     big_m_prime = [t.mirror() for t in big_m]
 
-    def minimal_of(triples):
-        out = []
-        for t in triples:
-            dominated = False
-            for s in triples:
-                if s is t or s.m != t.m:
-                    continue
-                if (all(a <= b for a, b in zip(s.mu, t.mu))
-                        and all(a <= b for a, b in zip(s.nu, t.nu))
-                        and (s.mu, s.nu) != (t.mu, t.nu)):
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(t)
-        return out
-
-    minimal = minimal_of(big_m)
+    minimal = _minimal_of(big_m)
     minimal_prime = [t.mirror() for t in minimal]
 
     # X and the partition {M_w}
@@ -283,8 +297,9 @@ def catalog_report(catalog: ResonanceCatalog, budget: ResonanceBudget,
                  + (f" witnesses {report.witnesses.get('h8')[:5]}" if not report.h8_ok else ""))
     lines.append(f"|bigM| = {len(catalog.big_m)}, |M| = {len(catalog.minimal)}, "
                  f"min gap above c = {catalog.min_gap:.6g}")
+    minimal = set(catalog.minimal)
     for t in catalog.big_m:
-        tag = "minimal" if t in catalog.minimal else "dominated"
+        tag = "minimal" if t in minimal else "dominated"
         lines.append(f"  (m={t.m}, mu={t.mu}, nu={t.nu})  [{tag}]")
     lines.append("X = " + ", ".join(f"{w:.8g}" for w in catalog.x_values))
     for w in catalog.x_values:

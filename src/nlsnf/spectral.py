@@ -20,6 +20,14 @@ overwrite the matrix they came from, which saves the M x M array that
 `np.linalg.eigh`.  Where `np.linalg.eigh` raises `LinAlgError` the gufunc
 returns NaN, so a non-finite potential is refused before the solve and
 non-finite eigenvalues raise `NumericalError`.
+
+H is real-symmetric, so R(w - i0) b = conj(R(w + i0) conj(b)) exactly:
+`resolvent_limit` solves only the '+' side, and each model remembers
+R(w + i0) b by w and the bytes of b, so a conjugate pair, or the same
+boundary value asked for twice, costs one back-transform.  The histogram
+estimator reads its window of continuum modes as a slice of the eigenbasis
+columns, found by bisection in the ascending `mode_energies`: a view, not a
+copy.
 """
 
 from __future__ import annotations
@@ -64,8 +72,8 @@ HIST_SIGMA_EDGE_CAP = 0.35
 HIST_SUPPORT = 9.0
 
 # each model remembers its forward transforms, one per real part up to sign,
-# and its eps schedules, each memo up to this many bytes, the oldest dropped
-# first
+# its eps schedules and its boundary values R(w + i0) b, each memo up to this
+# many bytes, the oldest dropped first
 _MEMO_BYTES = 1 << 24
 
 
@@ -193,17 +201,22 @@ class ModeState:
 
 @dataclass
 class OperatorModel:
+    """H in its box eigenbasis.  `mode_energies` ascend, as `build_operator`
+    gives them, so the modes in any energy interval are one run of columns."""
+
     grid: GridSpec
     v: np.ndarray
     c: float
     lam: np.ndarray               # bound eigenvalues, lam[0] = 0
     phi: np.ndarray               # (n+1, M) bound eigenvectors, quadrature-normalized
-    mode_energies: np.ndarray     # box eigenvalues of H, one per column of _evecs
+    mode_energies: np.ndarray     # box eigenvalues of H, ascending, one per column of _evecs
     _evecs: np.ndarray = field(repr=False)   # columns, l2-normalized
     # x @ _evecs of real parts x, by the digest of x up to sign
     _coeffs: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
     # _lap_nodes by w
     _schedules: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
+    # R(w + i0) b, read-only, by (w, digest of b)
+    _limits: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -521,27 +534,30 @@ def _box_noise(model: OperatorModel, w: float, eps: np.ndarray) -> np.ndarray:
 
 
 def _lap_nodes(model: OperatorModel, w: float):
-    """(eps, noise, weights) at w, computed once per model and w.
+    """(eps, weights, gains) at w, computed once per model and w.
 
-    eps is `lap_eps_schedule(model, w)` and noise its `_box_noise`; weights[d]
-    is the row of the degree-d least-squares fit in eps/max(eps) that gives
-    the fit's value at eps = 0.
+    eps is `lap_eps_schedule(model, w)`.  Row d of the stacked weights gives
+    the value at eps = 0 of the degree-d least-squares fit in eps/max(eps);
+    gains[d] = sum_i |weights[d, i]| noise_i carries the relative box error
+    noise of `_box_noise` through that fit.
     """
     nodes = model._schedules.get(w)
     if nodes is None:
         eps = lap_eps_schedule(model, w)
         t = eps / eps.max()
-        weights = [np.linalg.pinv(np.vander(t, deg + 1, increasing=True))[0]
-                   for deg in range(len(eps))]
-        nodes = (eps, _box_noise(model, w, eps), weights)
-        model._schedules.put(w, nodes, 2 * eps.nbytes + sum(wt.nbytes for wt in weights))
+        weights = np.stack([np.linalg.pinv(np.vander(t, deg + 1, increasing=True))[0]
+                            for deg in range(len(eps))])
+        noise = _box_noise(model, w, eps)
+        gains = np.array([float(np.abs(wt) @ noise) for wt in weights])
+        nodes = (eps, weights, gains)
+        model._schedules.put(w, nodes, eps.nbytes + weights.nbytes + gains.nbytes)
     return nodes
 
 
 def _extrapolate(nodes, vals: np.ndarray):
     """Polynomial extrapolation of stacked node data to eps = 0, with its error.
 
-    nodes is (eps, noise, weights) of `_lap_nodes`.
+    nodes is (eps, weights, gains) of `_lap_nodes`.
     vals[i] is sampled at eps[i] and carries the relative box error noise[i].
     Least-squares polynomials of every degree d in eps give limits v_d.  The
     box error reaches v_d amplified by its fit weights, A_d = sum_i |w_di|
@@ -553,18 +569,18 @@ def _extrapolate(nodes, vals: np.ndarray):
     that sum, as a max-abs bound over the components (infinite for a single
     node).  Returns (value, error).
     """
-    eps, noise, weights = nodes
+    eps, weights, gains = nodes
     n = len(eps)
     flat = np.asarray(vals).reshape(n, -1)
     scale = float(np.max(np.abs(flat[np.argmin(eps)]), initial=0.0))
-    limits = [wt @ flat for wt in weights]
-    amps = [float(np.abs(wt) @ noise) * scale for wt in weights]
+    # one product per degree: a matrix product over all degrees rounds
+    # differently from these
+    limits = np.stack([wt @ flat for wt in weights])
     best, best_err = 0, math.inf
     for deg in range(n - 1):
-        trunc = max(float(np.max(np.abs(limits[k] - limits[deg]), initial=0.0))
-                    for k in range(deg + 1, n))
-        if trunc + amps[deg] < best_err:
-            best, best_err = deg, trunc + amps[deg]
+        trunc = float(np.max(np.abs(limits[deg + 1:] - limits[deg]), initial=0.0))
+        if trunc + gains[deg] * scale < best_err:
+            best, best_err = deg, float(trunc + gains[deg] * scale)
     return limits[best].reshape(np.shape(vals)[1:]), LAP_ERROR_SAFETY * best_err
 
 
@@ -576,22 +592,38 @@ def resolvent_limit(
 ) -> np.ndarray:
     """Boundary value R(w +/- i0) b on the continuous spectrum, extrapolated.
 
-    Polynomial extrapolation of R(w +/- i eps) b over the eps schedule, one
-    degree for all components (`_extrapolate`).  For real-symmetric H the two
-    sides are complex conjugates on conjugate data.
+    Polynomial extrapolation of R(w + i eps) b over the eps schedule, one
+    degree for all components (`_extrapolate`).  For the real-symmetric H
+    the '-' side is conj(R(w + i0) conj(b)), the numbers its own
+    extrapolation gives up to the sign of exact zeros, so only the '+' side
+    is solved, once per model, w and b (`_plus_limit`).  The result is the
+    caller's to write into.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    b = np.asarray(b, dtype=complex)
     if w <= model.c:
-        return resolvent_apply(model, w, np.asarray(b, dtype=complex))
-    nodes = _lap_nodes(model, w)
-    sign = 1.0 if side == "+" else -1.0
-    e = model.mode_energies
-    coeffs = model.mode_coeffs(np.asarray(b, dtype=complex))
-    # back-transform every node, then extrapolate in space: `_extrapolate`
-    # picks its degree from the max-abs disagreement over the components
-    sols = model.from_mode_coeffs(coeffs / (e - (w + sign * 1j * nodes[0][:, None])))
-    return _extrapolate(nodes, sols)[0]
+        return resolvent_apply(model, w, b)
+    if side == "-":
+        return np.conj(_plus_limit(model, w, np.conj(b)))
+    return _plus_limit(model, w, b).copy()
+
+
+def _plus_limit(model: OperatorModel, w: float, b: np.ndarray) -> np.ndarray:
+    """R(w + i0) b for w above c, read-only, remembered by w and the bytes of b."""
+    key = (w, _content_digest(b))
+    known = model._limits.get(key)
+    if known is None:
+        nodes = _lap_nodes(model, w)
+        e = model.mode_energies
+        coeffs = model.mode_coeffs(b)
+        # back-transform every node, then extrapolate in space: `_extrapolate`
+        # picks its degree from the max-abs disagreement over the components
+        sols = model.from_mode_coeffs(coeffs / (e - (w + 1j * nodes[0][:, None])))
+        known = _extrapolate(nodes, sols)[0]
+        known.setflags(write=False)
+        model._limits.put(key, known, known.nbytes)
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +642,17 @@ class DensityResult:
 def _continuum_weights(model: OperatorModel, phis, window=None) -> tuple[np.ndarray, np.ndarray]:
     """(energies, coefficient matrix) over continuum box modes only.
 
-    `window`, a mask over `mode_energies`, narrows them to the continuum modes
-    it selects; only those columns of the eigenbasis are read.
+    `window`, a slice of the ascending `mode_energies`, narrows them to the
+    continuum modes it selects; only those columns of the eigenbasis are
+    read, through a view.
     """
     start = len(model.lam)
     vecs = np.atleast_2d(phis)
     if window is None:
         return model.mode_energies[start:], model.mode_coeffs(vecs)[:, start:]
-    keep = window & (np.arange(len(window)) >= start)
     model._check_grid(vecs)
-    columns = np.compress(keep, model._evecs, axis=1)
-    return model.mode_energies[keep], math.sqrt(model.grid.h) * _real_basis_product(vecs, columns)
+    columns = model._evecs[:, window]
+    return model.mode_energies[window], math.sqrt(model.grid.h) * _real_basis_product(vecs, columns)
 
 
 def _lap_gram(model: OperatorModel, w: float, e: np.ndarray, cm: np.ndarray, kernel):
@@ -631,7 +663,7 @@ def _lap_gram(model: OperatorModel, w: float, e: np.ndarray, cm: np.ndarray, ker
     (delta form) or its principal-value partner.
     """
     nodes = _lap_nodes(model, w)
-    mats = np.stack([np.conj(cm) * kernel(e - w, ee) @ cm.T for ee in nodes[0]])
+    mats = np.conj(cm) * kernel(e - w, nodes[0][:, None])[:, None, :] @ cm.T
     return _extrapolate(nodes, mats)
 
 
@@ -721,8 +753,11 @@ def density_gram(
         a = w - model.c
         spacing = 2.0 * math.sqrt(a) * math.pi / model.grid.l_box
         sigma = min(HIST_SIGMA_FACTOR * spacing, HIST_SIGMA_EDGE_CAP * a)
-        window = np.abs(model.mode_energies - w) <= HIST_SUPPORT * sigma
-        e, cm = _continuum_weights(model, phis, window)
+        # |e - w| <= HIST_SUPPORT sigma; e - w ascends with the energies
+        d = model.mode_energies - w
+        lo = max(int(np.searchsorted(d, -HIST_SUPPORT * sigma)), len(model.lam))
+        hi = int(np.searchsorted(d, HIST_SUPPORT * sigma, side="right"))
+        e, cm = _continuum_weights(model, phis, slice(lo, hi))
         u = (e - w) / sigma
         kern = np.exp(-u ** 2 / 2.0) / (sigma * math.sqrt(2.0 * math.pi)) * (1.5 - u ** 2 / 2.0)
         g = np.conj(cm) * kern @ cm.T

@@ -6,7 +6,9 @@ the term type, the quartic marker, `monomials` and the operator model, so
 they are independent of the array code of `hamalg` (its factor ids and its
 pairing table) that they check.  The time-1 flow of a generator and the
 reduced mode ODE read that field.  The exact linear propagator checks the
-stepper, and the free model the spectral transforms.
+stepper, the free model the spectral transforms, each side of a resolvent
+boundary value solved on its own the conjugation rule, and the pairwise
+sweep the catalog's minimal triples.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 
+from nlsnf import spectral
 from nlsnf.hamalg import QUARTIC, HamExpansion, HamTerm, monomials
 from nlsnf.spectral import GridSpec, OperatorModel, pairing
 
@@ -203,23 +206,58 @@ def free_operator(grid: GridSpec, c: float = 0.0) -> OperatorModel:
     """V = 0 model with threshold c and no bound states (which build_operator
     refuses).
 
-    Its basis is the l2-normalized real Fourier modes, one column per k in
-    FFT order: cos(k x) for k >= 0 and for the Nyquist mode, sin(|k| x) for
-    the other k < 0, with energies k^2 + c.  They diagonalize
-    `kinetic_matrix`, so every transform takes the dense eigenbasis path.
+    Its basis is the l2-normalized real Fourier modes, one column per k:
+    cos(k x) for k >= 0 and for the Nyquist mode, sin(|k| x) for the other
+    k < 0, with energies k^2 + c.  The columns are listed by ascending
+    energy, in FFT order among equal energies (a stable sort), as
+    `OperatorModel` requires.  They diagonalize `kinetic_matrix`, so every
+    transform takes the dense eigenbasis path.
     """
     m = grid.m_pts
-    sine = grid.k < 0
-    sine[m // 2] = False   # the Nyquist mode: its sine vanishes on the grid
-    evecs = np.outer(grid.x, np.abs(grid.k))
+    order = np.argsort(grid.k ** 2, kind="stable")
+    k = grid.k[order]
+    sine = k < 0
+    sine[order == m // 2] = False   # the Nyquist mode: its sine vanishes on the grid
+    evecs = np.outer(grid.x, np.abs(k))
     np.cos(evecs, out=evecs, where=~sine)
     np.sin(evecs, out=evecs, where=sine)
     evecs /= np.sqrt(np.einsum("ij,ij->j", evecs, evecs))
     return OperatorModel(
         grid=grid, v=np.zeros(m), c=c,
         lam=np.empty(0), phi=np.empty((0, m)),
-        mode_energies=grid.k ** 2 + c, _evecs=evecs,
+        mode_energies=k ** 2 + c, _evecs=evecs,
     )
+
+
+def resolvent_limit_direct(model: OperatorModel, w: float, b, side: str) -> np.ndarray:
+    """R(w +/- i0) b for w above c, each side extrapolated from its own
+    solves R(w +/- i eps) b, with no conjugation and no memo."""
+    eps = spectral.lap_eps_schedule(model, w)
+    sign = 1.0 if side == "+" else -1.0
+    coeffs = model.mode_coeffs(np.asarray(b, dtype=complex))
+    sols = model.from_mode_coeffs(coeffs / (model.mode_energies - (w + sign * 1j * eps[:, None])))
+    return spectral._extrapolate(spectral._lap_nodes(model, w), sols)[0]
+
+
+def minimal_of_pairwise(triples: list) -> list:
+    """The catalog's minimal triples by comparing every pair: t is dropped
+    when another triple of the same m bounds it from below componentwise in
+    (mu, nu).  The sweep `resonance._minimal_of` replaced, kept as its oracle.
+    """
+    out = []
+    for t in triples:
+        dominated = False
+        for s in triples:
+            if s is t or s.m != t.m:
+                continue
+            if (all(a <= b for a, b in zip(s.mu, t.mu))
+                    and all(a <= b for a, b in zip(s.nu, t.nu))
+                    and (s.mu, s.nu) != (t.mu, t.nu)):
+                dominated = True
+                break
+        if not dominated:
+            out.append(t)
+    return out
 
 
 def assemble_phi_w(packet, zeta) -> np.ndarray:

@@ -106,6 +106,18 @@ def test_resonance_check_under_the_enumeration_limit_keeps_its_answer(capsys, c,
     assert getattr(capsys.readouterr(), stream).splitlines()[0] == head
 
 
+def test_resonance_check_builds_a_wide_clean_catalog(capsys):
+    # lambda = (0, 1/sqrt(2)) at c = 20.33: N = 28, |bigM| = 39,593 in runs
+    # of up to 2,996 triples of equal m; comparing every pair of bigM took
+    # minutes, the per-m sweep takes seconds
+    start = time.perf_counter()
+    rc = cli.main(["resonance-check", "--lambda", "0,0.7071067811865476", "--c", "20.33"])
+    assert rc == cli.EXIT_OK and time.perf_counter() - start < 30.0
+    out = capsys.readouterr().out
+    assert "|bigM| = 39593, |M| = 4730, min gap above c = 0.0131458" in out.splitlines()
+    assert out.count("[minimal]") == 4730 and out.count("[dominated]") == 39593 - 4730
+
+
 def test_pipeline_refuses_a_budget_over_the_enumeration_limit(small_config, capsys, monkeypatch):
     # the desk budget N = 1 takes 75 (H7) and 65 (H8) pairs
     monkeypatch.setattr(resonance, "MAX_ENUMERATION", 139)

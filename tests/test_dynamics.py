@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,22 @@ def test_g_transform_singleton(pt_model, pt_aux):
     for j, e in enumerate(nu):
         mono *= zb[j] ** e
     assert_allclose(g, mono * vector, atol=1e-14)
+
+
+def test_coupling_tables_solve_each_mprime_triple_once(pt_model, pt_aux, monkeypatch):
+    # the zeta and g tables ask for R(w + i0) Psi of the same M' triples; the
+    # model's memo answers the second ask, so each triple costs one
+    # back-transform, and both tables keep their bytes
+    calls = []
+    back = spectral.OperatorModel.from_mode_coeffs
+    monkeypatch.setattr(spectral.OperatorModel, "from_mode_coeffs",
+                        lambda self, coeffs: calls.append(1) or back(self, coeffs))
+    model = dataclasses.replace(pt_model)    # empty memos
+    zeta = dynamics.build_zeta_couplings(model, pt_aux.reduced)
+    g = dynamics.build_g_couplings(model, pt_aux.reduced)
+    assert len(calls) == len(pt_aux.reduced.z1_mprime) > 0
+    for got, want in ((zeta, pt_aux.zeta_couplings), (g, pt_aux.g_couplings)):
+        assert got.weight.tobytes() == want.weight.tobytes()
 
 
 def test_reduced_ode_trivial(pt_reduced, pt_model):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from nlsnf import resonance
 from nlsnf.errors import ConfigError, HypothesisViolation
 from nlsnf.resonance import (
@@ -178,6 +179,33 @@ def test_minimality_no_comparable_pairs(pt_sets):
             le = (all(a <= b for a, b in zip(s.mu, t.mu))
                   and all(a <= b for a, b in zip(s.nu, t.nu)))
             assert not le or (s.mu, s.nu) == (t.mu, t.nu)
+
+
+@pytest.mark.parametrize("block", [resonance._DOMINANCE_BLOCK, 5], ids=["default", "five"])
+def test_minimality_sweep_matches_the_pairwise_oracle(block, monkeypatch):
+    # M, M', X and the partition {M_w} of the per-m array sweep are those of
+    # the pairwise sweep, on random spectra with one and two positive
+    # eigenvalues; a block of 5 pairs splits each run of equal m over blocks
+    monkeypatch.setattr(resonance, "_DOMINANCE_BLOCK", block)
+    rng = np.random.default_rng(42)
+    cases = 0
+    while cases < 6:
+        n = int(rng.integers(1, 3))
+        lam = np.concatenate(([0.0], np.sort(rng.uniform(0.3, 1.0, n))))
+        c = float(rng.uniform(lam[-1] + 0.05, (4.0 if n == 2 else 8.0) * lam[1]))
+        try:
+            budget = resonance_budget(lam, c)
+            report = check_hypotheses(lam, c, budget)
+            got = build_index_sets(lam, c, budget, report)
+        except HypothesisViolation:
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(resonance, "_minimal_of", oracles.minimal_of_pairwise)
+            want = build_index_sets(lam, c, budget, report)
+        assert len(got.minimal) < len(got.big_m)
+        assert got.minimal == want.minimal and got.minimal_prime == want.minimal_prime
+        assert got.x_values == want.x_values and got.m_w == want.m_w
+        cases += 1
 
 
 def test_x_values_above_threshold(pt_sets):

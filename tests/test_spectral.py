@@ -203,12 +203,17 @@ def test_mode_transforms_round_trip(pt_model):
 @pytest.mark.parametrize("m_pts", [256, 512])
 def test_free_basis_is_an_eigenbasis(m_pts):
     # orthonormal columns that diagonalize the kinetic matrix, with energies
-    # k^2 + c in FFT order; a Nyquist column that is a sine (zero on the
-    # grid) fails the orthonormality
+    # k^2 + c listed ascending, +k before -k as in FFT order; a Nyquist
+    # column that is a sine (zero on the grid) fails the orthonormality
     grid = spectral.GridSpec(l_box=40.0, m_pts=m_pts)
     model = oracles.free_operator(grid, c=0.3)
     basis, e = model._evecs, model.mode_energies
-    assert np.array_equal(e, grid.k ** 2 + 0.3)
+    assert np.all(np.diff(e) >= 0.0)
+    assert np.array_equal(e, grid.k[np.argsort(grid.k ** 2, kind="stable")] ** 2 + 0.3)
+    # the lowest level pair: cos(k_1 x) (FFT index 1), then sin(k_1 x) (index M - 1)
+    k1, x = grid.k[1], grid.x
+    assert_allclose(basis[:, 1] * np.sqrt(m_pts / 2), np.cos(k1 * x), rtol=0, atol=1e-12)
+    assert_allclose(basis[:, 2] * np.sqrt(m_pts / 2), np.sin(k1 * x), rtol=0, atol=1e-12)
     assert np.max(np.abs(basis.T @ basis - np.eye(m_pts))) <= 1e-12
     residual = spectral.kinetic_matrix(grid) @ basis - basis * (e - 0.3)
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(e)
@@ -359,6 +364,48 @@ def test_continuum_forms_read_the_same_bytes_on_a_warm_model(pt_model):
         assert call(warm).tobytes() == call(_fresh(pt_model)).tobytes(), name
 
 
+def test_minus_side_is_the_conjugate_of_the_plus_side(pt_model):
+    # R(w - i0) b = conj(R(w + i0) conj(b)) bit for bit, on a model that has
+    # solved neither, and within 1e-12 of the '-' side extrapolated from its
+    # own solves
+    phis = _probe_vectors(pt_model, 2, seed=36)
+    for gap, b in ((0.4, phis[0]), (1.7, phis[1]), (2.6, phis[0].real.astype(complex))):
+        w = pt_model.c + gap
+        got = spectral.resolvent_limit(_fresh(pt_model), w, b, "-")
+        plus = spectral.resolvent_limit(_fresh(pt_model), w, np.conj(b), "+")
+        assert got.tobytes() == np.conj(plus).tobytes()
+        want = oracles.resolvent_limit_direct(_fresh(pt_model), w, b, "-")
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_boundary_value_memo_stays_within_its_bound(pt_model, monkeypatch):
+    # three boundary values fit under the bound; a fourth drops the first
+    m = pt_model.grid.m_pts
+    bound = 3 * 16 * m + 100
+    monkeypatch.setattr(spectral, "_MEMO_BYTES", bound)
+    model = _fresh(pt_model)
+    phis = _probe_vectors(pt_model, 4, seed=37)
+    w = pt_model.c + 0.8
+    got = [spectral.resolvent_limit(model, w, b) for b in phis]
+    held = model._limits
+    assert held.held <= bound and held.held == sum(v.nbytes for v, _ in held._items.values())
+    assert list(held._items) == [(w, spectral._content_digest(b)) for b in phis[1:]]
+    # the dropped first value is solved again, to the same bytes
+    assert spectral.resolvent_limit(model, w, phis[0]).tobytes() == got[0].tobytes()
+    assert list(held._items) == [(w, spectral._content_digest(b)) for b in phis[[2, 3, 0]]]
+
+
+def test_writing_into_a_boundary_value_leaves_later_results(pt_model):
+    model = _fresh(pt_model)
+    b = _probe_vectors(pt_model, 1, seed=38)[0]
+    w = pt_model.c + 1.2
+    for side, vec in (("+", b), ("-", np.conj(b)), ("+", b)):
+        want = spectral.resolvent_limit(model, w, vec, side).tobytes()
+        spectral.resolvent_limit(model, w, vec, side)[...] = 7.0
+        assert spectral.resolvent_limit(model, w, vec, side).tobytes() == want
+    assert len(model._limits._items) == 1
+
+
 def test_project_modes_on_the_free_model_has_no_amplitudes():
     # no bound states: the amplitudes have an empty last axis, f is the state
     model = oracles.free_operator(spectral.GridSpec(l_box=40.0, m_pts=256), c=0.3)
@@ -418,15 +465,20 @@ def _hist_shape(u):
     return np.exp(-u ** 2 / 2.0) / np.sqrt(2.0 * np.pi) * (1.5 - u ** 2 / 2.0)
 
 
+def _hist_sigma(model, w):
+    """The histogram kernel width at w."""
+    a = w - model.c
+    spacing = 2.0 * np.sqrt(a) * np.pi / model.grid.l_box
+    return min(spectral.HIST_SIGMA_FACTOR * spacing, spectral.HIST_SIGMA_EDGE_CAP * a)
+
+
 def _full_support_gram(model, w, phis):
     """The histogram Gram summed over every continuum mode: the formula that
     `density_gram` evaluates on its window, kept as its oracle."""
     start = len(model.lam)
     e = model.mode_energies[start:]
     cm = model.mode_coeffs(np.stack(phis))[:, start:]
-    a = w - model.c
-    spacing = 2.0 * np.sqrt(a) * np.pi / model.grid.l_box
-    sigma = min(spectral.HIST_SIGMA_FACTOR * spacing, spectral.HIST_SIGMA_EDGE_CAP * a)
+    sigma = _hist_sigma(model, w)
     g = np.conj(cm) * (_hist_shape((e - w) / sigma) / sigma) @ cm.T
     return 0.5 * (g + np.conj(g.T))
 
@@ -443,9 +495,8 @@ def test_histogram_support_is_where_the_kernel_leaves_double_precision():
 def test_histogram_window_matches_full_support(case, pt_model):
     # the window drops only modes where the kernel is below 2^-53 of its peak
     if case == "free":
-        # FFT-ordered energies: the window is two runs of indices, +k and -k
+        # doubly degenerate levels (+k and -k), listed side by side
         model = oracles.free_operator(spectral.GridSpec(l_box=40.0, m_pts=512), c=0.3)
-        assert np.any(np.diff(model.mode_energies) < 0)
     else:
         model = pt_model
     x = model.grid.x
@@ -469,6 +520,47 @@ def test_histogram_window_matches_full_support(case, pt_model):
                 want[0, 0].real, rel=1e-13)
 
 
+def _compress_window(model, w):
+    """The histogram window as a mask over the continuum modes."""
+    window = np.abs(model.mode_energies - w) <= spectral.HIST_SUPPORT * _hist_sigma(model, w)
+    return window & (np.arange(len(window)) >= len(model.lam))
+
+
+def _compress_window_gram(model, w, phis):
+    """The histogram Gram over a copy of the window's columns, taken by
+    `np.compress` on the mask: the window read that the slice replaced, kept
+    as its oracle."""
+    keep, sigma = _compress_window(model, w), _hist_sigma(model, w)
+    columns = np.compress(keep, model._evecs, axis=1)
+    cm = np.sqrt(model.grid.h) * spectral._real_basis_product(np.atleast_2d(phis), columns)
+    u = (model.mode_energies[keep] - w) / sigma
+    kern = np.exp(-u ** 2 / 2.0) / (sigma * np.sqrt(2.0 * np.pi)) * (1.5 - u ** 2 / 2.0)
+    g = np.conj(cm) * kern @ cm.T
+    return 0.5 * (g + np.conj(g.T))
+
+
+@pytest.mark.parametrize("case", ["desk", "free"])
+def test_histogram_window_view_equals_the_compress_oracle(case, pt_model):
+    # the slice of the eigenbasis gives the Gram of the copied columns bit
+    # for bit, for one vector and a stack, near c (where the window reaches
+    # the bound states) and higher up
+    if case == "free":
+        model = oracles.free_operator(spectral.GridSpec(l_box=40.0, m_pts=512), c=0.3)
+    else:
+        model = pt_model
+    phis = list(_probe_vectors(model, 3, seed=35))
+    for gap in (0.1, 0.3, 1.1, 2.5):
+        w = model.c + gap
+        for vecs in (phis, phis[:1]):
+            want = _compress_window_gram(model, w, vecs)
+            assert spectral.density_gram(model, w, vecs).tobytes() == want.tobytes(), gap
+        assert spectral.histogram_density(model, w, phis[0]) == float(want[0, 0].real)
+    if case == "desk":
+        # at gap 0.1 the window reaches the top bound state, which it cuts
+        w, top = model.c + 0.1, model.mode_energies[len(model.lam) - 1]
+        assert abs(top - w) <= spectral.HIST_SUPPORT * _hist_sigma(model, w)
+
+
 def test_continuum_transforms_never_copy_the_eigenbasis(pt_model):
     # a complex cast of the M x M eigenbasis takes M^2 * 16 bytes; every
     # transform must stay below a sixteenth of the real basis, M^2 * 8 / 16
@@ -478,20 +570,26 @@ def test_continuum_transforms_never_copy_the_eigenbasis(pt_model):
     limit = m * m * 8 // 16
     phis = _probe_vectors(pt_model, 3, seed=25)
     w = pt_model.c + 0.9
+    # the histogram reads W columns: a copy of them takes M * W * 8 bytes
+    width = np.count_nonzero(_compress_window(pt_model, w))
+    assert 20 <= width <= 100
     calls = {
-        "mode_coeffs": lambda: pt_model.mode_coeffs(phis[0]),
-        "from_mode_coeffs": lambda: pt_model.from_mode_coeffs(phis[0]),
-        "resolvent_limit": lambda: spectral.resolvent_limit(pt_model, w, phis[0]),
-        "density_gram": lambda: spectral.density_gram(pt_model, w, phis),
+        "mode_coeffs": (lambda: pt_model.mode_coeffs(phis[0]), limit),
+        "from_mode_coeffs": (lambda: pt_model.from_mode_coeffs(phis[0]), limit),
+        "resolvent_limit": (lambda: spectral.resolvent_limit(_fresh(pt_model), w, phis[0]),
+                            limit),
+        "density_gram": (lambda: spectral.density_gram(pt_model, w, phis), limit),
+        "histogram window": (lambda: spectral.histogram_density(pt_model, w, phis[0]),
+                             m * width * 8 // 4),
     }
-    for name, call in calls.items():
+    for name, (call, bound) in calls.items():
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, f"{name} peaked at {peak} bytes"
+        assert peak < bound, f"{name} peaked at {peak} bytes"
 
 
 def test_resolvent_eigenvector_case(pt_model):
