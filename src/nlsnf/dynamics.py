@@ -410,14 +410,10 @@ def build_zeta_couplings(model: OperatorModel, reduced: ReducedForm,
     cat = reduced.catalog
     rows, js = [], []
 
-    rplus_cache: dict = {}
-
     def rplus(trip) -> np.ndarray:
-        if trip not in rplus_cache:
-            arg = float(lam @ (np.array(trip.mu) - np.array(trip.nu))) - trip.m
-            psi = reduced.z1_mprime[trip]
-            rplus_cache[trip] = resolvent_limit(model, arg, psi, side="+")
-        return rplus_cache[trip]
+        # the model remembers R(w + i0) Psi, so each triple is solved once
+        arg = float(lam @ (np.array(trip.mu) - np.array(trip.nu))) - trip.m
+        return resolvent_limit(model, arg, reduced.z1_mprime[trip], side="+")
 
     def add(ta, m, mu_tot, nu_tot, coupling, denom):
         for j in range(len(lam)):

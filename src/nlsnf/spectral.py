@@ -581,7 +581,8 @@ def _extrapolate(nodes, vals: np.ndarray):
         trunc = float(np.max(np.abs(limits[deg + 1:] - limits[deg]), initial=0.0))
         if trunc + gains[deg] * scale < best_err:
             best, best_err = deg, float(trunc + gains[deg] * scale)
-    return limits[best].reshape(np.shape(vals)[1:]), LAP_ERROR_SAFETY * best_err
+    # a copy, so that a kept limit does not hold the stack of all degrees
+    return limits[best].reshape(np.shape(vals)[1:]).copy(), LAP_ERROR_SAFETY * best_err
 
 
 def resolvent_limit(

@@ -389,6 +389,8 @@ def test_boundary_value_memo_stays_within_its_bound(pt_model, monkeypatch):
     got = [spectral.resolvent_limit(model, w, b) for b in phis]
     held = model._limits
     assert held.held <= bound and held.held == sum(v.nbytes for v, _ in held._items.values())
+    # each value owns its bytes, so `held` counts all that the memo keeps alive
+    assert all(v.base is None for v, _ in held._items.values())
     assert list(held._items) == [(w, spectral._content_digest(b)) for b in phis[1:]]
     # the dropped first value is solved again, to the same bytes
     assert spectral.resolvent_limit(model, w, phis[0]).tobytes() == got[0].tobytes()
