@@ -17,6 +17,7 @@ import os
 import resource
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,8 @@ def _finite(sec, key: str) -> float:
     return value
 
 
-def build_model_from_config(cp) -> spectral.OperatorModel:
+def potential_from_config(cp) -> tuple[spectral.GridSpec, np.ndarray]:
+    """The grid and the sampled potential of [model]."""
     sec = cp["model"]
     try:
         grid = spectral.GridSpec(l_box=_finite(sec, "l_box"), m_pts=sec.getint("m_pts"))
@@ -126,7 +128,12 @@ def build_model_from_config(cp) -> spectral.OperatorModel:
             v = spectral.potential_from_preset(grid, preset, **params)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"[model]: {exc}") from exc
-    return spectral.build_operator(grid, v)
+    return grid, v
+
+
+def build_model_from_config(cp) -> spectral.OperatorModel:
+    """The dense model of [model], continuum and all."""
+    return spectral.build_operator(*potential_from_config(cp))
 
 
 def _complex_list(text: str):
@@ -238,6 +245,11 @@ COMMAND_STAGES = {
     "simulate": ("model", "simulate"),
 }
 
+# The stages that read the continuum modes, which only the dense model has.
+# The `model` stage of a run with none of them solves for the bound states
+# alone (`spectral.bound_states`), with no M x M eigensolve.
+CONTINUUM_STAGES = ("resonance", "normal_form", "fgr")
+
 
 def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
     """Run the `config` stage, then the stages COMMAND_STAGES lists for `command`.
@@ -245,10 +257,25 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
     The `config` stage checks every section before anything is built.  The
     manifest is rewritten after each stage and records a failing stage;
     `incomplete` turns false once the last stage is done.  Each stage records
-    its wall time in `seconds` and the process's peak RSS so far in
-    `peak_rss_mb`; a skipped stage records only why it was skipped.  The
-    simulation gets the reduced-form monitors when the `fgr` stage ran.
+    its wall time in `seconds`, the process's peak RSS so far in
+    `peak_rss_mb` and the messages of the warnings it raised in `warnings`;
+    a skipped stage records only why it was skipped, and a failing one puts
+    its warnings in `failed_stage_warnings`.  They are still shown when the
+    run ends.  The model is dense only when a stage of CONTINUUM_STAGES
+    runs.  The simulation gets the reduced-form monitors when the `fgr`
+    stage ran.
     """
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return _run_stages(cp, outdir, command, caught)
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
+def _run_stages(cp, outdir: str, command: str, caught: list) -> dict:
+    """`run_pipeline`, with the warnings raised so far in `caught`."""
     run = COMMAND_STAGES[command]
     manifest: dict = {
         "config": {s: dict(cp[s]) for s in cp.sections()},
@@ -258,6 +285,13 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
     }
     manifest_path = os.path.join(outdir, "manifest.json")
     stage_start = time.perf_counter()
+    recorded = 0   # the warnings in `caught` that a stage has recorded
+
+    def messages() -> list[str]:
+        """The warnings raised since the last stage that recorded them."""
+        nonlocal recorded
+        new, recorded = caught[recorded:], len(caught)
+        return [str(w.message) for w in new]
 
     def flush():
         """Write the manifest; the stages run since the last flush get their
@@ -268,6 +302,7 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
             if "seconds" not in entry and "skipped" not in entry:
                 entry["seconds"] = now - stage_start
                 entry["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+                entry["warnings"] = messages()
         stage_start = now
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, default=_json_default)
@@ -286,12 +321,19 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
             run = tuple(name for name in run if name not in ("reduce", "fgr"))
 
         stage = "model"
-        model = build_model_from_config(cp)
+        grid, v = potential_from_config(cp)
+        if any(name in CONTINUUM_STAGES for name in run):
+            model = spectral.build_operator(grid, v)
+        else:
+            model = spectral.bound_states(grid, v)
         manifest["stages"]["model"] = {
             "c": model.c,
             "eigenvalues": model.lam.tolist(),
             "n_bound": model.n,
             "grid": {"l_box": model.grid.l_box, "m_pts": model.grid.m_pts},
+            "basis": "dense" if isinstance(model, spectral.OperatorModel) else "bound_states",
+            "iterations": model.iterations,
+            "residual": model.residual,
         }
         spectral.export_eigenpairs_csv(model, os.path.join(outdir, "eigenpairs.csv"))
         done("model")
@@ -405,6 +447,8 @@ def run_pipeline(cp, outdir: str, command: str = "pipeline") -> dict:
     except Exception as exc:
         manifest["failed_stage"] = stage
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        if len(caught) > recorded:
+            manifest["failed_stage_warnings"] = messages()
         flush()
         raise
 

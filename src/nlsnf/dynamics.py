@@ -33,6 +33,7 @@ from .fgr import packet_form
 from .hamalg import exponent_table, monomials
 from .resonance import ResonanceCatalog, TOL_RES
 from .spectral import (
+    BoundStates,
     GridSpec,
     OperatorModel,
     ModeState,
@@ -117,7 +118,7 @@ def gamma_of_t(t, gamma0: float, gamma1: float):
     return gamma0 + gamma1 * np.cos(t)
 
 
-def initial_state(model: OperatorModel, config: SimConfig) -> np.ndarray:
+def initial_state(model: BoundStates, config: SimConfig) -> np.ndarray:
     if config.u0 is not None:
         u = np.asarray(config.u0, dtype=complex)
         if u.shape != (model.grid.m_pts,):
@@ -146,7 +147,7 @@ def h1_norm(u, grid: GridSpec) -> float:
     return math.sqrt(l2_norm(u, grid.h) ** 2 + l2_norm(derivative(u, grid), grid.h) ** 2)
 
 
-def energy_value(model: OperatorModel, u, t, gamma0, gamma1):
+def energy_value(model: BoundStates, u, t, gamma0, gamma1):
     """E(u) at time t; states u[s] at times t[s] give one energy each."""
     grid = model.grid
     kin = l2_norm(derivative(u, grid), grid.h) ** 2
@@ -164,7 +165,7 @@ def dt_safe_bound(grid: GridSpec) -> float:
     return grid.h ** 2
 
 
-def wrap_time(model: OperatorModel, aux: ReducedAux | None) -> float:
+def wrap_time(model: BoundStates, aux: ReducedAux | None) -> float:
     if aux is not None and aux.catalog.x_values:
         kmax = math.sqrt(max(aux.catalog.x_values) - model.c)
     else:
@@ -180,7 +181,7 @@ def _sponge_mask(grid: GridSpec, dt: float):
     return np.exp(-dt * SPONGE_STRENGTH * ramp ** 2).astype(complex)
 
 
-def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
+def step(u: np.ndarray, dt: float, t: float, model: BoundStates,
          config: SimConfig, half_kinetic: np.ndarray, sponge=None,
          n: int = 1) -> np.ndarray:
     """n Strang steps from t to t + n dt; half_kinetic = exp(-i k^2 dt / 2).
@@ -238,7 +239,7 @@ def step(u: np.ndarray, dt: float, t: float, model: OperatorModel,
     return _ifft(uh, inv_m, out=u) if sponge is None else u
 
 
-def simulate(model: OperatorModel, config: SimConfig,
+def simulate(model: BoundStates, config: SimConfig,
              aux: ReducedAux | None = None) -> TrajectoryRecord:
     """Integrate and record the monitor set at the output stride."""
     grid = model.grid

@@ -12,6 +12,13 @@ just by lying below the continuum threshold c: a shallow box can produce
 delocalized levels slightly below c which belong, physically, to the
 discretized continuum.
 
+A run that reads no continuum mode needs only the bound states:
+`bound_states` finds them by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23
+(2001)) on -Delta + V applied through the FFT symbol, with no M x M matrix.
+It and `build_operator` share the input checks, the bound-state rule, the
+sign convention and the eigenpair validation, so they agree on which state
+is bound; the dense path stays the oracle.
+
 The eigendecomposition calls the gufunc behind `np.linalg.eigh`
 (`numpy.linalg._umath_linalg.eigh_lo`, present in every numpy >= 2.0)
 directly, with the matrix as its eigenvector output: LAPACK's eigenvectors
@@ -75,6 +82,23 @@ HIST_SUPPORT = 9.0
 # its eps schedules and its boundary values R(w + i0) b, each memo up to this
 # many bytes, the oldest dropped first
 _MEMO_BYTES = 1 << 24
+
+# bound states by block LOBPCG: the first block holds LOBPCG_BLOCK columns
+# that must converge and LOBPCG_GUARD that need not (they speed up the top
+# one); the block doubles until its top converged Ritz value is >= 0, so
+# that every eigenvalue below the threshold is in it.  A residual with Ritz
+# value theta is preconditioned by (k^2 + LOBPCG_SHIFT + max(-theta, 0))^-1,
+# the kinetic part of -Delta + V - theta made positive: shifts of 0.03-0.1
+# took the fewest iterations on the presets and on wells up to 49 deep.  A
+# column has converged when its l2 residual is below LOBPCG_TOL_FACTOR eps
+# (max k^2 + max |V|): the FFT-applied operator rounds residuals to about
+# 0.7 eps max k^2 (measured for M = 256 to 8192)
+LOBPCG_BLOCK = 4
+LOBPCG_GUARD = 2
+LOBPCG_SHIFT = 0.05
+LOBPCG_TOL_FACTOR = 16.0
+LOBPCG_MAX_ITER = 500
+LOBPCG_SEED = 2010
 
 
 @dataclass(frozen=True)
@@ -200,15 +224,59 @@ class ModeState:
 
 
 @dataclass
-class OperatorModel:
-    """H in its box eigenbasis.  `mode_energies` ascend, as `build_operator`
-    gives them, so the modes in any energy interval are one run of columns."""
+class BoundStates:
+    """The discrete part of H: threshold c, bound energies and eigenvectors."""
 
     grid: GridSpec
     v: np.ndarray
     c: float
     lam: np.ndarray               # bound eigenvalues, lam[0] = 0
     phi: np.ndarray               # (n+1, M) bound eigenvectors, quadrature-normalized
+    # LOBPCG iterations (None for the dense eigensolve) and the largest
+    # eigenpair residual of the bound states, as `_validate_eigenpairs` found them
+    iterations: int | None = field(default=None, kw_only=True)
+    residual: float | None = field(default=None, kw_only=True)
+
+    @property
+    def n(self) -> int:
+        return len(self.lam) - 1
+
+    def apply_h(self, vec: np.ndarray) -> np.ndarray:
+        """(-d2/dx2 + V + c) vec through the FFT symbol k^2."""
+        self._check_grid(vec)
+        return np.fft.ifft(self.grid.k ** 2 * np.fft.fft(vec)) + (self.v + self.c) * vec
+
+    def project_pc(self, vec: np.ndarray) -> np.ndarray:
+        """Remove the bound-state components (projection onto the continuum)."""
+        self._check_grid(vec)
+        return self.remove_bound(np.asarray(vec, dtype=complex).copy(), self.bound_weights(vec))
+
+    def bound_weights(self, vec: np.ndarray) -> np.ndarray:
+        """The quadrature pairings h <phi_j, vec> of one vector, j = 0..n."""
+        h = self.grid.h
+        return np.array([h * np.dot(self.phi[j], vec) for j in range(len(self.lam))],
+                        dtype=complex)
+
+    def remove_bound(self, out: np.ndarray, weights: np.ndarray, where=True) -> np.ndarray:
+        """out - sum_j weights[..., j] phi_j, in place, one bound state at a
+        time, on the entries `where` selects; each row of a stack takes its
+        own row of weights, and comes out bit for bit as it would alone."""
+        for j in range(len(self.lam)):
+            np.subtract(out, weights[..., j, None] * self.phi[j], out=out, where=where)
+        return out
+
+    def _check_grid(self, vec):
+        if np.shape(vec)[-1] != self.grid.m_pts:
+            raise GridMismatchError(
+                f"vector of length {np.shape(vec)[-1]} on grid with {self.grid.m_pts} points"
+            )
+
+
+@dataclass
+class OperatorModel(BoundStates):
+    """H in its box eigenbasis.  `mode_energies` ascend, as `build_operator`
+    gives them, so the modes in any energy interval are one run of columns."""
+
     mode_energies: np.ndarray     # box eigenvalues of H, ascending, one per column of _evecs
     _evecs: np.ndarray = field(repr=False)   # columns, l2-normalized
     # x @ _evecs of real parts x, by the digest of x up to sign
@@ -217,10 +285,6 @@ class OperatorModel:
     _schedules: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
     # R(w + i0) b, read-only, by (w, digest of b)
     _limits: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.lam) - 1
 
     # -- mode transforms (quadrature-normalized eigenbasis) ------------------
     # A vector or a stack of vectors along the last axis.
@@ -269,36 +333,6 @@ class OperatorModel:
 
     def from_mode_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return _real_basis_product(coeffs, self._evecs.T) / math.sqrt(self.grid.h)
-
-    def apply_h(self, vec: np.ndarray) -> np.ndarray:
-        """(-d2/dx2 + V + c) vec through the FFT symbol k^2."""
-        self._check_grid(vec)
-        return np.fft.ifft(self.grid.k ** 2 * np.fft.fft(vec)) + (self.v + self.c) * vec
-
-    def project_pc(self, vec: np.ndarray) -> np.ndarray:
-        """Remove the bound-state components (projection onto the continuum)."""
-        self._check_grid(vec)
-        return self.remove_bound(np.asarray(vec, dtype=complex).copy(), self.bound_weights(vec))
-
-    def bound_weights(self, vec: np.ndarray) -> np.ndarray:
-        """The quadrature pairings h <phi_j, vec> of one vector, j = 0..n."""
-        h = self.grid.h
-        return np.array([h * np.dot(self.phi[j], vec) for j in range(len(self.lam))],
-                        dtype=complex)
-
-    def remove_bound(self, out: np.ndarray, weights: np.ndarray, where=True) -> np.ndarray:
-        """out - sum_j weights[..., j] phi_j, in place, one bound state at a
-        time, on the entries `where` selects; each row of a stack takes its
-        own row of weights, and comes out bit for bit as it would alone."""
-        for j in range(len(self.lam)):
-            np.subtract(out, weights[..., j, None] * self.phi[j], out=out, where=where)
-        return out
-
-    def _check_grid(self, vec):
-        if np.shape(vec)[-1] != self.grid.m_pts:
-            raise GridMismatchError(
-                f"vector of length {np.shape(vec)[-1]} on grid with {self.grid.m_pts} points"
-            )
 
 
 def _real_basis_product(vec, basis: np.ndarray) -> np.ndarray:
@@ -364,15 +398,9 @@ def _edge_fraction(vec_abs: np.ndarray) -> float:
     return float(edge / vec_abs.max())
 
 
-def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
-    """Diagonalize -Delta + V, tune c so the ground state sits exactly at 0.
-
-    Bound states are the boundary-localized eigenvectors below c.  Raises
-    ConfigError when V is not finite, EmptySpectrumError when -Delta + V >= 0
-    (no discrete spectrum) and BoundaryDecayError when V fails to decay at
-    the box edge.  The eigenvectors overwrite the matrix of -Delta + V, which
-    becomes the model's eigenbasis.
-    """
+def _checked_potential(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """V as floats; GridMismatchError unless sampled on the grid, ConfigError
+    unless finite, BoundaryDecayError unless it has decayed at the box edge."""
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.m_pts,):
         raise GridMismatchError("potential not sampled on the grid")
@@ -386,14 +414,19 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
             f"|V| = {max(abs(v[0]), abs(v[-1])):.3e} at the box boundary "
             f"(required < {V_BOUNDARY_DECAY:.0e}); enlarge the box"
         )
+    return v
 
-    h0 = kinetic_matrix(grid)
-    h0[np.diag_indices_from(h0)] += v
-    # np.linalg.eigh's gufunc under its floating-point state, which turns a
-    # failed solve's NaN into LinAlgError; here the check below raises.  The
-    # eigenvectors overwrite h0
-    with np.errstate(all="ignore"):
-        evals, evecs = _eigh_lo(h0, signature="d->dd", out=(np.empty(grid.m_pts), h0))
+
+def _bound_part(grid: GridSpec, evals: np.ndarray, vecs: np.ndarray):
+    """(c, energies, lam, phi) from the lowest eigenpairs of -Delta + V.
+
+    evals ascend, one per l2-normalized column of vecs, whose signs are
+    fixed in place.  c puts the ground state at 0.  The bound states are the
+    boundary-localized columns below the first energy at or above c - 1e-8,
+    so evals must reach that far.  Raises NumericalError for non-finite
+    eigenvalues and EmptySpectrumError when there is no bound state or the
+    ground state is not boundary-localized.
+    """
     if not np.isfinite(evals).all():
         raise NumericalError("the eigensolver returned non-finite eigenvalues")
     if evals[0] >= -TOL_GROUND:
@@ -402,46 +435,167 @@ def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
     c = -float(evals[0])
     energies = evals + c
     energies[0] = 0.0  # exact by construction
-    evecs = _fix_signs(evecs)
+    _fix_signs(vecs)
 
     bound = []
     for j in range(len(energies)):
         if energies[j] >= c - 1e-8:
             break
-        if _edge_fraction(np.abs(evecs[:, j])) < EDGE_LOCALIZATION:
+        if _edge_fraction(np.abs(vecs[:, j])) < EDGE_LOCALIZATION:
             bound.append(j)
     if not bound or bound[0] != 0:
         raise EmptySpectrumError("ground state is not boundary-localized; enlarge the box")
 
     sqh = math.sqrt(grid.h)
-    phi = np.stack([evecs[:, j] / sqh for j in bound])
-    lam = energies[np.array(bound)]
+    phi = np.stack([vecs[:, j] / sqh for j in bound])
+    return c, energies, energies[np.array(bound)], phi
 
+
+def build_operator(grid: GridSpec, v: np.ndarray) -> OperatorModel:
+    """Diagonalize -Delta + V, tune c so the ground state sits exactly at 0.
+
+    Bound states are the boundary-localized eigenvectors below c.  Raises
+    ConfigError when V is not finite, EmptySpectrumError when -Delta + V >= 0
+    (no discrete spectrum) and BoundaryDecayError when V fails to decay at
+    the box edge.  The eigenvectors overwrite the matrix of -Delta + V, which
+    becomes the model's eigenbasis.
+    """
+    v = _checked_potential(grid, v)
+    h0 = kinetic_matrix(grid)
+    h0[np.diag_indices_from(h0)] += v
+    # np.linalg.eigh's gufunc under its floating-point state, which turns a
+    # failed solve's NaN into LinAlgError; here `_bound_part` raises.  The
+    # eigenvectors overwrite h0
+    with np.errstate(all="ignore"):
+        evals, evecs = _eigh_lo(h0, signature="d->dd", out=(np.empty(grid.m_pts), h0))
+    c, energies, lam, phi = _bound_part(grid, evals, evecs)
     model = OperatorModel(
         grid=grid, v=v, c=c, lam=lam, phi=phi,
         mode_energies=energies, _evecs=evecs,
     )
-    _validate_eigenpairs(model)
+    model.residual = _validate_eigenpairs(model)
     return model
 
 
-def _validate_eigenpairs(model: OperatorModel):
+def bound_states(grid: GridSpec, v: np.ndarray) -> BoundStates:
+    """The bound states of `build_operator`, with no M x M matrix.
+
+    Block LOBPCG on -Delta + V, applied through the FFT symbol k^2 as
+    `apply_h` applies H, from a seeded random block, so that a run is
+    reproducible and no parity class is missed.  The block grows until its
+    top converged Ritz value is >= 0; then it holds every eigenvalue below
+    the threshold, and `_bound_part` picks the bound states by the rule of
+    `build_operator`, which raises the same errors.  NumericalError when the
+    solver does not converge or the bound states need a block of more than
+    M/4 vectors.
+    """
+    v = _checked_potential(grid, v)
+    m = grid.m_pts
+    k2 = (2.0 * np.pi * np.fft.rfftfreq(m, d=grid.h)) ** 2
+
+    def apply_a(rows):
+        return np.fft.irfft(k2 * np.fft.rfft(rows), m) + v * rows
+
+    def precondition(rows, theta):
+        shift = LOBPCG_SHIFT + np.maximum(-theta, 0.0)
+        return np.fft.irfft(np.fft.rfft(rows) / (k2 + shift[:, None]), m)
+
+    tol = LOBPCG_TOL_FACTOR * np.finfo(float).eps * (k2.max() + np.abs(v).max())
+    rng = np.random.default_rng(LOBPCG_SEED)
+    need = LOBPCG_BLOCK
+    x = rng.standard_normal((need + LOBPCG_GUARD, m))
+    iterations = 0
+    while True:
+        if len(x) > m // 4:
+            raise NumericalError(f"the bound states need a block of more than M/4 = {m // 4} "
+                                 "vectors")
+        theta, x, its = _lobpcg(apply_a, precondition, x, need, tol)
+        iterations += its
+        if theta[need - 1] >= 0.0:
+            break
+        x = np.concatenate((x, rng.standard_normal((need, m))))
+        need *= 2
+    c, _, lam, phi = _bound_part(grid, theta[:need], x[:need].T)
+    model = BoundStates(grid=grid, v=v, c=c, lam=lam, phi=phi, iterations=iterations)
+    model.residual = _validate_eigenpairs(model)
+    return model
+
+
+def _lobpcg(apply_a, precondition, x: np.ndarray, need: int, tol: float):
+    """The lowest Ritz pairs of a symmetric A by block LOBPCG from the rows x.
+
+    Vectors are rows; `precondition(rows, theta)` takes residuals and their
+    Ritz values.  Each iteration is a Rayleigh-Ritz step on [X; W; P]:
+    X the Ritz vectors, W the preconditioned residuals of the rows not yet
+    converged and P their last search directions, each block orthonormal and
+    orthogonal to the blocks before it (Hetmaniuk and Lehoucq, J. Comput.
+    Phys. 218 (2006)).  Only the first `need` rows must converge; the rest
+    are guards, always refined.  Returns (Ritz values, ascending; Ritz
+    vectors, orthonormal rows; iterations) once the first `need` residuals
+    ||A x - theta x|| are at most tol.
+    """
+    x = _orthonormal_rows(x)
+    size = len(x)
+    p = None
+    for iterations in range(LOBPCG_MAX_ITER + 1):
+        ax = apply_a(x)
+        gram = x @ ax.T
+        theta, coef = np.linalg.eigh(0.5 * (gram + gram.T))
+        x, ax = coef.T @ x, coef.T @ ax
+        r = ax - theta[:, None] * x
+        res = np.linalg.norm(r, axis=1)
+        if res[:need].max() <= tol:
+            return theta, x, iterations
+        active = res > tol
+        active[need:] = True
+        blocks = [x, _orthonormal_rows(precondition(r[active], theta[active]), x)]
+        if p is not None:
+            blocks.append(_orthonormal_rows(p, np.concatenate(blocks)))
+        s = np.concatenate(blocks)
+        gram = s @ np.concatenate((ax, apply_a(s[size:]))).T
+        coef = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, :size]
+        x = coef.T @ s
+        p = coef[size:, active].T @ s[size:]
+    raise NumericalError(f"the bound-state solver did not converge in {LOBPCG_MAX_ITER} "
+                         f"iterations: residual {res[:need].max():.2e} > {tol:.2e}")
+
+
+def _orthonormal_rows(y: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal rows spanning the rows of y, orthogonal to the orthonormal
+    rows of `basis`: two passes of projection and SVQB (Stathopoulos and Wu,
+    SIAM J. Sci. Comput. 23 (2002)), which drop the directions whose squared
+    norm is below 1e-14 of the largest."""
+    for _ in range(2):
+        if basis is not None:
+            y = y - (y @ basis.T) @ basis
+        d, u = np.linalg.eigh(y @ y.T)
+        keep = d > 1e-14 * d.max(initial=0.0)
+        y = (u[:, keep] / np.sqrt(d[keep])).T @ y
+    return y
+
+
+def _validate_eigenpairs(model: BoundStates) -> float:
+    """The largest eigenpair residual; NumericalError when the bound states
+    fail quadrature orthonormality or a residual exceeds TOL_EIG_RESIDUAL."""
     h = model.grid.h
     nb = len(model.lam)
     gram = h * (model.phi @ model.phi.T)
     if np.max(np.abs(gram - np.eye(nb))) > 1e-10:
         raise NumericalError("bound eigenvectors fail quadrature orthonormality")
+    worst = 0.0
     for j in range(nb):
         res = l2_norm(model.apply_h(model.phi[j]) - model.lam[j] * model.phi[j], h)
         if res > TOL_EIG_RESIDUAL:
             raise NumericalError(f"eigenpair residual {res:.2e} for mode {j}")
+        worst = max(worst, res)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # coordinates
 
 
-def project_modes(u: np.ndarray, model: OperatorModel) -> ModeState:
+def project_modes(u: np.ndarray, model: BoundStates) -> ModeState:
     """Split u = z . phi + f with f in the continuum subspace.
 
     A stack of states along the last axis gives stacked z and f.
@@ -803,7 +957,7 @@ def threshold_blowup_report(model: OperatorModel) -> dict:
     }
 
 
-def export_eigenpairs_csv(model: OperatorModel, path):
+def export_eigenpairs_csv(model: BoundStates, path):
     """Columns x, phi_0 ... phi_n; eigenvalue row is embedded as a comment."""
     header = "x," + ",".join(f"phi_{j}" for j in range(len(model.lam)))
     meta = "eigenvalues: " + ", ".join(f"{l:.12g}" for l in model.lam) + f"; c: {model.c:.12g}"

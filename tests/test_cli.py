@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nlsnf import birkhoff, cli, dynamics, resonance, spectral
+from nlsnf.errors import NumericalError
 
 
 SMALL_CONFIG = """
@@ -347,9 +348,12 @@ def test_simulate_runs_the_model_and_simulate_stages(small_config, capsys):
     assert sim["steps"] > 0 and sim["steps_per_s"] > 0
     assert sim["mass_drift"] < 1e-8 and sim["beyond_wrap"] is False
     assert os.path.exists(os.path.join(outdir, "eigenpairs.csv"))
-    # the same trajectory as a direct run without the reduced-form monitors
+    # the same trajectory as a direct run on the bound states alone, without
+    # the reduced-form monitors
+    assert manifest["stages"]["model"]["basis"] == "bound_states"
     cp = cli.load_config(small_config)
-    record = dynamics.simulate(cli.build_model_from_config(cp), cli.sim_config_from(cp))
+    model = spectral.bound_states(*cli.potential_from_config(cp))
+    record = dynamics.simulate(model, cli.sim_config_from(cp))
     direct = os.path.join(os.path.dirname(small_config), "direct.csv")
     cli.write_trajectory_csv(record, direct)
     assert open(os.path.join(outdir, "trajectory.csv"), "rb").read() == open(direct, "rb").read()
@@ -461,14 +465,21 @@ def _run_spectrum_on_csv(tmp_path, csv_path):
     return rc, json.load(open(tmp_path / "out" / "manifest.json"))
 
 
-def test_potential_csv_of_the_preset_samples_gives_the_preset_spectrum(tmp_path, capsys):
+def test_potential_csv_of_the_preset_samples_gives_the_preset_spectrum(small_config, tmp_path,
+                                                                      capsys):
+    # the samples interpolate to the preset's V bit for bit, so the seeded
+    # bound-state solve gives the bits of the preset's own `spectrum` run
+    assert cli.main(["spectrum", "--config", small_config]) == cli.EXIT_OK
+    preset = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]["model"]
     grid = spectral.GridSpec(l_box=30.0, m_pts=256)
     xs = np.append(grid.x, grid.l_box)            # the periodic endpoint x = L too
     np.savetxt(tmp_path / "v.csv", np.column_stack(
         [xs, spectral.poschl_teller(xs, a=1.5, kappa2=0.35)]), delimiter=",")
     rc, manifest = _run_spectrum_on_csv(tmp_path, tmp_path / "v.csv")
     assert rc == cli.EXIT_OK
-    assert manifest["stages"]["model"]["eigenvalues"] == [0.0, 0.7000000174600884]
+    got = manifest["stages"]["model"]
+    assert got["eigenvalues"] == preset["eigenvalues"] and got["c"] == preset["c"]
+    assert got["eigenvalues"] == pytest.approx([0.0, 0.7], abs=1e-7)
 
 
 def test_potential_csv_that_misses_the_box_exits_config(tmp_path, capsys):
@@ -579,3 +590,51 @@ def test_linear_prefix_run_records_the_skip(tmp_path, capsys, monkeypatch, comma
     assert list(manifest["stages"])[-1] == "normal_form"
     assert manifest["stages"]["normal_form"] == {"skipped": "linear run"}
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, basis", [("spectrum", "bound_states"),
+                                            ("simulate", "bound_states"),
+                                            ("normalform", "dense")])
+def test_model_stage_records_its_basis(small_config, capsys, command, basis):
+    # only a run with a stage that reads the continuum builds the dense basis
+    with open(small_config, "a") as fh:
+        fh.write("\n[analysis]\nr_max = 1\n")
+    assert cli.main([command, "--config", small_config]) == cli.EXIT_OK
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    model = manifest["stages"]["model"]
+    assert model["basis"] == basis
+    assert (model["iterations"] is None) == (basis == "dense")
+    assert 0.0 < model["residual"] <= spectral.TOL_EIG_RESIDUAL
+    assert model["eigenvalues"] == pytest.approx([0.0, 0.7], abs=1e-7)
+
+
+def test_stage_warnings_are_shown_and_recorded(tmp_path, capsys):
+    # SMALL_CONFIG's simulate has t_wrap = 7.5; wrap_policy = warn runs past it
+    cfg = tmp_path / "wrap.cfg"
+    cfg.write_text(SMALL_CONFIG.format(out=tmp_path / "out")
+                   .replace("t_end = 2.0", "t_end = 8.0")
+                   .replace("wrap_policy = ignore", "wrap_policy = warn"))
+    with pytest.warns(UserWarning, match="radiation wrap horizon") as shown:
+        rc = cli.main(["simulate", "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    stages = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]
+    assert stages["model"]["warnings"] == []
+    assert stages["simulate"]["warnings"] == [str(w.message) for w in shown]
+    assert len(shown) == 1
+
+
+def test_a_failing_stage_records_its_warnings(small_config, capsys, monkeypatch):
+    def warn_then_fail(*args, **kwargs):
+        warnings.warn("about to fail")
+        raise NumericalError("failed on purpose")
+
+    monkeypatch.setattr(dynamics, "simulate", warn_then_fail)
+    with pytest.warns(UserWarning, match="about to fail"):
+        rc = cli.main(["simulate", "--config", small_config])
+    assert rc == cli.EXIT_NUMERICAL
+    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json")))
+    assert manifest["failed_stage"] == "simulate"
+    assert manifest["failed_stage_warnings"] == ["about to fail"]
+    assert list(manifest["stages"]) == ["model"]

@@ -443,3 +443,28 @@ def test_non_finite_initial_data_raises(pt_model):
     u0[17] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         simulate(pt_model, _short_config(t_end=0.01, output_stride=5, u0=u0))
+
+
+def test_the_sign_of_an_odd_bound_state_leaves_the_record_unchanged():
+    # `_fix_signs` settles the tie max = -min of a parity-odd state by
+    # rounding, so the dense and the bound-state solves may give phi_1
+    # opposite signs.  That is harmless for an even V: -phi_1 turns the start
+    # z . phi into its mirror image u(-x), the stepper (even V, even sponge)
+    # evolves mirror images into mirror images, and z_1 = h <phi_1, u> and the
+    # mass read the same from either
+    grid = spectral.GridSpec(l_box=40.0, m_pts=512)
+    v = spectral.poschl_teller(grid.x)
+    assert np.array_equal(v[1:], v[1:][::-1])          # x_j <-> x_{M-j}
+    model = spectral.bound_states(grid, v)
+    odd = model.phi[1]
+    assert np.max(np.abs(odd[1:] + odd[1:][::-1])) <= 1e-12 * np.max(np.abs(odd))
+    flipped = dataclasses.replace(model, phi=model.phi * np.array([[1.0], [-1.0]]))
+    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=3.0, sponge=True,
+                        mode_amplitudes=(0.15, 0.1 * np.exp(1j)))
+    rec, rec_flipped = simulate(model, cfg), simulate(flipped, cfg)
+    assert_allclose(rec_flipped.z, rec.z, rtol=0, atol=1e-12)
+    assert_allclose(rec_flipped.mass, rec.mass, rtol=0, atol=1e-12)
+    # the flipped start is the mirror image, and not the same state
+    u, mirrored = initial_state(model, cfg), initial_state(flipped, cfg)
+    assert np.max(np.abs(mirrored[1:] - u[1:][::-1])) <= 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(mirrored - u)) > 0.01

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,143 @@ def test_eigenpair_quality(pt_model):
         # sign convention: largest-magnitude component positive
         i = np.argmax(np.abs(pt_model.phi[j]))
         assert pt_model.phi[j][i] > 0
+
+
+# ---------------------------------------------------------------------------
+# bound states without the dense basis, against the dense oracle
+
+
+def _assert_same_bound_states(dense, grid, v):
+    """`bound_states` finds the bound states of the dense model: the same
+    count, lambda and c within 1e-12, phi within 1e-10 up to sign."""
+    got = spectral.bound_states(grid, v)
+    assert not isinstance(got, spectral.OperatorModel)
+    assert len(got.lam) == len(dense.lam)
+    assert abs(got.c - dense.c) <= 1e-12
+    assert got.lam[0] == 0.0
+    assert_allclose(got.lam, dense.lam, rtol=0, atol=1e-12)
+    for mine, theirs in zip(got.phi, dense.phi):
+        assert min(np.max(np.abs(mine - theirs)), np.max(np.abs(mine + theirs))) <= 1e-10
+    assert got.iterations > 0 and dense.iterations is None
+    assert 0.0 < got.residual <= spectral.TOL_EIG_RESIDUAL
+    return got
+
+
+PRESET_CASES = {
+    "poschl_teller": ("poschl_teller", {}),
+    "poschl_teller-3": ("poschl_teller", {"a": 2.5, "kappa2": 0.2}),
+    "gaussian_well": ("gaussian_well", {"depth": 2.0, "width": 1.5}),
+    "sech2_well": ("sech2_well", {}),
+    # nine bound states: the block doubles twice
+    "gaussian_well-9": ("gaussian_well", {"depth": 8.0, "width": 3.0}),
+}
+
+
+@pytest.mark.parametrize("case", PRESET_CASES)
+def test_bound_states_match_the_dense_model_on_the_presets(case):
+    name, params = PRESET_CASES[case]
+    grid = spectral.GridSpec(l_box=40.0, m_pts=512)
+    v = spectral.potential_from_preset(grid, name, **params)
+    _assert_same_bound_states(spectral.build_operator(grid, v), grid, v)
+
+
+def test_bound_states_match_the_dense_desk_model(pt_model):
+    _assert_same_bound_states(pt_model, pt_model.grid, pt_model.v)
+
+
+def test_bound_states_match_the_small_clean_models(small_clean_models):
+    for model, _ in small_clean_models:
+        _assert_same_bound_states(model, model.grid, model.v)
+
+
+def test_bound_states_find_three_modes():
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    v = spectral.gaussian_well(grid.x, depth=1.6, width=2.0)
+    got = _assert_same_bound_states(spectral.build_operator(grid, v), grid, v)
+    assert got.n == 2
+
+
+def test_bound_states_skip_the_box_mode_below_c_as_the_dense_path_does():
+    # three energies below c; the third touches the box edge and is skipped
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    v = spectral.gaussian_well(grid.x, depth=3.4, width=1.2)
+    dense = spectral.build_operator(grid, v)
+    assert dense.n == 1 and dense.mode_energies[2] < dense.c
+    assert spectral._edge_fraction(np.abs(dense._evecs[:, 2])) >= spectral.EDGE_LOCALIZATION
+    _assert_same_bound_states(dense, grid, v)
+
+
+def test_bound_states_of_a_potential_csv_that_is_not_even(tmp_path):
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    xs = np.linspace(-31.0, 31.0, 2001)
+    samples = (spectral.gaussian_well(xs - 2.0, depth=1.5, width=1.0)
+               + spectral.gaussian_well(xs + 3.0, depth=0.8, width=1.5))
+    np.savetxt(tmp_path / "v.csv", np.column_stack([xs, samples]), delimiter=",")
+    v = spectral.potential_from_csv(grid, tmp_path / "v.csv")
+    assert np.max(np.abs(v[1:] - v[1:][::-1])) > 0.1     # x_j <-> x_{M-j}
+    _assert_same_bound_states(spectral.build_operator(grid, v), grid, v)
+
+
+def _bad_inputs():
+    grid = spectral.GridSpec(l_box=30.0, m_pts=256)
+    nan = spectral.poschl_teller(grid.x)
+    nan[128] = np.nan
+    wide = spectral.GridSpec(l_box=40.0, m_pts=256)
+    return {
+        "non-finite": (grid, nan),
+        "boundary-decay": (wide, spectral.gaussian_well(wide.x, depth=1.0, width=20.0)),
+        "grid-shape": (grid, spectral.poschl_teller(grid.x)[:-1]),
+        "free": (grid, np.zeros(grid.m_pts)),
+        # bound, but the ground state reaches the box edge
+        "delocalized": (grid, spectral.gaussian_well(grid.x, depth=0.01, width=2.0)),
+    }
+
+
+BAD_INPUT_ERRORS = {"non-finite": ConfigError, "boundary-decay": BoundaryDecayError,
+                    "grid-shape": GridMismatchError, "free": EmptySpectrumError,
+                    "delocalized": EmptySpectrumError}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_ERRORS)
+def test_bound_states_refuse_what_the_dense_path_refuses(case):
+    grid, v = _bad_inputs()[case]
+    with pytest.raises(BAD_INPUT_ERRORS[case]) as dense:
+        spectral.build_operator(grid, v)
+    with pytest.raises(BAD_INPUT_ERRORS[case], match=re.escape(str(dense.value))):
+        spectral.bound_states(grid, v)
+
+
+def test_bound_states_refuse_a_block_over_a_quarter_of_the_grid():
+    # eleven eigenvalues below the threshold on 64 points: the block would
+    # grow to 16 + 2 vectors
+    grid = spectral.GridSpec(l_box=10.0, m_pts=64)
+    with pytest.raises(NumericalError, match="more than M/4 = 16 vectors"):
+        spectral.bound_states(grid, spectral.gaussian_well(grid.x, depth=100.0, width=1.0))
+
+
+def test_bound_states_are_reproducible():
+    grid = spectral.GridSpec(l_box=40.0, m_pts=512)
+    v = spectral.poschl_teller(grid.x)
+    first, second = spectral.bound_states(grid, v), spectral.bound_states(grid, v)
+    assert first.c == second.c and first.lam.tobytes() == second.lam.tobytes()
+    assert first.phi.tobytes() == second.phi.tobytes()
+
+
+def test_bound_states_hold_no_m_by_m_matrix():
+    # the block is 6 rows and its search space 18; the dense path holds at
+    # least the M x M matrix (33.5 MB here).  A first call in a fresh
+    # process peaked at 2.3 MB
+    import tracemalloc
+
+    grid = spectral.GridSpec(l_box=40.0, m_pts=2048)
+    v = spectral.poschl_teller(grid.x)
+    tracemalloc.start()
+    try:
+        spectral.bound_states(grid, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.m_pts ** 2 * 8 / 8, f"bound_states peaked at {peak} bytes"
 
 
 def test_project_modes_eigenvector(pt_model):
