@@ -9,8 +9,8 @@ round the resonant linear part is reduced to the minimal index sets.
 Resolvent arguments of nonresonant terms always lie below the continuum
 threshold; they may hit a discrete eigenvalue only when the attached coupling
 is orthogonal to the eigenvector (couplings are stored projected onto the
-continuum subspace, so the reduced resolvent applies).  In-continuum arguments
-are refused unless the R^+ boundary-value flag is set explicitly.
+continuum subspace, so the reduced resolvent applies).  An in-continuum
+argument, which would need the R^+ boundary value, is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .hamalg import (
     DropLedger,
 )
 from .resonance import TOL_RES, IndexTriple, ResonanceCatalog
-from .spectral import OperatorModel, resolvent_apply, resolvent_limit
+from .spectral import OperatorModel, resolvent_apply
 
 
 # classification labels
@@ -82,7 +82,6 @@ def classify_term(term: HamTerm, lam, c: float, r: int,
 def solve_homological(
     k_exp: HamExpansion,
     model: OperatorModel,
-    r_plus: bool = False,
     tol_res: float = TOL_RES,
 ) -> HamExpansion:
     """chi with {chi, H_F} = K for nonresonant scalar/linear K.
@@ -107,26 +106,21 @@ def solve_homological(
             chi_terms.append(term.scaled(1j / omega))
         elif term.kind in ("linear_f", "linear_fbar"):
             arg = -omega if term.kind == "linear_f" else omega
-            vec = term.vector
             if arg > model.c - tol_res:
-                if not r_plus:
-                    raise SingularResolventError(
-                        f"resolvent argument {arg:.6g} inside the continuum for "
-                        f"(m={term.m}, mu={term.mu}, nu={term.nu}); set the R^+ flag")
-                rvec = resolvent_limit(model, arg, vec, side="+")
-            else:
-                rvec = resolvent_apply(model, arg, vec)
+                raise SingularResolventError(
+                    f"{term.kind} term (m={term.m}, mu={term.mu}, nu={term.nu}) has "
+                    f"resolvent argument {arg:.6g} inside the continuum "
+                    f"(threshold c = {model.c:.6g}): it would need R+({arg:.6g})")
             sign = 1j if term.kind == "linear_f" else -1j
-            chi_terms.append(term.with_vector(sign * rvec))
+            chi_terms.append(term.with_vector(sign * resolvent_apply(model, arg, term.vector)))
         else:
             raise NlsnfError("homological data must be scalar or linear")
     chi = HamExpansion(chi_terms).merged()
-    _verify_homological(chi, k_exp, model, skip_continuum=r_plus, tol_res=tol_res)
+    _verify_homological(chi, k_exp, model)
     return chi
 
 
-def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8,
-                        tol_res: float = TOL_RES):
+def _verify_homological(chi, k_exp, model, rtol=1e-8):
     """Check {chi, H_F} = K for a merged chi through the bracket table, term
     by term."""
     residual = [bracket_hf(t, model.lam, model).scaled(-1.0) for t in chi.terms]
@@ -137,11 +131,6 @@ def _verify_homological(chi, k_exp, model, skip_continuum=False, rtol=1e-8,
            if s.kind in ("linear_f", "linear_fbar")]
         + [1e-300])
     for t in combined.terms:
-        if skip_continuum and t.kind in ("linear_f", "linear_fbar"):
-            omega = float(np.asarray(model.lam) @ (np.asarray(t.mu) - np.asarray(t.nu))) - t.m
-            arg = -omega if t.kind == "linear_f" else omega
-            if arg > model.c - tol_res:
-                continue  # boundary values only solve in the eps -> 0 limit
         size = abs(t.coeff)
         if t.kind in ("linear_f", "linear_fbar"):
             size = float(np.max(np.abs(t.vector)))

@@ -54,7 +54,6 @@ DEFAULTS = {
         "n0": "",             # default N + 2
         "degree_cap": "",     # default 2N + 4
         "tol_res": "1e-9",
-        "estimator": "histogram",
     },
     "simulation": {
         "t_end": "200.0",
@@ -167,9 +166,6 @@ def sim_config_from(cp) -> dynamics.SimConfig:
         raise ConfigError(f"[simulation]: {exc}") from exc
 
 
-ESTIMATORS = ("histogram", "lap")
-
-
 @dataclass
 class AnalysisConfig:
     """[analysis] and the [simulation] seed; None means the budget default."""
@@ -178,24 +174,23 @@ class AnalysisConfig:
     r_max: int | None        # N + 1
     n0: int | None           # N + 2
     degree_cap: int | None   # 2N + 4
-    estimator: str
     seed: int
 
 
 def analysis_config_from(cp) -> AnalysisConfig:
     sec = cp["analysis"]
+    if sec.get("estimator", "histogram") != "histogram":
+        raise ConfigError("[analysis]: estimator: only the histogram estimator is "
+                          f"implemented, got {sec.get('estimator')!r}")
     try:
         ints = {key: int(sec.get(key)) if sec.get(key) else None
                 for key in ("r_max", "n0", "degree_cap")}
-        config = AnalysisConfig(tol_res=_finite(sec, "tol_res"), estimator=sec.get("estimator"),
+        config = AnalysisConfig(tol_res=_finite(sec, "tol_res"),
                                 seed=cp.getint("simulation", "seed"), **ints)
     except ValueError as exc:
         raise ConfigError(f"[analysis]: {exc}") from exc
     if not config.tol_res > 0.0:
         raise ConfigError(f"[analysis]: tol_res must be positive, got {config.tol_res}")
-    if config.estimator not in ESTIMATORS:
-        raise ConfigError(f"[analysis]: estimator must be one of {ESTIMATORS}, "
-                          f"got {config.estimator!r}")
     return config
 
 
@@ -417,7 +412,7 @@ def _run_stages(cp, outdir: str, command: str, caught: list) -> dict:
 
         if "fgr" in run:
             stage = "fgr"
-            packets = fgr.build_packets(model, reduced, estimator=analysis.estimator)
+            packets = fgr.build_packets(model, reduced)
             ray = fgr.rayleigh_report(packets, catalog.minimal, n_modes=len(model.lam),
                                       seed=analysis.seed)
             manifest["stages"]["fgr"] = {

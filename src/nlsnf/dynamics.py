@@ -62,7 +62,6 @@ class SimConfig:
     u0: np.ndarray | None = None          # raw initial data overrides the above
     sponge: bool = False
     wrap_policy: str = "warn"             # "warn" | "error" | "ignore"
-    snapshot_times: tuple = ()
 
     def __post_init__(self):
         if not (0 < self.dt < math.inf and 0 <= self.t_end < math.inf):
@@ -94,7 +93,6 @@ class TrajectoryRecord:
     f_h1: np.ndarray
     f_weighted: np.ndarray
     eps_h1: float
-    dt_safe: float
     t_wrap: float
     steps: int                    # Strang steps taken
     zeta: np.ndarray | None = None
@@ -102,7 +100,6 @@ class TrajectoryRecord:
     fgr_flux: np.ndarray | None = None
     zsq_integrals: dict = field(default_factory=dict)
     strichartz: dict = field(default_factory=dict)
-    snapshots: dict = field(default_factory=dict)
     sponge_used: bool = False
 
     def mass_drift(self) -> float:
@@ -314,23 +311,13 @@ def simulate(model: BoundStates, config: SimConfig,
         if i % batch == batch - 1 or i == n_out - 1:
             record(i - i % batch, i + 1)
 
-    # a snapshot is taken after the first step that reaches ts - dt / 2
-    snap_at: dict = {}
-    for ts in sorted(config.snapshot_times):
-        snap_at.setdefault(max(1, math.ceil(ts / dt - 0.5)), []).append(ts)
-    snapshots = {}
     sample(0, u)
     done = 0
-    # steps past the last sample and snapshot would change nothing recorded
-    for target in sorted({*range(stride, n_steps + 1, stride), *snap_at}):
-        if target > n_steps:
-            break
-        u = step(u, dt, done * dt, model, config, half_kinetic, sponge, target - done)
+    # steps past the last sample would change nothing recorded
+    for target in range(stride, n_steps + 1, stride):
+        u = step(u, dt, done * dt, model, config, half_kinetic, sponge, stride)
         done = target
-        for ts in snap_at.get(done, ()):
-            snapshots[ts] = free_flow_undo(u, done * dt, grid, model.c)
-        if done % stride == 0:
-            sample(done // stride, u)
+        sample(done // stride, u)
 
     # the golden-rule flux pi sum_w Q_w(zeta) of every sample at once
     flux = (math.pi * sum((packet_form(p, zetas) for p in aux.packets), np.zeros(n_out))
@@ -340,10 +327,10 @@ def simulate(model: BoundStates, config: SimConfig,
     return TrajectoryRecord(
         times=times, z=zs, mass=mass, energy=energy,
         f_l2=f_l2, f_h1=f_h1, f_weighted=f_w,
-        eps_h1=eps, dt_safe=dt_safe_bound(grid), t_wrap=t_wrap, steps=done,
+        eps_h1=eps, t_wrap=t_wrap, steps=done,
         zeta=zetas, g_weighted=g_w, fgr_flux=flux,
         zsq_integrals={(tr.m, tr.mu, tr.nu): float(v) for tr, v in zip(minimal, zsq_acc)},
-        strichartz=strich, snapshots=snapshots, sponge_used=config.sponge,
+        strichartz=strich, sponge_used=config.sponge,
     )
 
 
@@ -352,11 +339,6 @@ def _w1p_norm(f, df, h: float, p: float):
     fp = (h * np.sum(np.abs(f) ** p, axis=-1)) ** (1.0 / p)
     dfp = (h * np.sum(np.abs(df) ** p, axis=-1)) ** (1.0 / p)
     return (fp ** p + dfp ** p) ** (1.0 / p)
-
-
-def free_flow_undo(u, t: float, grid: GridSpec, c: float) -> np.ndarray:
-    """Scattering profile e^{+i t (-Delta + c)} u(t) (the c-phase included)."""
-    return np.fft.ifft(np.fft.fft(u) * np.exp(1j * (grid.k ** 2 + c) * t))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .hamalg import HamExpansion, exponent_table, monomials
 from .spectral import OperatorModel, density_gram, pv_gram
 
 POSITIVITY_ALARM = 1e-8
+RAYLEIGH_RADII = (0.5, 1.0, 2.0)   # |zeta| of the Rayleigh samples
 
 
 @dataclass
@@ -43,18 +44,14 @@ class FgrPacket:
         return float(np.max(np.abs(self.gram - self.gram_lap))) / scale
 
 
-def build_packets(
-    model: OperatorModel,
-    reduced: ReducedForm,
-    estimator: str = "histogram",
-) -> list[FgrPacket]:
+def build_packets(model: OperatorModel, reduced: ReducedForm) -> list[FgrPacket]:
     """One packet per w in X, Gram matrices precomputed.
 
-    The delta-form backend defaults to the histogram estimator (the accurate
-    one on desk-size boxes); the extrapolated limiting-absorption Gram is kept
-    alongside for agreement monitoring.  Both Grams are clipped to the
-    positive cone: delta(H - w) is positive semidefinite exactly, so negative
-    eigenvalues are estimator noise (the removed mass is recorded).
+    The delta-form Gram is the histogram estimator's (the accurate one on
+    desk-size boxes); the extrapolated limiting-absorption Gram is kept
+    alongside as the `lap_gap` agreement monitor.  Both Grams are clipped to
+    the positive cone: delta(H - w) is positive semidefinite exactly, so
+    negative eigenvalues are estimator noise (the removed mass is recorded).
     """
     packets = []
     for w in reduced.catalog.x_values:
@@ -66,7 +63,7 @@ def build_packets(
                 raise NlsnfError(f"missing coupling for {trip}")
             members.append((trip, phi))
         vecs = [p for _, p in members]
-        gram, clipped = _psd_clip(density_gram(model, w, vecs, estimator=estimator))
+        gram, clipped = _psd_clip(density_gram(model, w, vecs))
         gram_lap, _ = _psd_clip(density_gram(model, w, vecs, estimator="lap"))
         packets.append(FgrPacket(w=w, members=members, gram=gram,
                                  gram_lap=gram_lap, gram_pv=pv_gram(model, w, vecs),
@@ -104,8 +101,6 @@ def monomial_l2(triples, zeta):
 class RayleighReport:
     min_quotient: float
     max_quotient: float
-    samples: int
-    radii: tuple
     verdict: bool
     quotients: np.ndarray = field(repr=False, default=None)
 
@@ -115,13 +110,13 @@ def rayleigh_report(
     triples,
     n_modes: int,
     n_samples: int = 1000,
-    radii=(0.5, 1.0, 2.0),
     seed: int = 0,
 ) -> RayleighReport:
     """Sampled bounds of (sum_w delta-form) / (sum_M |zeta^{mu+nu}|^2).
 
-    The hypothesis verdict is positive when the sampled minimum clears ten
-    times the positivity alarm level.
+    Each of the n_samples random directions is taken at every radius of
+    RAYLEIGH_RADII.  The hypothesis verdict is positive when the sampled
+    minimum clears ten times the positivity alarm level.
     """
     rng = np.random.default_rng(seed)
     units = []
@@ -129,7 +124,8 @@ def rayleigh_report(
         v = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         units.append(v / np.linalg.norm(v))
     # sample-major, radius-minor
-    zetas = (np.array(units)[:, None, :] * np.asarray(radii)[None, :, None]).reshape(-1, n_modes)
+    zetas = (np.array(units)[:, None, :]
+             * np.asarray(RAYLEIGH_RADII)[None, :, None]).reshape(-1, n_modes)
     denom = monomial_l2(triples, zetas)
     num = sum((packet_form(p, zetas) for p in packets), np.zeros(len(zetas)))
     keep = denom >= 1e-300
@@ -137,8 +133,6 @@ def rayleigh_report(
     return RayleighReport(
         min_quotient=float(quotients.min()),
         max_quotient=float(quotients.max()),
-        samples=len(quotients),
-        radii=tuple(radii),
         verdict=bool(quotients.min() > 10.0 * POSITIVITY_ALARM),
         quotients=quotients,
     )

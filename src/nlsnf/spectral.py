@@ -216,11 +216,10 @@ class _Memo:
 
 @dataclass
 class ModeState:
-    """Discrete amplitudes z, radiation part f (P_c f = f) and the time t."""
+    """Discrete amplitudes z and radiation part f (P_c f = f)."""
 
     z: np.ndarray
     f: np.ndarray
-    t: float = 0.0
 
 
 @dataclass
@@ -604,7 +603,7 @@ def project_modes(u: np.ndarray, model: BoundStates) -> ModeState:
     u = np.asarray(u, dtype=complex)
     z = model.grid.h * _real_basis_product(u, model.phi.T)
     f = u - _real_basis_product(z, model.phi)
-    return ModeState(z=z, f=f, t=0.0)
+    return ModeState(z=z, f=f)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_pipeline_end_to_end(small_config, capsys):
 
 
 def test_pipeline_threads_tol_res_to_every_stage(tmp_path, capsys, monkeypatch):
-    # [analysis] tol_res reaches the classification, the homological check
+    # [analysis] tol_res reaches the classification, the homological solve
     # and the zeta couplings, not only the resonance and catalog stages
     seen = {}
 
@@ -177,12 +177,12 @@ def test_pipeline_threads_tol_res_to_every_stage(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, recorder)
 
     spy(birkhoff, "classify_term", 4)
-    spy(birkhoff, "_verify_homological", 5)
+    spy(birkhoff, "solve_homological", 2)
     spy(dynamics, "build_zeta_couplings", 2)
     path = _config_with(tmp_path, "analysis", "tol_res", "1e-6")
     rc = cli.main(["pipeline", "--config", str(path)])
     assert rc == cli.EXIT_OK
-    assert seen == {"classify_term": {1e-6}, "_verify_homological": {1e-6},
+    assert seen == {"classify_term": {1e-6}, "solve_homological": {1e-6},
                     "build_zeta_couplings": {1e-6}}
 
 
@@ -234,7 +234,7 @@ CONFIG_ERRORS = [
     ("seed", "simulation", "seed", "abc"),
     ("tol_res", "analysis", "tol_res", "abc"),
     ("r_max", "analysis", "r_max", "two"),
-    ("estimator", "analysis", "estimator", "nope"),
+    ("estimator", "analysis", "estimator", "lap"),
     ("duplicate-key", "model", "m_pts", None),   # the key appears twice
     ("gamma0", "forcing", "gamma0", "abc"),
     ("output_stride", "simulation", "output_stride", "0"),
@@ -566,7 +566,7 @@ def test_manifest_reports_packets_and_h4(small_config, capsys, monkeypatch):
     assert packets
     for p in packets:
         assert p["clipped_mass"] >= 0.0
-        assert 0.0 <= p["lap_gap"] < LAP_GAP_MAX
+        assert 0.0 < p["lap_gap"] < LAP_GAP_MAX
     # (H4) as the resonance stage saw it: the report of the same model
     h4 = manifest["stages"]["resonance"]["h4"]
     model = cli.build_model_from_config(cli.load_config(small_config))

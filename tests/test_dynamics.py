@@ -284,20 +284,6 @@ def test_strichartz_and_zsq_monitors(pt_model, pt_aux):
     assert np.all(rec.fgr_flux >= -1e-12)
 
 
-def test_scattering_snapshots(pt_model):
-    rng = np.random.default_rng(8)
-    u0 = random_radiation(pt_model, rng, 0.05)
-    cfg = _short_config(gamma0=0.0, gamma1=0.0, t_end=4.0, u0=u0,
-                        snapshot_times=(1.0, 2.0, 4.0))
-    rec = simulate(pt_model, cfg)
-    assert set(rec.snapshots) == {1.0, 2.0, 4.0}
-    # linear flow with V: the free-undone profiles converge only weakly; here
-    # just check the profiles keep the mass
-    for snap in rec.snapshots.values():
-        assert spectral.l2_norm(snap, pt_model.grid.h) == pytest.approx(
-            rec.mass[0], rel=1e-9)
-
-
 # --- fused stepping and batched monitors --------------------------------------
 
 
@@ -425,17 +411,6 @@ def test_batched_monitors_match_single_sample_helpers(pt_model, pt_aux, monkeypa
         ]
         for got, want in pairs:
             assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
-
-
-def test_snapshot_between_samples(pt_model):
-    rng = np.random.default_rng(12)
-    u0 = random_radiation(pt_model, rng, 0.05) + 0.1 * pt_model.phi[0]
-    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=0.021, output_stride=7, u0=u0,
-                        snapshot_times=(0.010,))
-    rec = simulate(pt_model, cfg)
-    u10 = _stepped(pt_model, cfg, u0, 10)[-1]
-    want = dynamics.free_flow_undo(u10, 10 * cfg.dt, pt_model.grid, pt_model.c)
-    assert_allclose(rec.snapshots[0.010], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_non_finite_initial_data_raises(pt_model):

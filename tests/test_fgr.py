@@ -123,7 +123,7 @@ def test_phase_invariance(toy_packets):
 def test_rayleigh_report_positive(pt_packets, pt_catalog):
     rep = rayleigh_report(pt_packets, pt_catalog.minimal, n_modes=2,
                           n_samples=200, seed=1)
-    assert rep.samples > 0
+    assert len(rep.quotients) > 0
     assert rep.min_quotient <= rep.max_quotient
     # forced PT model: the sampled quotient stays positive ((H9') verdict)
     assert rep.verdict

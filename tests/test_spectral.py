@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -909,13 +910,20 @@ def test_density_gram_lap_matches_density_form(pt_model):
 def test_density_positivity(pt_model):
     rng = np.random.default_rng(9)
     x = pt_model.grid.x
-    for _ in range(6):
-        w = pt_model.c + 0.2 + 2.0 * rng.random()
-        phi = (rng.standard_normal(len(x)) * np.exp(-x ** 2 / 40)).astype(complex)
-        norm2 = spectral.l2_norm(phi, pt_model.grid.h) ** 2
-        val = spectral.spectral_density_form(pt_model, w, phi)
-        assert val >= -1e-8 * norm2
-        assert spectral.histogram_density(pt_model, w, phi) >= -0.05 * max(val, 1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(6):
+            w = pt_model.c + 0.2 + 2.0 * rng.random()
+            phi = (rng.standard_normal(len(x)) * np.exp(-x ** 2 / 40)).astype(complex)
+            norm2 = spectral.l2_norm(phi, pt_model.grid.h) ** 2
+            val = spectral.spectral_density_form(pt_model, w, phi)
+            assert val >= -1e-8 * norm2
+            assert spectral.histogram_density(pt_model, w, phi) >= -0.05 * max(val, 1e-12)
+    # rough white-noise packets on this box may leave the LAP extrapolation
+    # flagged; that documented warning is the only one allowed
+    for w in caught:
+        assert w.category is UserWarning, w
+        assert str(w.message).startswith("spectral density extrapolation unreliable at w = "), w
 
 
 def test_density_gram_matches_diagonal(pt_model):
