@@ -35,6 +35,9 @@ from .spectral import OperatorModel, resolvent_apply
 
 # classification labels
 Z0, Z1, NONRESONANT = "Z0", "Z1", "nonresonant"
+# a residual of {chi, H_F} = K above this share of K's largest coefficient
+# (or of 1, whichever is larger) fails the homological check
+HOMOLOGICAL_RTOL = 1e-8
 
 
 def classify_term(term: HamTerm, lam, c: float, r: int,
@@ -120,7 +123,7 @@ def solve_homological(
     return chi
 
 
-def _verify_homological(chi, k_exp, model, rtol=1e-8):
+def _verify_homological(chi, k_exp, model):
     """Check {chi, H_F} = K for a merged chi through the bracket table, term
     by term."""
     residual = [bracket_hf(t, model.lam, model).scaled(-1.0) for t in chi.terms]
@@ -134,7 +137,7 @@ def _verify_homological(chi, k_exp, model, rtol=1e-8):
         size = abs(t.coeff)
         if t.kind in ("linear_f", "linear_fbar"):
             size = float(np.max(np.abs(t.vector)))
-        if size > rtol * max(kscale, 1.0):
+        if size > HOMOLOGICAL_RTOL * max(kscale, 1.0):
             raise NlsnfError(f"homological verification failed on {t} (residual {size:.2e})")
 
 

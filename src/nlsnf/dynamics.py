@@ -4,8 +4,16 @@ The stepper is a Strang splitting: exact half-steps of the kinetic phase in
 Fourier space around an exact pointwise phase rotation for the potential and
 the nonlinearity sampled at the midpoint time.  Mass is conserved to rounding
 and the map is exactly time-reversible.  Between output samples the
-half-steps of adjacent steps are applied as one full kinetic step, and the
-monitors are computed on stacks of samples.
+half-steps of adjacent steps are applied as one full kinetic step.
+
+The state is held on the Fourier side, as its transform, from one output
+sample to the next: `step` takes and returns the transform, so a stretch of
+n steps costs 2n transforms without the sponge.  The transforms of up to
+`MONITOR_BATCH` samples are buffered, checked for finiteness once per batch,
+and taken back to x-space by one batched inverse transform.  The monitors
+read both sides: the kinetic energy and ||f'|| come from the transforms by
+Parseval, and f' for the W^{1,p} sums from one more batched inverse
+transform of (u_hat - z . phi_hat) i k.
 
 The box wraps radiation after t_wrap = L / (2 v_max); runs beyond that keep
 only qualitative meaning unless the absorbing sponge is enabled (off by
@@ -144,18 +152,6 @@ def h1_norm(u, grid: GridSpec) -> float:
     return math.sqrt(l2_norm(u, grid.h) ** 2 + l2_norm(derivative(u, grid), grid.h) ** 2)
 
 
-def energy_value(model: BoundStates, u, t, gamma0, gamma1):
-    """E(u) at time t; states u[s] at times t[s] give one energy each."""
-    grid = model.grid
-    kin = l2_norm(derivative(u, grid), grid.h) ** 2
-    density = u.real ** 2 + u.imag ** 2
-    pot = grid.h * np.sum((model.v + model.c) * density, axis=-1)
-    # the /2 normalization generates the simulated nonlinearity g|u|^2 u under
-    # the Wirtinger gradient
-    ep = gamma_of_t(t, gamma0, gamma1) * grid.h * np.sum(density ** 2, axis=-1) / 2.0
-    return kin + pot + ep
-
-
 def dt_safe_bound(grid: GridSpec) -> float:
     # accuracy heuristic, not a stability limit: the splitting is exact in
     # each factor, so we only keep dt below the grid-scale h^2
@@ -178,17 +174,21 @@ def _sponge_mask(grid: GridSpec, dt: float):
     return np.exp(-dt * SPONGE_STRENGTH * ramp ** 2).astype(complex)
 
 
-def step(u: np.ndarray, dt: float, t: float, model: BoundStates,
+def step(uh: np.ndarray, dt: float, t: float, model: BoundStates,
          config: SimConfig, half_kinetic: np.ndarray, sponge=None,
          n: int = 1) -> np.ndarray:
-    """n Strang steps from t to t + n dt; half_kinetic = exp(-i k^2 dt / 2).
+    """n Strang steps from t to t + n dt on the Fourier side.
 
-    Without a sponge, the second half-step of one step and the first of the
-    next are applied as one full kinetic factor, so each step costs one FFT
-    pair.  The sponge mask sits between the kinetic factors of consecutive
-    steps, so a sponge step stays unfused: K/2 N K/2 S, two FFT pairs.  For
-    t = k dt, sponge step i evaluates gamma at (k + i) dt + dt / 2, with the
-    rounding of n one-step calls at t = k dt, (k + 1) dt, ...
+    `uh` is the transform np.fft.fft(u) of the state at t; the transform of
+    the state at t + n dt is returned, and np.fft.ifft of it gives the state.
+    half_kinetic = exp(-i k^2 dt / 2).  Without a sponge, the second
+    half-step of one step and the first of the next are applied as one full
+    kinetic factor, so a call costs n FFT pairs.  The sponge mask sits
+    between the kinetic factors of consecutive steps, so a sponge step stays
+    unfused: K/2 N K/2 S, two FFT pairs, the second ending in the transform
+    of the masked state.  For t = k dt, sponge step i evaluates gamma at
+    (k + i) dt + dt / 2, with the rounding of n one-step calls at t = k dt,
+    (k + 1) dt, ...
 
     The buffers are allocated once per call, and every transform writes
     into them through the bound gufuncs `_fft(a, 1)` and `_ifft(a, 1 / M)`,
@@ -196,16 +196,15 @@ def step(u: np.ndarray, dt: float, t: float, model: BoundStates,
     from the (M, 2) real view of u: one multiply squares both parts, one add
     sums the columns, the operations of u.real ** 2 + u.imag ** 2.  A real
     sponge mask would be cast to complex on every step; `_sponge_mask` gives
-    it complex.  `u` itself is not written.
+    it complex.  `uh` itself is not written.
     """
-    m_pts = len(u)
+    m_pts = len(uh)
     inv_m = 1.0 / m_pts
     full_kinetic = half_kinetic * half_kinetic
     static_phase = -dt * (model.v + model.c)
     rotation = np.empty(m_pts, dtype=complex)
     phase, squares = np.empty(m_pts), np.empty((m_pts, 2))
-    uh = _fft(u, 1, out=np.empty(m_pts, dtype=complex))
-    uh *= half_kinetic
+    uh = uh * half_kinetic
     u = np.empty_like(uh)
     parts = u.view(float).reshape(m_pts, 2)
     for i in range(n):
@@ -230,10 +229,10 @@ def step(u: np.ndarray, dt: float, t: float, model: BoundStates,
             uh *= half_kinetic
             _ifft(uh, inv_m, out=u)
             u *= sponge
+            _fft(u, 1, out=uh)
             if not last:
-                _fft(u, 1, out=uh)
                 uh *= half_kinetic
-    return _ifft(uh, inv_m, out=u) if sponge is None else u
+    return uh
 
 
 def simulate(model: BoundStates, config: SimConfig,
@@ -260,9 +259,21 @@ def simulate(model: BoundStates, config: SimConfig,
     eps = h1_norm(u, grid)
     n_steps = int(round(config.t_end / dt))
     stride = int(config.output_stride)
+    m_pts, h = grid.m_pts, grid.h
     half_kinetic = np.exp(-0.5j * grid.k ** 2 * dt)
     sponge = _sponge_mask(grid, dt) if config.sponge else None
-    weight = (1.0 + grid.x ** 2) ** (-WEIGHT_S / 2.0)
+    # h w^2 of the weighted norms; (h / M) k^2 gives h sum |d/dx ifft(a)|^2
+    # from a by Parseval
+    weight_sq = h * (1.0 + grid.x ** 2) ** (-WEIGHT_S)
+    kinetic = (h / m_pts) * grid.k ** 2
+    potential = h * (model.v + model.c)
+    ik = 1j * grid.k
+    # z . phi_hat as one real product: rows j and nb + j of phi_parts are the
+    # (re, im) pairs of phi_hat_j and i phi_hat_j, so [Re z | Im z] @ phi_parts
+    # gives the (re, im) pairs of z . phi_hat.  For a batch of 64 at M = 512
+    # the complex product took about 250 us on two BLAS threads, this 35 us
+    phi_hat = np.fft.fft(model.phi)
+    phi_parts = np.concatenate((phi_hat, 1j * phi_hat)).view(float)
 
     n_out = n_steps // stride + 1
     nb = len(model.lam)
@@ -282,42 +293,56 @@ def simulate(model: BoundStates, config: SimConfig,
     strich_acc = dict.fromkeys(STRICHARTZ_PAIRS, 0.0)
     sample_dt = stride * dt
     batch = min(MONITOR_BATCH, n_out)
-    buffer = np.empty((batch, grid.m_pts), dtype=complex)
+    buffer = np.empty((batch, m_pts), dtype=complex)
 
     def record(lo, hi):
-        """Monitors of samples lo .. hi - 1, held in buffer[:hi - lo]."""
-        u, t = buffer[:hi - lo], times[lo:hi]
+        """Monitors of samples lo .. hi - 1, whose transforms are in buffer[:hi - lo]."""
+        uh, t = buffer[:hi - lo], times[lo:hi]
+        finite = np.isfinite(uh.view(float)).all(axis=-1)
+        if not finite.all():
+            raise NumericalError(f"non-finite state at t = {times[lo + np.argmin(finite)]:.6g}")
+        u = np.fft.ifft(uh)
         state = project_modes(u, model)
         zs[lo:hi] = state.z
-        mass[lo:hi] = l2_norm(u, grid.h)
-        energy[lo:hi] = energy_value(model, u, t, config.gamma0, config.gamma1)
-        df = derivative(state.f, grid)
-        f_l2[lo:hi] = norm = l2_norm(state.f, grid.h)
-        f_h1[lo:hi] = np.sqrt(norm ** 2 + l2_norm(df, grid.h) ** 2)
-        f_w[lo:hi] = l2_norm(weight * state.f, grid.h)
+        density = _abs2(u)
+        mass[lo:hi] = np.sqrt(h * density.sum(axis=-1))
+        # the /2 normalization generates the simulated nonlinearity g|u|^2 u
+        # under the Wirtinger gradient
+        energy[lo:hi] = (_abs2(uh) @ kinetic + density @ potential
+                         + gamma_of_t(t, config.gamma0, config.gamma1)
+                         * h * (density * density).sum(axis=-1) / 2.0)
+        f_sq = _abs2(state.f)
+        f_norm_sq = h * f_sq.sum(axis=-1)
+        f_l2[lo:hi] = np.sqrt(f_norm_sq)
+        z_parts = np.concatenate((state.z.real, state.z.imag), axis=-1)
+        fh = uh - (z_parts @ phi_parts).view(complex)
+        f_h1[lo:hi] = np.sqrt(f_norm_sq + _abs2(fh) @ kinetic)
+        f_w[lo:hi] = np.sqrt(f_sq @ weight_sq)
+        fh *= ik
+        f_sums, df_sums = _power_sums(f_sq, h), _power_sums(_abs2(np.fft.ifft(fh)), h)
         for (r, p) in STRICHARTZ_PAIRS:
-            strich_acc[r, p] += sample_dt * np.sum(_w1p_norm(state.f, df, grid.h, p) ** r)
-        zsq = np.abs(monomials(state.z[:, None, :], zsq_mu, zsq_nu)) ** 2
+            # ||f||_{W^{1,p}}^r = (h sum |f|^p + h sum |df|^p)^(r / p)
+            strich_acc[r, p] += sample_dt * np.sum((f_sums[p] + df_sums[p]) ** (r / p))
+        zsq = _abs2(monomials(state.z[:, None, :], zsq_mu, zsq_nu))
         zsq_acc[:] += sample_dt * zsq.sum(axis=0)
         if aux is not None:
             zetas[lo:hi] = zeta_transform(state.z, t, aux.zeta_couplings)
-            g_w[lo:hi] = l2_norm(weight * g_transform(state, t, aux.g_couplings), grid.h)
+            g_w[lo:hi] = np.sqrt(_abs2(g_transform(state, t, aux.g_couplings)) @ weight_sq)
 
-    def sample(i, u):
-        """Check output sample i and buffer it; a full buffer is recorded."""
-        if not np.isfinite(u).all():
-            raise NumericalError(f"non-finite state at t = {times[i]:.6g}")
-        buffer[i % batch] = u
+    def sample(i, uh):
+        """Buffer the transform of output sample i; a full buffer is recorded."""
+        buffer[i % batch] = uh
         if i % batch == batch - 1 or i == n_out - 1:
             record(i - i % batch, i + 1)
 
-    sample(0, u)
+    uh = np.fft.fft(u)
+    sample(0, uh)
     done = 0
     # steps past the last sample would change nothing recorded
     for target in range(stride, n_steps + 1, stride):
-        u = step(u, dt, done * dt, model, config, half_kinetic, sponge, stride)
+        uh = step(uh, dt, done * dt, model, config, half_kinetic, sponge, stride)
         done = target
-        sample(done // stride, u)
+        sample(done // stride, uh)
 
     # the golden-rule flux pi sum_w Q_w(zeta) of every sample at once
     flux = (math.pi * sum((packet_form(p, zetas) for p in aux.packets), np.zeros(n_out))
@@ -334,11 +359,25 @@ def simulate(model: BoundStates, config: SimConfig,
     )
 
 
-def _w1p_norm(f, df, h: float, p: float):
-    """||f||_{W^{1,p}} from f and its derivative df."""
-    fp = (h * np.sum(np.abs(f) ** p, axis=-1)) ** (1.0 / p)
-    dfp = (h * np.sum(np.abs(df) ** p, axis=-1)) ** (1.0 / p)
-    return (fp ** p + dfp ** p) ** (1.0 / p)
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 of a C-contiguous complex array, from its real view."""
+    parts = a.view(float).reshape(a.shape + (2,))
+    squares = parts * parts
+    return squares[..., 0] + squares[..., 1]
+
+
+def _power_sums(sq: np.ndarray, h: float) -> dict:
+    """h sum |f|^p along the last axis for each p of STRICHARTZ_PAIRS.
+
+    `sq` is |f|^2.  Every p is even, and |f|^p is built by multiplying sq,
+    not with `np.abs(f) ** p`.
+    """
+    sums, power, e = {}, sq, 2
+    for p in sorted({p for _, p in STRICHARTZ_PAIRS}):
+        while e < p:
+            power, e = power * sq, e + 2
+        sums[p] = h * power.sum(axis=-1)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +478,7 @@ def zeta_transform(z, t, couplings: CouplingTable) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     corrections = couplings.weight * couplings.phased_monomials(z, t)
-    return z - corrections @ np.eye(z.shape[-1])[couplings.j]
+    return z - corrections @ np.eye(z.shape[-1], dtype=complex)[couplings.j]
 
 
 def build_g_couplings(model: OperatorModel, reduced: ReducedForm) -> CouplingTable:

@@ -20,6 +20,8 @@ from .hamalg import HamExpansion, exponent_table, monomials
 from .spectral import OperatorModel, density_gram, pv_gram
 
 POSITIVITY_ALARM = 1e-8
+CANCELLATION_TOL_PHASE = 1e-12   # identity (a) and the reality of Z0
+CANCELLATION_TOL_SUMS = 1e-10    # identities (b) and (c)
 RAYLEIGH_RADII = (0.5, 1.0, 2.0)   # |zeta| of the Rayleigh samples
 
 
@@ -170,8 +172,6 @@ def cancellation_checks(
     z0: HamExpansion,
     packets,
     zeta_samples,
-    tol_phase: float = 1e-12,
-    tol_sums: float = 1e-10,
 ) -> CancellationReport:
     """The three algebraic identities behind the Lyapunov balance.
 
@@ -183,8 +183,9 @@ def cancellation_checks(
     gauge-invariant Z0: a term c zeta^mu conj(zeta)^nu adds |nu| c zeta^mu
     conj(zeta)^nu to the sum, and its mirror makes the pair real exactly when
     |mu| = |nu|; a lone mu = nu term with complex c leaves |mu| Im c
-    |zeta^mu|^2.  Reality is checked as `reality_residual`, held to tol_phase
-    and counted in `ok`.  With it met, residuals above tolerance indicate a
+    |zeta^mu|^2.  Reality is checked as `reality_residual`, held to
+    CANCELLATION_TOL_PHASE and counted in `ok`; (b) and (c) are held to
+    CANCELLATION_TOL_SUMS.  With it met, residuals above tolerance indicate a
     structural bug rather than estimator error.
     """
     z0 = z0.merged()
@@ -228,8 +229,8 @@ def cancellation_checks(
         pv_residual=worst_b,
         delta_residual=worst_c,
         reality_residual=worst_r,
-        ok=(worst_r < tol_phase and worst_a < tol_phase
-            and worst_b < tol_sums and worst_c < tol_sums),
+        ok=(worst_r < CANCELLATION_TOL_PHASE and worst_a < CANCELLATION_TOL_PHASE
+            and worst_b < CANCELLATION_TOL_SUMS and worst_c < CANCELLATION_TOL_SUMS),
     )
 
 

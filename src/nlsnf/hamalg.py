@@ -64,7 +64,16 @@ def monomials(z, mu, nu):
     against a table gives an (S, K) array.
     """
     z = np.asarray(z, dtype=complex)
-    return (z ** np.asarray(mu)).prod(axis=-1) * (np.conj(z) ** np.asarray(nu)).prod(axis=-1)
+    mu, nu = np.asarray(mu), np.asarray(nu)
+    zbar = np.conj(z)
+    # the products over the modes are taken one mode at a time: a
+    # .prod(axis=-1) reduction over the short mode axis cost more than the
+    # powers; the values agree with it to rounding
+    a, b = z[..., 0] ** mu[..., 0], zbar[..., 0] ** nu[..., 0]
+    for j in range(1, z.shape[-1]):
+        a = a * z[..., j] ** mu[..., j]
+        b = b * zbar[..., j] ** nu[..., j]
+    return a * b
 
 
 def exponent_table(items, n_modes: int) -> tuple[np.ndarray, np.ndarray]:

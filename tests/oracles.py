@@ -8,7 +8,9 @@ pairing table) that they check.  The time-1 flow of a generator and the
 reduced mode ODE read that field.  The exact linear propagator checks the
 stepper, the free model the spectral transforms, each side of a resolvent
 boundary value solved on its own the conjugation rule, and the pairwise
-sweep the catalog's minimal triples.
+sweep the catalog's minimal triples.  The energy and the W^{1,p} norm of
+one state, in x-space with `np.fft` derivatives, check the monitors that
+`simulate` takes from the transforms of its samples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from nlsnf import spectral
+from nlsnf import dynamics, spectral
 from nlsnf.hamalg import QUARTIC, HamExpansion, HamTerm, monomials
 from nlsnf.spectral import GridSpec, OperatorModel, pairing
 
@@ -200,6 +202,22 @@ def linear_reference(model: OperatorModel, u0, t: float) -> np.ndarray:
     """Exact e^{-i H t} u0 through the dense eigenbasis (oracle for gamma = 0)."""
     coeffs = model.mode_coeffs(np.asarray(u0, dtype=complex))
     return model.from_mode_coeffs(np.exp(-1j * model.mode_energies * t) * coeffs)
+
+
+def energy_value(model: spectral.BoundStates, u, t, gamma0, gamma1) -> float:
+    """E(u) at time t for one state u; the /2 normalization generates the
+    simulated nonlinearity g|u|^2 u under the Wirtinger gradient."""
+    grid = model.grid
+    kin = spectral.l2_norm(dynamics.derivative(u, grid), grid.h) ** 2
+    density = np.abs(u) ** 2
+    pot = grid.h * np.sum((model.v + model.c) * density)
+    return kin + pot + dynamics.gamma_of_t(t, gamma0, gamma1) * grid.h * np.sum(density ** 2) / 2.0
+
+
+def w1p_norm(f, grid: GridSpec, p: float) -> float:
+    """||f||_{W^{1,p}} = (||f||_p^p + ||df/dx||_p^p)^(1/p) of one state f."""
+    df = dynamics.derivative(f, grid)
+    return (grid.h * np.sum(np.abs(f) ** p) + grid.h * np.sum(np.abs(df) ** p)) ** (1.0 / p)
 
 
 def free_operator(grid: GridSpec, c: float = 0.0) -> OperatorModel:

@@ -35,6 +35,11 @@ directory = {out}
 """
 
 
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "run.cfg"
@@ -125,8 +130,8 @@ def test_pipeline_refuses_a_budget_over_the_enumeration_limit(small_config, caps
     rc = cli.main(["pipeline", "--config", small_config])
     assert rc == cli.EXIT_CONFIG
     assert "budget N = 1: (H7) and (H8) would enumerate 140 " in capsys.readouterr().err
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     assert manifest["failed_stage"] == "resonance"
 
 
@@ -145,7 +150,7 @@ def test_pipeline_end_to_end(small_config, capsys):
     out = capsys.readouterr().out
     assert "pipeline complete" in out
     cfgdir = os.path.dirname(small_config)
-    manifest = json.load(open(os.path.join(cfgdir, "out", "manifest.json")))
+    manifest = _load_json(os.path.join(cfgdir, "out", "manifest.json"))
     assert manifest["incomplete"] is False
     stages = manifest["stages"]
     assert stages["model"]["n_bound"] == 1
@@ -215,7 +220,7 @@ directory = {out}
 """.format(out=tmp_path / "out"))
     rc = cli.main(["pipeline", "--config", str(cfg)])
     assert rc == cli.EXIT_HYPOTHESIS
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = _load_json(tmp_path / "out" / "manifest.json")
     assert manifest["incomplete"] is True
     assert manifest["failed_stage"] == "resonance"
     # c = 1.0 breaks the non-integer hypothesis; the witness is recorded
@@ -326,7 +331,7 @@ directory = {out}
 """.format(out=tmp_path / "out"))
     rc = cli.main(["pipeline", "--config", str(cfg)])
     assert rc == cli.EXIT_OK
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = _load_json(tmp_path / "out" / "manifest.json")
     assert manifest["stages"]["normal_form"] == {"skipped": "linear run"}
     # |z_j| constant on the linear flow
     z0 = manifest["stages"]["simulate"]["mode_energy_initial"]
@@ -339,7 +344,7 @@ def test_simulate_runs_the_model_and_simulate_stages(small_config, capsys):
     assert rc == cli.EXIT_OK
     assert "mass drift" in capsys.readouterr().out
     outdir = os.path.join(os.path.dirname(small_config), "out")
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    manifest = _load_json(os.path.join(outdir, "manifest.json"))
     assert manifest["incomplete"] is False and "failed_stage" not in manifest
     assert list(manifest["stages"]) == ["model", "simulate"]
     for entry in manifest["stages"].values():
@@ -356,7 +361,8 @@ def test_simulate_runs_the_model_and_simulate_stages(small_config, capsys):
     record = dynamics.simulate(model, cli.sim_config_from(cp))
     direct = os.path.join(os.path.dirname(small_config), "direct.csv")
     cli.write_trajectory_csv(record, direct)
-    assert open(os.path.join(outdir, "trajectory.csv"), "rb").read() == open(direct, "rb").read()
+    with open(os.path.join(outdir, "trajectory.csv"), "rb") as got, open(direct, "rb") as want:
+        assert got.read() == want.read()
 
 
 def test_simulate_records_a_failing_simulate_stage(tmp_path, capsys):
@@ -368,7 +374,7 @@ def test_simulate_records_a_failing_simulate_stage(tmp_path, capsys):
                    .replace("wrap_policy = ignore", "wrap_policy = error"))
     rc = cli.main(["simulate", "--config", str(cfg)])
     assert rc == cli.EXIT_CONFIG
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = _load_json(tmp_path / "out" / "manifest.json")
     assert manifest["incomplete"] is True
     assert manifest["failed_stage"] == "simulate"
     assert "wrap horizon" in manifest["error"]
@@ -394,7 +400,7 @@ def test_pipeline_records_a_run_beyond_the_wrap_horizon(tmp_path, capsys):
                    .replace("t_end = 2.0", "t_end = 6.0"))
     rc = cli.main(["pipeline", "--config", str(cfg)])
     assert rc == cli.EXIT_OK
-    sim = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]["simulate"]
+    sim = _load_json(tmp_path / "out" / "manifest.json")["stages"]["simulate"]
     assert sim["t_wrap"] < 6.0 and sim["sponge"] is False
     assert sim["beyond_wrap"] is True
 
@@ -402,8 +408,8 @@ def test_pipeline_records_a_run_beyond_the_wrap_horizon(tmp_path, capsys):
 def test_manifest_records_the_drop_ledger(small_config, capsys):
     rc = cli.main(["normalform", "--config", small_config])
     assert rc == cli.EXIT_OK
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     rounds = manifest["stages"]["normal_form"]["rounds"]
     assert rounds
     for led in rounds:
@@ -451,8 +457,8 @@ def test_spectrum_writes_manifest(small_config, capsys):
     rc = cli.main(["spectrum", "--config", small_config])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     assert manifest["incomplete"] is False
     assert list(manifest["stages"]) == ["model"]
     assert f"c = {manifest['stages']['model']['c']:.10g}" in out
@@ -462,7 +468,7 @@ def _run_spectrum_on_csv(tmp_path, csv_path):
     """`nlsnf spectrum` on SMALL_CONFIG's grid with [model] potential_csv set."""
     path = _config_with(tmp_path, "model", "potential_csv", str(csv_path))
     rc = cli.main(["spectrum", "--config", str(path)])
-    return rc, json.load(open(tmp_path / "out" / "manifest.json"))
+    return rc, _load_json(tmp_path / "out" / "manifest.json")
 
 
 def test_potential_csv_of_the_preset_samples_gives_the_preset_spectrum(small_config, tmp_path,
@@ -470,7 +476,7 @@ def test_potential_csv_of_the_preset_samples_gives_the_preset_spectrum(small_con
     # the samples interpolate to the preset's V bit for bit, so the seeded
     # bound-state solve gives the bits of the preset's own `spectrum` run
     assert cli.main(["spectrum", "--config", small_config]) == cli.EXIT_OK
-    preset = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]["model"]
+    preset = _load_json(tmp_path / "out" / "manifest.json")["stages"]["model"]
     grid = spectral.GridSpec(l_box=30.0, m_pts=256)
     xs = np.append(grid.x, grid.l_box)            # the periodic endpoint x = L too
     np.savetxt(tmp_path / "v.csv", np.column_stack(
@@ -512,7 +518,7 @@ def test_preset_with_a_non_finite_sample_exits_config(tmp_path, capsys, monkeypa
                        "--width", "1e-300"])
     assert rc == cli.EXIT_CONFIG
     assert "V = nan at grid point 1024 (x = 0)" in capsys.readouterr().err
-    assert json.load(open(tmp_path / "manifest.json"))["failed_stage"] == "model"
+    assert _load_json(tmp_path / "manifest.json")["failed_stage"] == "model"
 
 
 def test_missing_potential_csv_exits_config(tmp_path, capsys):
@@ -544,7 +550,7 @@ def test_fgr_stops_before_the_simulation(small_config, capsys, monkeypatch):
     rc = cli.main(["fgr", "--config", small_config])
     assert rc == cli.EXIT_OK
     outdir = os.path.join(os.path.dirname(small_config), "out")
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    manifest = _load_json(os.path.join(outdir, "manifest.json"))
     assert manifest["incomplete"] is False
     assert list(manifest["stages"])[-1] == "fgr"
     assert "simulate" not in manifest["stages"]
@@ -560,8 +566,8 @@ def test_manifest_reports_packets_and_h4(small_config, capsys, monkeypatch):
     _forbid_simulation(monkeypatch)
     rc = cli.main(["fgr", "--config", small_config])
     assert rc == cli.EXIT_OK
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     packets = manifest["stages"]["fgr"]["packets"]
     assert packets
     for p in packets:
@@ -585,7 +591,7 @@ def test_linear_prefix_run_records_the_skip(tmp_path, capsys, monkeypatch, comma
                    .replace("gamma1 = 2.0", "gamma1 = 0.0"))
     rc = cli.main([command, "--config", str(cfg)])
     assert rc == cli.EXIT_OK
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = _load_json(tmp_path / "out" / "manifest.json")
     assert manifest["incomplete"] is False
     assert list(manifest["stages"])[-1] == "normal_form"
     assert manifest["stages"]["normal_form"] == {"skipped": "linear run"}
@@ -600,8 +606,8 @@ def test_model_stage_records_its_basis(small_config, capsys, command, basis):
     with open(small_config, "a") as fh:
         fh.write("\n[analysis]\nr_max = 1\n")
     assert cli.main([command, "--config", small_config]) == cli.EXIT_OK
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     model = manifest["stages"]["model"]
     assert model["basis"] == basis
     assert (model["iterations"] is None) == (basis == "dense")
@@ -618,7 +624,7 @@ def test_stage_warnings_are_shown_and_recorded(tmp_path, capsys):
     with pytest.warns(UserWarning, match="radiation wrap horizon") as shown:
         rc = cli.main(["simulate", "--config", str(cfg)])
     assert rc == cli.EXIT_OK
-    stages = json.load(open(tmp_path / "out" / "manifest.json"))["stages"]
+    stages = _load_json(tmp_path / "out" / "manifest.json")["stages"]
     assert stages["model"]["warnings"] == []
     assert stages["simulate"]["warnings"] == [str(w.message) for w in shown]
     assert len(shown) == 1
@@ -633,8 +639,8 @@ def test_a_failing_stage_records_its_warnings(small_config, capsys, monkeypatch)
     with pytest.warns(UserWarning, match="about to fail"):
         rc = cli.main(["simulate", "--config", small_config])
     assert rc == cli.EXIT_NUMERICAL
-    manifest = json.load(open(os.path.join(os.path.dirname(small_config), "out",
-                                           "manifest.json")))
+    manifest = _load_json(os.path.join(os.path.dirname(small_config), "out",
+                                           "manifest.json"))
     assert manifest["failed_stage"] == "simulate"
     assert manifest["failed_stage_warnings"] == ["about to fail"]
     assert list(manifest["stages"]) == ["model"]

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from nlsnf.dynamics import (
 from nlsnf.errors import ConfigError, NumericalError
 
 from conftest import random_radiation
+import oracles
 from oracles import integrate_reduced, linear_reference, reduced_ode_rhs
 
 
@@ -43,11 +46,11 @@ def test_linear_propagator_match(pt_model):
     rec = simulate(pt_model, cfg)
     uref = linear_reference(pt_model, u0, 10.0)
     # reconstruct the final state to compare: rerun the stepper directly
-    u = u0.copy()
+    uh = np.fft.fft(u0)
     half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
     for i in range(10_000):
-        u = step(u, cfg.dt, i * cfg.dt, pt_model, cfg, half)
-    err = spectral.l2_norm(u - uref, pt_model.grid.h)
+        uh = step(uh, cfg.dt, i * cfg.dt, pt_model, cfg, half)
+    err = spectral.l2_norm(np.fft.ifft(uh) - uref, pt_model.grid.h)
     assert err <= 1e-6
     # and |z_j(t)| constant along the linear flow
     amp = np.abs(rec.z)
@@ -68,13 +71,13 @@ def test_time_reversibility(pt_model):
     cfg = _short_config(gamma0=1.0, gamma1=0.5)
     half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
     half_back = np.exp(+0.5j * pt_model.grid.k ** 2 * cfg.dt)
-    u = u0.copy()
+    uh = np.fft.fft(u0)
     n = 500
     for i in range(n):
-        u = step(u, cfg.dt, i * cfg.dt, pt_model, cfg, half)
+        uh = step(uh, cfg.dt, i * cfg.dt, pt_model, cfg, half)
     for i in range(n - 1, -1, -1):
-        u = step(u, -cfg.dt, (i + 1) * cfg.dt, pt_model, cfg, half_back)
-    err = spectral.l2_norm(u - u0, pt_model.grid.h)
+        uh = step(uh, -cfg.dt, (i + 1) * cfg.dt, pt_model, cfg, half_back)
+    err = spectral.l2_norm(np.fft.ifft(uh) - u0, pt_model.grid.h)
     assert err < 1e-10 * spectral.l2_norm(u0, pt_model.grid.h)
 
 
@@ -96,12 +99,12 @@ def test_second_order_accuracy(pt_model):
 
     def run(dt):
         cfg = _short_config(gamma0=1.0, gamma1=1.0, dt=dt, t_end=t_end)
-        u = u0.copy()
+        uh = np.fft.fft(u0)
         half = np.exp(-0.5j * pt_model.grid.k ** 2 * dt)
         n = int(round(t_end / dt))
         for i in range(n):
-            u = step(u, dt, i * dt, pt_model, cfg, half)
-        return u
+            uh = step(uh, dt, i * dt, pt_model, cfg, half)
+        return np.fft.ifft(uh)
 
     ref = run(t_end / 16384)
     e1 = spectral.l2_norm(run(t_end / 512) - ref, pt_model.grid.h)
@@ -287,13 +290,13 @@ def test_strichartz_and_zsq_monitors(pt_model, pt_aux):
 # --- fused stepping and batched monitors --------------------------------------
 
 
-def _stepped(model, cfg, u0, n_steps):
-    """The states after 0 .. n_steps single (unfused) Strang steps."""
+def _stepped(model, cfg, u0, n_steps, sponge=None):
+    """The states after 0 .. n_steps single (unfused) Strang steps, in x-space."""
     half = np.exp(-0.5j * model.grid.k ** 2 * cfg.dt)
-    states = [u0]
+    transforms = [np.fft.fft(u0)]
     for i in range(n_steps):
-        states.append(step(states[-1], cfg.dt, i * cfg.dt, model, cfg, half))
-    return states
+        transforms.append(step(transforms[-1], cfg.dt, i * cfg.dt, model, cfg, half, sponge))
+    return [np.fft.ifft(uh) for uh in transforms]
 
 
 def test_fused_steps_match_single_steps(pt_model):
@@ -302,12 +305,13 @@ def test_fused_steps_match_single_steps(pt_model):
     u0 += random_radiation(pt_model, rng, 0.05)
     cfg = _short_config(gamma0=1.0, gamma1=8.0)
     half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
+    uh0 = np.fft.fft(u0)
     for t0, k in ((0.0, 2), (0.37, 25)):
-        fused = step(u0, cfg.dt, t0, pt_model, cfg, half, n=k)
-        u = u0
+        fused = step(uh0, cfg.dt, t0, pt_model, cfg, half, n=k)
+        uh = uh0
         for i in range(k):
-            u = step(u, cfg.dt, t0 + i * cfg.dt, pt_model, cfg, half)
-        assert np.max(np.abs(fused - u)) <= 1e-12 * np.max(np.abs(u))
+            uh = step(uh, cfg.dt, t0 + i * cfg.dt, pt_model, cfg, half)
+        assert np.max(np.abs(fused - uh)) <= 1e-12 * np.max(np.abs(uh))
 
 
 def test_sponge_steps_match_one_step_calls(pt_model):
@@ -318,23 +322,26 @@ def test_sponge_steps_match_one_step_calls(pt_model):
     cfg = _short_config(gamma0=1.0, gamma1=8.0)
     half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
     sponge = dynamics._sponge_mask(pt_model.grid, cfg.dt)
+    uh0 = np.fft.fft(u0)
     for k0, n in ((0, 3), (2000, 1000)):
-        u = u0
+        uh = uh0
         for i in range(n):
-            u = step(u, cfg.dt, (k0 + i) * cfg.dt, pt_model, cfg, half, sponge)
-        assert np.array_equal(step(u0, cfg.dt, k0 * cfg.dt, pt_model, cfg, half, sponge, n), u)
+            uh = step(uh, cfg.dt, (k0 + i) * cfg.dt, pt_model, cfg, half, sponge)
+        assert np.array_equal(step(uh0, cfg.dt, k0 * cfg.dt, pt_model, cfg, half, sponge, n), uh)
 
 
-def _strang_reference(u, dt, t, model, cfg, sponge=None, n=1):
+def _strang_reference(uh, dt, t, model, cfg, sponge=None, n=1):
     """n Strang steps K/2 N K/2, then S with a sponge, written with np.fft.
 
-    The oracle of `step`: it does the same floating-point operations in the
-    same order.  Plain steps merge the half-steps between them into one
-    full kinetic factor; sponge step i starts at (k + i) dt for t = k dt.
+    The oracle of `step`: it takes and returns the transform of the state,
+    and does the same floating-point operations in the same order.  Plain
+    steps merge the half-steps between them into one full kinetic factor;
+    sponge step i starts at (k + i) dt for t = k dt and ends in the
+    transform of the masked state.
     """
     half = np.exp(-0.5j * model.grid.k ** 2 * dt)
     static = -dt * (model.v + model.c)
-    uh = np.fft.fft(u) * half
+    uh = uh * half
     for i in range(n):
         u = np.fft.ifft(uh)
         start = t + i * dt if sponge is None or i == 0 else (round(t / dt) + i) * dt
@@ -346,9 +353,10 @@ def _strang_reference(u, dt, t, model, cfg, sponge=None, n=1):
         if sponge is None:
             uh = uh * (half if i == n - 1 else half * half)
         else:
-            u = np.fft.ifft(uh * half) * sponge
-            uh = np.fft.fft(u) * half
-    return np.fft.ifft(uh) if sponge is None else u
+            uh = np.fft.fft(np.fft.ifft(uh * half) * sponge)
+            if i < n - 1:
+                uh = uh * half
+    return uh
 
 
 def test_step_matches_the_textbook_strang_loop(pt_model):
@@ -358,12 +366,13 @@ def test_step_matches_the_textbook_strang_loop(pt_model):
     cfg = _short_config(gamma0=1.0, gamma1=8.0)
     half = np.exp(-0.5j * pt_model.grid.k ** 2 * cfg.dt)
     sponge = dynamics._sponge_mask(pt_model.grid, cfg.dt)
+    uh0 = np.fft.fft(u0)
     for mask in (None, sponge):
         for t0, n in ((0.0, 1), (0.0, 7), (37 * cfg.dt, 7)):
             # the oracle multiplies by the real mask, as numpy casts it
             real = None if mask is None else mask.real
-            want = _strang_reference(u0, cfg.dt, t0, pt_model, cfg, real, n)
-            got = step(u0, cfg.dt, t0, pt_model, cfg, half, mask, n)
+            want = _strang_reference(uh0, cfg.dt, t0, pt_model, cfg, real, n)
+            got = step(uh0, cfg.dt, t0, pt_model, cfg, half, mask, n)
             assert got.tobytes() == want.tobytes(), (mask is None, t0, n)
 
 
@@ -382,35 +391,115 @@ def test_bound_fft_gufuncs_are_np_fft(m_pts):
 
 
 def test_batched_monitors_match_single_sample_helpers(pt_model, pt_aux, monkeypatch):
-    # a 5-sample buffer over 13 samples: two full batches and a partial one
+    # a 5-sample buffer over 13 samples: two full batches and a partial one,
+    # at stride 7 with the sponge off and on, and at stride 1
     monkeypatch.setattr(dynamics, "MONITOR_BATCH", 5)
+    for sponge, stride in ((False, 7), (True, 7), (False, 1)):
+        _check_monitors_against_single_samples(pt_model, pt_aux, sponge, stride)
+
+
+def _check_monitors_against_single_samples(model, aux, sponge, stride):
+    """Each sample of a 13-sample run against x-space helpers on the states
+    of single `step` calls, and the Strichartz and |z^mu conj(z)^nu|^2
+    integrals against sums of those helpers over the samples."""
     rng = np.random.default_rng(11)
-    u0 = (0.1 * pt_model.phi[0] + 0.06j * pt_model.phi[1]).astype(complex)
-    u0 += random_radiation(pt_model, rng, 0.03)
-    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=0.084, output_stride=7, u0=u0)
-    rec = simulate(pt_model, cfg, aux=pt_aux)
-    grid = pt_model.grid
-    states = _stepped(pt_model, cfg, u0, 84)[::7]
+    u0 = (0.1 * model.phi[0] + 0.06j * model.phi[1]).astype(complex)
+    u0 += random_radiation(model, rng, 0.03)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=12 * stride * 1e-3,
+                        output_stride=stride, u0=u0, sponge=sponge)
+    rec = simulate(model, cfg, aux=aux)
+    grid = model.grid
+    mask = dynamics._sponge_mask(grid, cfg.dt) if sponge else None
+    states = _stepped(model, cfg, u0, 12 * stride, mask)[::stride]
     assert len(rec.times) == len(states) == 13
     weight = (1.0 + grid.x ** 2) ** (-dynamics.WEIGHT_S / 2.0)
+    sample_dt = stride * cfg.dt
+    strichartz = dict.fromkeys(dynamics.STRICHARTZ_PAIRS, 0.0)
+    zsq = dict.fromkeys(rec.zsq_integrals, 0.0)
+    assert len(zsq) == len(aux.catalog.minimal) > 0
+    f_h1 = []
     for i, (t, u) in enumerate(zip(rec.times, states)):
-        assert t == pytest.approx(7 * i * cfg.dt, abs=1e-15)
-        state = spectral.project_modes(u, pt_model)
-        f_h1 = np.hypot(spectral.l2_norm(state.f, grid.h),
-                        spectral.l2_norm(dynamics.derivative(state.f, grid), grid.h))
-        zeta = zeta_transform(state.z, t, pt_aux.zeta_couplings)
-        g_w = spectral.l2_norm(weight * g_transform(state, t, pt_aux.g_couplings), grid.h)
+        assert t == pytest.approx(i * sample_dt, abs=1e-15)
+        state = spectral.project_modes(u, model)
+        f_h1.append(np.hypot(spectral.l2_norm(state.f, grid.h),
+                             spectral.l2_norm(dynamics.derivative(state.f, grid), grid.h)))
+        zeta = zeta_transform(state.z, t, aux.zeta_couplings)
+        g_w = spectral.l2_norm(weight * g_transform(state, t, aux.g_couplings), grid.h)
         pairs = [
             (rec.z[i], state.z),
             (rec.mass[i], spectral.l2_norm(u, grid.h)),
-            (rec.energy[i], dynamics.energy_value(pt_model, u, t, cfg.gamma0, cfg.gamma1)),
-            (rec.f_h1[i], f_h1),
+            (rec.energy[i], oracles.energy_value(model, u, t, cfg.gamma0, cfg.gamma1)),
+            (rec.f_l2[i], spectral.l2_norm(state.f, grid.h)),
+            (rec.f_h1[i], f_h1[-1]),
             (rec.f_weighted[i], spectral.l2_norm(weight * state.f, grid.h)),
             (rec.zeta[i], zeta),
             (rec.g_weighted[i], g_w),
         ]
         for got, want in pairs:
             assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+        for (r, p) in strichartz:
+            strichartz[r, p] += sample_dt * oracles.w1p_norm(state.f, grid, p) ** r
+        for (m, mu, nu) in zsq:
+            mono = 1.0 + 0.0j
+            for zj, a, b in zip(state.z, mu, nu):
+                mono *= complex(zj) ** a * complex(np.conj(zj)) ** b
+            zsq[m, mu, nu] += sample_dt * abs(mono) ** 2
+    want = {f"r={r:g},p={p:g}": v ** (1.0 / r) for (r, p), v in strichartz.items()}
+    want["r=inf,p=2"] = max(f_h1)
+    assert rec.strichartz.keys() == want.keys()
+    for key, value in want.items():
+        assert rec.strichartz[key] == pytest.approx(value, rel=1e-10, abs=0), (sponge, stride, key)
+    for key, value in zsq.items():
+        assert value > 0
+        assert rec.zsq_integrals[key] == pytest.approx(value, rel=1e-10, abs=0), (sponge, stride, key)
+
+
+def test_simulate_steps_once_per_stretch_and_calls_monitors_by_module_name(
+        pt_model, pt_aux, monkeypatch):
+    # the benchmark's tracer rebinds the names `dynamics` imported and times
+    # the monitors as simulate less its `step` calls: one `step` call per
+    # stretch between samples, and `project_modes` and `packet_form` reached
+    # through those names, one call per batch and per packet
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("step", "project_modes", "packet_form"):
+        monkeypatch.setattr(dynamics, name, counting(name))
+    monkeypatch.setattr(dynamics, "MONITOR_BATCH", 5)
+    cfg = _short_config(gamma0=1.0, gamma1=8.0, t_end=0.086, output_stride=7,
+                        mode_amplitudes=(0.1, 0.05))
+    rec = simulate(pt_model, cfg, aux=pt_aux)
+    n_out = len(rec.times)
+    assert n_out == 13 and rec.steps == 84
+    assert dict(calls) == {"step": n_out - 1, "project_modes": 3,
+                           "packet_form": len(pt_aux.packets)}
+
+
+def test_a_nan_mid_batch_names_its_sample(pt_model, monkeypatch):
+    # finiteness is checked once per monitor batch; the error names the first
+    # non-finite sample, here the fourth of the batch of samples 5 .. 9
+    monkeypatch.setattr(dynamics, "MONITOR_BATCH", 5)
+    real_step, calls = dynamics.step, []
+
+    def poisoned(uh, *args, **kwargs):
+        out = real_step(uh, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == 8:
+            out[17] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "step", poisoned)
+    cfg = _short_config(t_end=0.084, output_stride=7, mode_amplitudes=(0.1,))
+    t8 = 8 * 7 * cfg.dt
+    with pytest.raises(NumericalError, match=re.escape(f"non-finite state at t = {t8:.6g}") + "$"):
+        simulate(pt_model, cfg)
 
 
 def test_non_finite_initial_data_raises(pt_model):

@@ -1030,6 +1030,21 @@ def test_monomials_zero_amplitudes_and_exponents():
                             np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
+def test_monomials_match_the_power_products_on_stacks():
+    # monomials multiplies mode by mode; it agrees to rounding with the
+    # products over the mode axis, for one exponent pair, a table and a
+    # stack of states against a table
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        z = rng.standard_normal((9, 1, n)) + 1j * rng.standard_normal((9, 1, n))
+        mu, nu = rng.integers(0, 5, (6, n)), rng.integers(0, 5, (6, n))
+        for zs, m, v in ((z[0, 0], mu[0], nu[0]), (z[0, 0], mu, nu), (z, mu, nu)):
+            want = (zs ** m).prod(axis=-1) * (np.conj(zs) ** v).prod(axis=-1)
+            got = hamalg.monomials(zs, m, v)
+            assert np.shape(got) == np.shape(want)
+            assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 def test_monomials_modulus_is_that_of_the_total_exponent():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
